@@ -37,6 +37,7 @@ from .errors import (
     FormatError,
     IoError,
     LengthMismatchError,
+    NonFiniteError,
     SepMetricsError,
     SignalTooShortError,
     SpecValidationError,

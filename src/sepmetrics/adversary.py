@@ -24,7 +24,7 @@ from scipy.special import expit
 
 from . import legacy
 from .audio import Signal
-from .dsp import MaskVector, Spectrogram, StftConfig, istft, stft
+from .dsp import MaskVector, Spectrogram, StftConfig, _analyze, apply_mask, istft, stft
 from .metrics import db_ratio
 
 __all__ = [
@@ -97,17 +97,10 @@ def _si_sdr_parts(ref: np.ndarray, est: np.ndarray):
     return a, num, residual, float(residual @ residual)
 
 
-def _masked_output(spec: Spectrogram, gains: np.ndarray) -> np.ndarray:
-    masked = Spectrogram(
-        spec.frames * gains, spec.cfg, spec.original_len, spec.sample_rate_hz
-    )
-    return istft(masked).samples
-
-
 def objective(weights, clean: Signal, cfg: StftConfig = StftConfig()) -> float:
     """SI-SDR (dB) of the masked signal against the clean signal."""
     spec = stft(clean, cfg)
-    out = _masked_output(spec, mask_from_weights(weights).gains)
+    out = istft(apply_mask(spec, mask_from_weights(weights))).samples
     _, num, _, den = _si_sdr_parts(clean.samples, out)
     return db_ratio(num, den)
 
@@ -120,12 +113,7 @@ def _istft_adjoint(spec: Spectrogram, upstream: np.ndarray) -> np.ndarray:
     with scale 2/N on interior bins and 1/N at DC/Nyquist.
     """
     cfg = spec.cfg
-    n_frames = spec.frames.shape[0]
-    buf = np.zeros((n_frames - 1) * cfg.hop + cfg.window_len)
-    buf[cfg.pad:cfg.pad + upstream.size] = upstream / cfg.ola_gain
-    view = np.lib.stride_tricks.sliding_window_view(buf, cfg.window_len)
-    frames = view[:: cfg.hop][:n_frames] * cfg.window
-    grad_spec = np.fft.rfft(frames, axis=1)
+    grad_spec = _analyze(upstream / cfg.ola_gain, cfg, spec.frames.shape[0])
     scale = np.full(cfg.n_bins, 2.0 / cfg.window_len)
     scale[0] = scale[-1] = 1.0 / cfg.window_len
     return (np.real(np.conj(spec.frames) * grad_spec) * scale).sum(axis=0)
@@ -137,7 +125,7 @@ def _gradient_cached(spec: Spectrogram, clean: np.ndarray,
     v = expit(weights)
     peak = int(np.argmax(v))
     gains = v / v[peak]
-    out = _masked_output(spec, gains)
+    out = istft(apply_mask(spec, MaskVector(gains))).samples
 
     a, num, residual, den = _si_sdr_parts(clean, out)
     value = db_ratio(num, den)
@@ -187,7 +175,7 @@ def optimize(clean: Signal, cfg: AdversaryConfig = AdversaryConfig()) -> Adversa
         trajectory.append(value)
 
     mask = mask_from_weights(weights)
-    out = Signal(_masked_output(spec, mask.gains), clean.sample_rate_hz)
+    out = istft(apply_mask(spec, mask))
     final_si = trajectory[-1]
     decomp = legacy.fir_project(
         out, clean, cfg=legacy.FirProjectionConfig(taps=cfg.legacy_taps)

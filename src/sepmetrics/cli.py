@@ -7,8 +7,9 @@ Subcommands:
   compare     flag estimates whose legacy SDR overstates quality vs SI-SDR
 
 Exit codes: 0 success, 2 input/format problems, 3 metric precondition
-violations, 1 anything unexpected. ``SEPMETRICS_THREADS`` caps eval-set
-parallelism.
+violations, 1 anything unexpected. ``eval-set --truncate`` truncates each
+pair on its own, as ``eval --truncate`` does; with ``--permute`` every
+reference meets every estimate, so the whole set is cut to its shortest file.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 import os
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import legacy, metrics
 from .audio import read_wav, rows_to_csv
@@ -131,16 +131,10 @@ def _cmd_eval(args) -> int:
     ref = read_wav(args.ref, args.channel)
     est = read_wav(args.est, args.channel)
     interferers = [read_wav(p, args.channel) for p in args.interf]
-    report = metrics.evaluate(ref, est, interferers,
-                              zero_mean=args.zero_mean, truncate=args.truncate)
-    row = report.as_dict()
+    sigs = metrics.prepare([ref, est, *interferers],
+                           truncate=args.truncate, zero_mean=args.zero_mean)
+    row = metrics.evaluate(sigs[0], sigs[1], sigs[2:]).as_dict()
     if args.legacy_taps is not None:
-        sigs = [s.samples for s in (ref, est, *interferers)]
-        if args.truncate:
-            n = min(s.size for s in sigs)
-            sigs = [s[:n] for s in sigs]
-        if args.zero_mean:
-            sigs = [s - s.mean() for s in sigs]
         row.update(_legacy_columns(sigs[0], sigs[1], sigs[2:], args.legacy_taps))
     _emit(rows_to_csv([row]), args.out)
     return EXIT_OK
@@ -155,14 +149,6 @@ def _expand(pattern: str) -> list[str]:
     else:
         names = [pattern]
     return sorted(names)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SEPMETRICS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _finite_summary(rows: list[dict], columns: list[str], reducer, label: str) -> dict:
@@ -184,25 +170,14 @@ def _cmd_eval_set(args) -> int:
         raise CountMismatchError("no input files matched")
     refs = [read_wav(p, args.channel) for p in ref_paths]
     ests = [read_wav(p, args.channel) for p in est_paths]
-    if args.zero_mean or args.truncate:
-        n = min(len(s) for s in refs + ests) if args.truncate else None
-        def prep(sig):
-            samples = sig.samples[:n] if n is not None else sig.samples
-            return samples - samples.mean() if args.zero_mean else samples
-        refs = [prep(s) for s in refs]
-        ests = [prep(s) for s in ests]
-
+    prep = {"truncate": args.truncate, "zero_mean": args.zero_mean}
     if args.permute:
-        assignment, reports = metrics.evaluate_permuted(refs, ests, args.metric)
+        sigs = metrics.prepare(refs + ests, **prep)
+        assignment, reports = metrics.evaluate_permuted(
+            sigs[:len(refs)], sigs[len(refs):], args.metric)
     else:
         assignment = tuple(range(len(refs)))
-        pairs = list(zip(refs, ests))
-        workers = _thread_count()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(lambda p: metrics.evaluate(*p), pairs))
-        else:
-            reports = [metrics.evaluate(r, e) for r, e in pairs]
+        reports = [metrics.evaluate(r, e, **prep) for r, e in zip(refs, ests)]
 
     metric_cols = ["snr_db", "si_sdr_db", "sd_sdr_db", "min_snr_sdsdr_db"]
     rows = []

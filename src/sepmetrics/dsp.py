@@ -140,9 +140,12 @@ class MaskVector:
         return self.gains.size
 
 
-def _frame(padded: np.ndarray, cfg: StftConfig, n_frames: int) -> np.ndarray:
-    view = np.lib.stride_tricks.sliding_window_view(padded, cfg.window_len)
-    return view[:: cfg.hop][:n_frames]
+def _analyze(x: np.ndarray, cfg: StftConfig, n_frames: int) -> np.ndarray:
+    """Pad ``x`` by ``cfg.pad``, cut ``n_frames`` hop-spaced frames, window, rFFT."""
+    buf = np.zeros((n_frames - 1) * cfg.hop + cfg.window_len)
+    buf[cfg.pad:cfg.pad + x.size] = x
+    view = np.lib.stride_tricks.sliding_window_view(buf, cfg.window_len)
+    return np.fft.rfft(view[:: cfg.hop][:n_frames] * cfg.window, axis=1)
 
 
 def stft(signal: Signal, cfg: StftConfig = StftConfig()) -> Spectrogram:
@@ -156,10 +159,7 @@ def stft(signal: Signal, cfg: StftConfig = StftConfig()) -> Spectrogram:
         raise SignalTooShortError(
             f"need at least window_len={cfg.window_len} samples, got {x.size}"
         )
-    n_frames = cfg.frame_count(x.size)
-    buf = np.zeros((n_frames - 1) * cfg.hop + cfg.window_len)
-    buf[cfg.pad:cfg.pad + x.size] = x
-    frames = np.fft.rfft(_frame(buf, cfg, n_frames) * cfg.window, axis=1)
+    frames = _analyze(x, cfg, cfg.frame_count(x.size))
     return Spectrogram(frames, cfg, x.size, signal.sample_rate_hz)
 
 

@@ -21,6 +21,10 @@ class LengthMismatchError(SepMetricsError):
     """Two signals (or a spectrogram and a mask) that must agree in length do not."""
 
 
+class NonFiniteError(SepMetricsError):
+    """A metric's energy ratio is NaN or infinite: the inputs hold NaN/inf samples."""
+
+
 class ZeroReferenceError(SepMetricsError):
     """The reference signal is identically zero, so no ratio against it is defined."""
 

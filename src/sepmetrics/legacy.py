@@ -23,10 +23,9 @@ import scipy.fft
 from scipy.linalg import toeplitz
 from scipy.signal import fftconvolve
 
-from .audio import Signal
-from .errors import LengthMismatchError, ZeroReferenceError
+from .errors import ZeroReferenceError
 from .linalg import solve_spd
-from .metrics import db_ratio
+from .metrics import db_ratio, prepare
 
 __all__ = [
     "FirProjectionConfig",
@@ -71,15 +70,6 @@ class LegacyDecomposition:
     taps: int
 
 
-def _samples(x) -> np.ndarray:
-    if isinstance(x, Signal):
-        return x.samples
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D signal, got shape {arr.shape}")
-    return arr
-
-
 def fir_project(estimate, reference, interferers=(),
                 cfg: FirProjectionConfig = FirProjectionConfig()) -> LegacyDecomposition:
     """Least-squares projection of the estimate onto delayed source copies.
@@ -94,13 +84,8 @@ def fir_project(estimate, reference, interferers=(),
         DegenerateSourcesError: Gram matrix singular beyond jitter.
         ZeroReferenceError: all-zero reference.
     """
-    est = _samples(estimate)
-    ref = _samples(reference)
-    sources = [ref] + [_samples(n) for n in interferers]
-    L = est.size
-    for src in sources:
-        if src.size != L:
-            raise LengthMismatchError(f"all signals must have {L} samples")
+    est, *sources = prepare([estimate, reference, *interferers])
+    ref, L = sources[0], est.size
     if not ref.any():
         raise ZeroReferenceError("reference signal is all zeros")
     taps = int(cfg.taps)

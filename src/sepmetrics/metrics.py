@@ -30,6 +30,7 @@ from .audio import Signal
 from .errors import (
     CountMismatchError,
     LengthMismatchError,
+    NonFiniteError,
     ZeroEstimateError,
     ZeroReferenceError,
     ZeroTargetError,
@@ -39,6 +40,7 @@ from .linalg import solve_spd
 __all__ = [
     "Decomposition",
     "MetricReport",
+    "prepare",
     "snr",
     "si_sdr",
     "sd_sdr",
@@ -62,20 +64,34 @@ def _samples(x) -> np.ndarray:
     return arr
 
 
-def _pair(reference, estimate, truncate: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    ref, est = _samples(reference), _samples(estimate)
-    if ref.size != est.size:
+def prepare(signals, *, truncate: bool = False, zero_mean: bool = False) -> list[np.ndarray]:
+    """Coerce signals to 1-D float64 arrays of one common length.
+
+    Unequal lengths raise :class:`LengthMismatchError` unless ``truncate``,
+    which cuts every signal to the shortest; ``zero_mean`` then subtracts each
+    signal's mean.
+    """
+    arrays = [_samples(s) for s in signals]
+    n = min(a.size for a in arrays)
+    if any(a.size != n for a in arrays):
         if not truncate:
             raise LengthMismatchError(
-                f"reference has {ref.size} samples, estimate has {est.size}"
+                f"signal lengths differ: {', '.join(str(a.size) for a in arrays)}"
             )
-        n = min(ref.size, est.size)
-        ref, est = ref[:n], est[:n]
-    return ref, est
+        arrays = [a[:n] for a in arrays]
+    if zero_mean:
+        arrays = [a - a.mean() for a in arrays]
+    return arrays
 
 
 def db_ratio(num: float, den: float) -> float:
-    """10*log10(num/den) with sentinel handling: zero num -> -inf, zero den -> +inf."""
+    """10*log10(num/den) with sentinel handling: zero num -> -inf, zero den -> +inf.
+
+    Every metric ratio passes through here, so a NaN or infinite energy (from
+    non-finite input samples) is caught once, at O(1) cost.
+    """
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise NonFiniteError(f"non-finite energies {num!r}/{den!r}: NaN or inf in the inputs")
     if num == 0.0:
         return -math.inf
     if den == 0.0:
@@ -88,7 +104,7 @@ def snr(reference, estimate, truncate: bool = False) -> float:
 
     Returns +inf when the estimate equals the reference exactly.
     """
-    ref, est = _pair(reference, estimate, truncate)
+    ref, est = prepare([reference, estimate], truncate=truncate)
     if not ref.any():
         raise ZeroReferenceError("reference signal is all zeros")
     # same reduction for both energies, so snr(s, 0) is exactly 0 dB
@@ -106,7 +122,7 @@ def si_sdr(reference, estimate, truncate: bool = False) -> float:
     ``10*log10(||alpha*ref||^2 / ||alpha*ref - est||^2)``. +inf for estimates
     collinear with the reference, -inf for nonzero estimates orthogonal to it.
     """
-    ref, est = _pair(reference, estimate, truncate)
+    ref, est = prepare([reference, estimate], truncate=truncate)
     if not ref.any():
         raise ZeroReferenceError("reference signal is all zeros")
     if not est.any():
@@ -122,7 +138,7 @@ def sd_sdr(reference, estimate, truncate: bool = False) -> float:
 
     Equal to ``snr + 10*log10(alpha^2)``; -inf when the optimal gain is zero.
     """
-    ref, est = _pair(reference, estimate, truncate)
+    ref, est = prepare([reference, estimate], truncate=truncate)
     if not ref.any():
         raise ZeroReferenceError("reference signal is all zeros")
     if not est.any():
@@ -168,16 +184,9 @@ def decompose(reference, estimate, interferers=()) -> Decomposition:
         DegenerateSourcesError: the source set is linearly dependent.
         LengthMismatchError: signals of unequal length.
     """
-    ref = _samples(reference)
+    ref, est, *others = prepare([reference, estimate, *interferers])
     if not ref.any():
         raise ZeroReferenceError("reference signal is all zeros")
-    est = _samples(estimate)
-    others = [_samples(n) for n in interferers]
-    for other in (est, *others):
-        if other.size != ref.size:
-            raise LengthMismatchError(
-                f"all signals must share the reference length {ref.size}"
-            )
 
     a = _alpha(ref, est)
     e_target = a * ref
@@ -243,20 +252,8 @@ def evaluate(reference, estimate, interferers=(), *,
             plain formulas act on raw vectors).
         truncate: allow unequal lengths by truncating to the shortest signal.
     """
-    sigs = [_samples(reference), _samples(estimate)] + [_samples(n) for n in interferers]
-    if truncate:
-        n = min(s.size for s in sigs)
-        sigs = [s[:n] for s in sigs]
-    else:
-        for s in sigs[1:]:
-            if s.size != sigs[0].size:
-                raise LengthMismatchError(
-                    f"signal lengths differ ({sigs[0].size} vs {s.size}); "
-                    "pass truncate=True to clip to the shortest"
-                )
-    if zero_mean:
-        sigs = [s - s.mean() for s in sigs]
-    ref, est, others = sigs[0], sigs[1], sigs[2:]
+    ref, est, *others = prepare([reference, estimate, *interferers],
+                                truncate=truncate, zero_mean=zero_mean)
 
     snr_db = snr(ref, est)
     si_sdr_db = si_sdr(ref, est)

@@ -3,13 +3,14 @@ import pytest
 
 from sepmetrics.adversary import (
     AdversaryConfig,
+    _istft_adjoint,
     gradient,
     mask_from_weights,
     objective,
     optimize,
 )
 from sepmetrics.audio import Signal
-from sepmetrics.dsp import StftConfig, stft
+from sepmetrics.dsp import MaskVector, StftConfig, apply_mask, istft, stft
 
 CFG = StftConfig()
 
@@ -98,6 +99,18 @@ class TestGradient:
         j0 = objective(w, short_speech, CFG)
         j1 = objective(w - 1e-3 * g / np.linalg.norm(g), short_speech, CFG)
         assert j1 < j0
+
+
+class TestIstftAdjoint:
+    def test_dot_product(self, short_speech, rng):
+        # <istft(apply_mask(spec, g)), u> == <g, adjoint(spec, u)> for any g, u
+        spec = stft(short_speech, CFG)
+        for _ in range(3):
+            g = rng.uniform(0.0, 1.0, CFG.n_bins)
+            u = rng.standard_normal(len(short_speech))
+            lhs = float(istft(apply_mask(spec, MaskVector(g))).samples @ u)
+            rhs = float(g @ _istft_adjoint(spec, u))
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 class TestOptimize:

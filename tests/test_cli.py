@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from sepmetrics.audio import Signal, write_wav
+from sepmetrics.audio import Signal, read_wav, write_wav
 from sepmetrics.cli import gap_db, main
 from sepmetrics.fixtures import speech_like
+from sepmetrics.metrics import si_sdr
 
 
 @pytest.fixture()
@@ -154,14 +155,40 @@ class TestEvalSet:
         assert main(["eval-set", "--refs", refs + "/*.wav",
                      "--ests", ests + "/*.wav"]) == 0
 
-    def test_threads_env(self, file_sets, capsys, monkeypatch):
-        refs, ests = file_sets
-        main(["eval-set", "--refs", refs, "--ests", ests])
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("SEPMETRICS_THREADS", "4")
-        main(["eval-set", "--refs", refs, "--ests", ests])
-        threaded = capsys.readouterr().out
-        assert threaded == serial
+    def test_truncate_is_per_pair(self, tmp_path, rng, capsys):
+        # pair 0 is long, pair 1 short; each pair also differs in length inside
+        refs_dir, ests_dir = tmp_path / "refs", tmp_path / "ests"
+        refs_dir.mkdir()
+        ests_dir.mkdir()
+        for name, n_ref, n_est in (("0.wav", 4000, 3900), ("1.wav", 1000, 1200)):
+            ref = rng.standard_normal(n_ref) * 0.1
+            est = rng.standard_normal(n_est) * 0.02
+            n = min(n_ref, n_est)
+            est[:n] += 0.8 * ref[:n]
+            write_wav(Signal(ref, 16000), str(refs_dir / name))
+            write_wav(Signal(est, 16000), str(ests_dir / name))
+
+        def csv_rows():
+            header, *lines = capsys.readouterr().out.strip().split("\n")
+            return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+        assert main(["eval-set", "--refs", str(refs_dir), "--ests", str(ests_dir),
+                     "--truncate"]) == 0
+        pairs = [r for r in csv_rows() if r["row"] == "pair"]
+        for name, row in zip(("0.wav", "1.wav"), pairs):
+            assert main(["eval", "--ref", str(refs_dir / name),
+                         "--est", str(ests_dir / name), "--truncate"]) == 0
+            single = csv_rows()[0]
+            for col in ("snr_db", "si_sdr_db", "sd_sdr_db", "min_snr_sdsdr_db"):
+                assert row[col] == single[col]
+
+        # with --permute every reference meets every estimate: cut set-wide
+        assert main(["eval-set", "--refs", str(refs_dir), "--ests", str(ests_dir),
+                     "--permute", "--truncate"]) == 0
+        permuted = [r for r in csv_rows() if r["row"] == "pair"]
+        ref0 = read_wav(str(refs_dir / "0.wav")).samples[:1000]
+        est0 = read_wav(str(ests_dir / "0.wav")).samples[:1000]
+        assert float(permuted[0]["si_sdr_db"]) == pytest.approx(si_sdr(ref0, est0), abs=1e-6)
 
 
 class TestExperimentCmd:

@@ -5,10 +5,18 @@ import numpy as np
 import pytest
 
 from sepmetrics.audio import Signal
+from sepmetrics.legacy import (
+    FirProjectionConfig,
+    fir_project,
+    legacy_sar,
+    legacy_sdr,
+    legacy_sir,
+)
 from sepmetrics.errors import (
     CountMismatchError,
     DegenerateSourcesError,
     LengthMismatchError,
+    NonFiniteError,
     ZeroEstimateError,
     ZeroReferenceError,
     ZeroTargetError,
@@ -17,6 +25,7 @@ from sepmetrics.metrics import (
     decompose,
     evaluate,
     evaluate_permuted,
+    prepare,
     sd_sdr,
     si_sar,
     si_sdr,
@@ -43,6 +52,26 @@ def orthogonal_equal_power(length=512, seed=0):
     n -= (n @ s) / (s @ s) * s
     n *= np.sqrt((s @ s) / (n @ n))
     return s, n
+
+
+class TestPrepare:
+    def test_coerces_to_float64_vectors(self):
+        out = prepare([Signal(np.array(S34), 16000), [2, 6]])
+        assert [a.dtype for a in out] == [np.float64, np.float64]
+        assert out[1].tolist() == E26
+
+    def test_truncate_then_zero_mean(self):
+        a, b = prepare([[1.0, 2.0, 3.0], [4.0, 6.0]], truncate=True, zero_mean=True)
+        assert a.tolist() == [-0.5, 0.5]
+        assert b.tolist() == [-1.0, 1.0]
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatchError):
+            prepare([[1.0, 2.0], [1.0, 2.0], [1.0]])
+
+    def test_rejects_2d(self):
+        with pytest.raises(ValueError):
+            prepare([np.ones((2, 2)), np.ones(4)])
 
 
 class TestSnr:
@@ -383,3 +412,37 @@ class TestEvaluatePermuted:
         assert perm_snr == perm_custom
         with pytest.raises(ValueError):
             evaluate_permuted(refs, ests, "pesq")
+
+
+def _poisoned(x, value):
+    x = x.copy()
+    x[x.size // 2] = value
+    return x
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", ["reference", "estimate", "interferer", "fir_project"])
+def test_nonfinite_input_raises(rng, where, value):
+    ref, est, noise = (rng.standard_normal(256) for _ in range(3))
+    if where == "fir_project":
+        for args in ((_poisoned(est, value), ref, ()), (est, _poisoned(ref, value), ()),
+                     (est, ref, [_poisoned(noise, value)])):
+            decomp = fir_project(*args, cfg=FirProjectionConfig(taps=8))
+            for metric in (legacy_sdr, legacy_sir, legacy_sar):
+                with pytest.raises(NonFiniteError):
+                    metric(decomp)
+        return
+    if where == "interferer":
+        with pytest.raises(NonFiniteError):
+            evaluate(ref, est, [_poisoned(noise, value)])
+        return
+    if where == "reference":
+        ref = _poisoned(ref, value)
+    else:
+        est = _poisoned(est, value)
+    for metric in (snr, si_sdr, sd_sdr):
+        with pytest.raises(NonFiniteError):
+            metric(ref, est)
+    with pytest.raises(NonFiniteError):
+        evaluate(ref, est)
