@@ -5,7 +5,12 @@ scale-dependent SDR), the orthogonal interference/artifact split behind
 SI-SIR and SI-SAR, and a faithful reimplementation of the legacy
 FIR-projection SDR whose permissive reference deformation the experiment
 harnesses demonstrate.
+
+Diagnostics go to the ``sepmetrics`` logger, which is silent unless the
+application configures logging.
 """
+
+import logging
 
 from .adversary import (
     AdversaryConfig,
@@ -75,5 +80,7 @@ from .metrics import (
     si_sir,
     snr,
 )
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"

@@ -67,6 +67,11 @@ def _read_chunks(data: bytes, path: str) -> dict[bytes, bytes]:
     while pos + 8 <= len(data):
         cid = data[pos:pos + 4]
         (size,) = struct.unpack_from("<I", data, pos + 4)
+        if pos + 8 + size > len(data):  # a missing final pad byte is tolerated
+            raise FormatError(
+                f"{path}: chunk {cid.decode('latin-1')!r} declares {size} bytes "
+                f"but only {len(data) - pos - 8} remain"
+            )
         body = data[pos + 8:pos + 8 + size]
         if cid not in chunks:  # keep the first occurrence
             chunks[cid] = body

@@ -12,6 +12,12 @@ Conventions: correlations treat signals as zero outside [0, L), so the
 projection lives on the full convolution support of L + taps - 1 samples and
 all decomposition vectors have that length. For ``taps == 1`` this reduces to
 plain optimal-gain rescaling and the legacy SDR coincides with SI-SDR.
+
+Solvers: with the reference alone the normal equations are symmetric Toeplitz
+and are solved by Levinson recursion on the reference's autocorrelation,
+O(taps^2) time and O(taps) memory; with interferers the block-Toeplitz Gram
+matrix is formed and Cholesky-factored, O((taps*sources)^3) time (see
+:func:`sepmetrics.linalg.solve_spd`).
 """
 
 from __future__ import annotations
@@ -75,8 +81,19 @@ def fir_project(estimate, reference, interferers=(),
     """Least-squares projection of the estimate onto delayed source copies.
 
     The normal equations are assembled from FFT auto/cross-correlations of
-    the sources (a block-Toeplitz Gram matrix) and solved with an SPD
-    factorization plus one jitter retry.
+    the sources. With no interferers the Gram matrix is the symmetric
+    Toeplitz matrix of the reference's autocorrelation at lags 0..taps-1; only
+    that column is passed to :func:`~sepmetrics.linalg.solve_spd`, which
+    solves by Levinson recursion in O(taps^2) time without forming the matrix
+    and falls back to Cholesky if the result fails its backward-error check.
+    In exact arithmetic that matrix is positive definite for any nonzero
+    finite reference ``s``: ``h @ G @ h`` is the energy of the full
+    convolution ``h * s``, and the convolution of two nonzero finite
+    sequences is nonzero (its last nonzero sample is the product of their
+    last nonzero samples). With interferers the block-Toeplitz Gram matrix
+    of ``(taps*sources)^2`` floats is formed and solved by Cholesky plus one
+    jitter retry. Both paths keep ``taps*sources`` within
+    ``MAX_PROBLEM_SIZE``.
 
     Raises:
         LengthMismatchError: signals of unequal length.
@@ -103,20 +120,29 @@ def fir_project(estimate, reference, interferers=(),
     spectra = [np.fft.rfft(src, n_fft) for src in sources]
     est_spec = np.fft.rfft(est, n_fft)
 
-    gram = np.empty((nsrc * taps, nsrc * taps))
-    for i in range(nsrc):
-        for j in range(i, nsrc):
-            cc = np.fft.irfft(spectra[i] * np.conj(spectra[j]), n_fft)
-            # block[a, b] = <delay_a(source_i), delay_b(source_j)> = cc[b - a]
-            block = toeplitz(np.concatenate(([cc[0]], cc[-1:-taps:-1])), r=cc[:taps])
-            gram[i * taps:(i + 1) * taps, j * taps:(j + 1) * taps] = block
-            if i != j:
-                gram[j * taps:(j + 1) * taps, i * taps:(i + 1) * taps] = block.T
+    def lags(cc):
+        """``cc[0], cc[-1], ..., cc[-(taps-1)]``: correlation at lags 0..taps-1."""
+        return np.concatenate(([cc[0]], cc[-1:-taps:-1]))
+
+    if nsrc == 1:
+        # Symmetric Toeplitz: its first column, the reference's autocorrelation,
+        # is all solve_spd needs (Levinson), so the matrix is never formed.
+        gram = lags(np.fft.irfft(spectra[0] * np.conj(spectra[0]), n_fft))
+    else:
+        gram = np.empty((nsrc * taps, nsrc * taps))
+        for i in range(nsrc):
+            for j in range(i, nsrc):
+                cc = np.fft.irfft(spectra[i] * np.conj(spectra[j]), n_fft)
+                # block[a, b] = <delay_a(source_i), delay_b(source_j)> = cc[b - a]
+                block = toeplitz(lags(cc), r=cc[:taps])
+                gram[i * taps:(i + 1) * taps, j * taps:(j + 1) * taps] = block
+                if i != j:
+                    gram[j * taps:(j + 1) * taps, i * taps:(i + 1) * taps] = block.T
 
     rhs = np.empty(nsrc * taps)
     for i in range(nsrc):
         cc = np.fft.irfft(spectra[i] * np.conj(est_spec), n_fft)
-        rhs[i * taps:(i + 1) * taps] = np.concatenate(([cc[0]], cc[-1:-taps:-1]))
+        rhs[i * taps:(i + 1) * taps] = lags(cc)
 
     coeffs = solve_spd(gram, rhs).reshape(nsrc, taps)
     if taps == 1:

@@ -320,7 +320,7 @@ def evaluate_permuted(references, estimates, metric="si-sdr"):
         score = float(np.mean(matrix[np.arange(k), perm]))
         if math.isnan(score):  # mixed +-inf pairs rank below any finite mean
             score = -math.inf
-        if score > best_score:
+        if best_perm is None or score > best_score:  # ties keep the earlier perm
             best_perm, best_score = perm, score
     reports = [evaluate(refs[j], ests[best_perm[j]]) for j in range(k)]
     return best_perm, reports

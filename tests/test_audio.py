@@ -74,6 +74,30 @@ class TestReadWav:
             read_wav(path, channel=1)
 
 
+class TestChunkSizes:
+    """Chunk sizes checked against the bytes present, on ``write_wav`` output."""
+
+    @pytest.fixture()
+    def written(self, tmp_path):
+        path = tmp_path / "w.wav"
+        write_wav(Signal(np.array([0.25, -0.5, 0.75]), 16000), str(path))
+        return path
+
+    def test_size_past_eof_rejected(self, written):
+        blob = bytearray(written.read_bytes())
+        at = blob.index(b"data") + 4
+        (size,) = struct.unpack_from("<I", blob, at)
+        struct.pack_into("<I", blob, at, size + 4)
+        written.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="'data'"):
+            read_wav(str(written))
+
+    def test_missing_final_pad_byte_accepted(self, written):
+        # An odd-sized last chunk whose word-alignment pad byte was never written.
+        written.write_bytes(written.read_bytes() + b"LIST" + struct.pack("<I", 3) + b"abc")
+        assert read_wav(str(written)).samples.tolist() == [0.25, -0.5, 0.75]
+
+
 class TestWriteWav:
     def test_round_trip_identity(self, tmp_path, rng):
         samples = rng.standard_normal(1000).astype(np.float32).astype(np.float64)

@@ -1,7 +1,9 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.signal import fftconvolve
 
 from sepmetrics.errors import LengthMismatchError, ZeroReferenceError
@@ -185,3 +187,56 @@ class TestValidation:
     def test_zero_reference(self):
         with pytest.raises(ZeroReferenceError):
             fir_project(np.ones(100), np.zeros(100))
+
+
+def delay_matrix(src, taps):
+    """Columns are ``src`` delayed by 0..taps-1 samples on the padded support."""
+    out = np.zeros((src.size + taps - 1, taps))
+    for delay in range(taps):
+        out[delay:delay + src.size, delay] = src
+    return out
+
+
+class TestLstsqOracle:
+    """``fir_project`` against an explicit delay-matrix least-squares solve."""
+
+    @pytest.mark.parametrize("taps", [1, 2, 17])
+    @pytest.mark.parametrize("n_interf", [0, 2])
+    def test_matches_lstsq(self, rng, taps, n_interf):
+        L = 300
+        sources = [rng.standard_normal(L) for _ in range(1 + n_interf)]
+        est = (np.convolve(sources[0], rng.standard_normal(5))[:L]
+               + sum(0.5 * s for s in sources[1:]) + 0.3 * rng.standard_normal(L))
+        d = fir_project(est, sources[0], sources[1:], FirProjectionConfig(taps=taps))
+
+        blocks = [delay_matrix(s, taps) for s in sources]
+        est_padded = np.concatenate([est, np.zeros(taps - 1)])
+        coeffs = np.linalg.lstsq(np.hstack(blocks), est_padded, rcond=None)[0]
+        target = blocks[0] @ coeffs[:taps]
+        interf = np.hstack(blocks[1:]) @ coeffs[taps:] if n_interf else np.zeros_like(target)
+        artif = est_padded - target - interf
+
+        for got, want in ((d.s_target, target), (d.e_interf, interf), (d.e_artif, artif)):
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+class TestLevinsonAgainstDense:
+    def test_speech_like_512_taps(self, speech, monkeypatch, caplog):
+        ref = speech.samples
+        rng = np.random.default_rng(5)
+        est = (fftconvolve(ref, rng.standard_normal(40) / 40)[:ref.size]
+               + 0.05 * rng.standard_normal(ref.size))
+        cfg = FirProjectionConfig(taps=512)
+        caplog.set_level(logging.DEBUG, logger="sepmetrics")
+        fast = fir_project(est, ref, cfg=cfg)
+
+        def no_levinson(*args, **kwargs):
+            raise np.linalg.LinAlgError("disabled")
+
+        monkeypatch.setattr(scipy.linalg, "solve_toeplitz", no_levinson)
+        dense = fir_project(est, ref, cfg=cfg)
+        paths = [r.getMessage().split(" (")[0] for r in caplog.records]
+        assert paths == ["solve_spd: Levinson", "solve_spd: Levinson failed",
+                         "solve_spd: Cholesky"]
+        for metric in (legacy_sdr, legacy_sir, legacy_sar):
+            assert metric(fast) == pytest.approx(metric(dense), abs=1e-9)

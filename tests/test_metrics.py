@@ -395,6 +395,18 @@ class TestEvaluatePermuted:
         again, _ = evaluate_permuted(refs, scaled, "si-sdr")
         assert base == again
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_assignment_minus_inf_keeps_identity(self, rng, k):
+        # References on samples 0-499, estimates on 500-999: every pair scores
+        # exactly -inf, so all assignments tie and the first one wins.
+        refs, ests = [], []
+        for _ in range(k):
+            refs.append(np.concatenate([rng.standard_normal(500), np.zeros(500)]))
+            ests.append(np.concatenate([np.zeros(500), rng.standard_normal(500)]))
+        perm, reports = evaluate_permuted(refs, ests)
+        assert perm == tuple(range(k))
+        assert [r.si_sdr_db for r in reports] == [-math.inf] * k
+
     def test_count_mismatch(self, rng):
         with pytest.raises(CountMismatchError):
             evaluate_permuted([rng.standard_normal(10)], [])
