@@ -16,6 +16,7 @@ unique argmax bin, first index on exact ties), and the logistic.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +36,8 @@ __all__ = [
     "gradient",
     "optimize",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -153,8 +156,9 @@ def optimize(clean: Signal, cfg: AdversaryConfig = AdversaryConfig()) -> Adversa
 
     The loop is deterministic: velocity update ``v <- momentum*v - step*g``
     on the (norm-clipped) gradient, recording the objective after every
-    iteration. The final masked signal is also scored with the legacy
-    FIR-projection SDR at ``cfg.legacy_taps`` taps.
+    iteration. A non-finite gradient stops the loop early (logged at DEBUG on
+    the ``sepmetrics.adversary`` logger). The final masked signal is also
+    scored with the legacy FIR-projection SDR at ``cfg.legacy_taps`` taps.
     """
     spec = stft(clean, cfg.stft)
     ref = clean.samples
@@ -163,9 +167,12 @@ def optimize(clean: Signal, cfg: AdversaryConfig = AdversaryConfig()) -> Adversa
 
     grad, value = _gradient_cached(spec, ref, weights)
     trajectory = [value]
-    for _ in range(cfg.iterations):
+    for iteration in range(cfg.iterations):
         if not np.all(np.isfinite(grad)):
-            break  # exact reconstruction corner; the objective is already recorded
+            # exact reconstruction corner; the objective is already recorded
+            _log.debug("optimize: non-finite gradient, stopping at iteration %d of %d",
+                       iteration, cfg.iterations)
+            break
         norm = float(np.linalg.norm(grad))
         if norm > cfg.grad_clip:
             grad = grad * (cfg.grad_clip / norm)

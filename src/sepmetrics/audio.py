@@ -1,7 +1,8 @@
 """Audio and CSV file handling.
 
 WAV support is deliberately narrow: RIFF files carrying 16-bit integer PCM or
-32-bit IEEE float, mono or multichannel (one channel is selected on read).
+32-bit IEEE float, mono or multichannel (one channel is selected on read),
+tagged directly or through a WAVE_FORMAT_EXTENSIBLE sub-format GUID.
 Everything is converted to 64-bit floats at full scale +-1.0 on the way in;
 files are always written as 32-bit float so that a write/read round trip
 reproduces sample values bit-exactly.
@@ -23,6 +24,9 @@ from .errors import (
 
 _PCM = 1
 _IEEE_FLOAT = 3
+_EXTENSIBLE = 0xFFFE
+# the last 14 bytes of every KSDATAFORMAT_SUBTYPE_* GUID; the first 2 hold the tag
+_SUBFORMAT_TAIL = bytes.fromhex("000000001000800000AA00389B71")
 
 __all__ = ["Signal", "read_wav", "write_wav", "write_csv", "rows_to_csv", "format_cell"]
 
@@ -89,8 +93,9 @@ def read_wav(path: str, channel: int | None = None) -> Signal:
 
     Raises:
         IoError: the file cannot be read.
-        FormatError: encoding other than PCM16/float32, malformed chunks, or
-            a float payload containing non-finite values.
+        FormatError: encoding other than PCM16/float32 (plain or under a
+            WAVE_FORMAT_EXTENSIBLE GUID), malformed chunks, or a float
+            payload containing non-finite values.
         EmptySignalError: the file has no frames.
     """
     try:
@@ -106,6 +111,12 @@ def read_wav(path: str, channel: int | None = None) -> Signal:
     if len(fmt) < 16:
         raise FormatError(f"{path}: truncated fmt chunk")
     audio_format, n_channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+    if audio_format == _EXTENSIBLE:
+        if len(fmt) < 40:
+            raise FormatError(f"{path}: truncated WAVE_FORMAT_EXTENSIBLE fmt chunk")
+        if fmt[26:40] != _SUBFORMAT_TAIL:
+            raise FormatError(f"{path}: unknown WAVE_FORMAT_EXTENSIBLE sub-format GUID")
+        (audio_format,) = struct.unpack_from("<H", fmt, 24)
     if n_channels < 1:
         raise FormatError(f"{path}: invalid channel count {n_channels}")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import logging
 import math
 import os
 import statistics
@@ -44,6 +45,8 @@ EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
+
+_log = logging.getLogger(__name__)
 
 _INPUT_ERRORS = (IoError, FormatError, EmptySignalError, SpecValidationError)
 _PRECONDITION_ERRORS = (
@@ -155,6 +158,8 @@ def _finite_summary(rows: list[dict], columns: list[str], reducer, label: str) -
     summary: dict = {"row": label, "index": "", "ref": "", "est": "", "est_index": ""}
     for col in columns:
         values = [r[col] for r in rows if math.isfinite(r[col])]
+        _log.debug("eval-set %s of %s: dropped %d of %d non-finite rows",
+                   label, col, len(rows) - len(values), len(rows))
         summary[col] = reducer(values) if values else math.nan
     return summary
 

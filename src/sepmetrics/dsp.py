@@ -169,10 +169,15 @@ def istft(spec: Spectrogram) -> Signal:
     n_frames = spec.frames.shape[0]
     frames = np.fft.irfft(spec.frames, n=cfg.window_len, axis=1) * cfg.window
     size = max((n_frames - 1) * cfg.hop + cfg.window_len, cfg.pad + spec.original_len)
-    buf = np.zeros(size)
-    for t in range(n_frames):
-        buf[t * cfg.hop:t * cfg.hop + cfg.window_len] += frames[t]
-    out = buf[cfg.pad:cfg.pad + spec.original_len] / cfg.ola_gain
+    # Frame t covers hop-sized blocks t..t+r-1, its sub-block i landing on block
+    # t+i. Adding sub-blocks from the last to the first gives every sample its
+    # frames in ascending order, the same sums as a frame-by-frame loop.
+    r = cfg.window_len // cfg.hop
+    blocks = np.zeros((-(-size // cfg.hop), cfg.hop))
+    parts = frames.reshape(n_frames, r, cfg.hop)
+    for i in reversed(range(r)):
+        blocks[i:i + n_frames] += parts[:, i]
+    out = blocks.ravel()[cfg.pad:cfg.pad + spec.original_len] / cfg.ola_gain
     return Signal(out, spec.sample_rate_hz)
 
 

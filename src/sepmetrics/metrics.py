@@ -20,11 +20,11 @@ arrays.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .audio import Signal
 from .errors import (
@@ -49,10 +49,7 @@ __all__ = [
     "si_sar",
     "evaluate",
     "evaluate_permuted",
-    "MAX_PERMUTATION_SOURCES",
 ]
-
-MAX_PERMUTATION_SOURCES = 8
 
 
 def _samples(x) -> np.ndarray:
@@ -292,14 +289,86 @@ def _resolve_metric(metric):
         ) from None
 
 
-def evaluate_permuted(references, estimates, metric="si-sdr"):
-    """Match estimates to references by exhaustive permutation search.
+def _complete(weights: np.ndarray, prefix: list[int]) -> list[int] | None:
+    """Extend ``prefix`` (columns for the first rows) to a full assignment.
 
-    Scores every assignment by the mean of ``metric`` over its pairs and
-    returns ``(assignment, reports)`` where ``assignment[j]`` is the estimate
-    index paired with reference ``j`` and ``reports[j]`` the corresponding
-    :class:`MetricReport`. Exhaustive search guarantees the exact argmax for
-    any metric; the source count is capped at ``MAX_PERMUTATION_SOURCES``.
+    The remaining rows get the completion of largest ``weights`` sum, with
+    -inf entries forbidden; None when the prefix or every completion hits one.
+    """
+    if any(weights[j, c] == -math.inf for j, c in enumerate(prefix)):
+        return None
+    k = weights.shape[0]
+    cols = np.array([c for c in range(k) if c not in prefix], dtype=np.intp)
+    if cols.size == 0:
+        return list(prefix)
+    try:
+        _, picked = linear_sum_assignment(weights[len(prefix):, cols], maximize=True)
+    except ValueError:  # infeasible: no completion avoids the forbidden entries
+        return None
+    return list(prefix) + [int(c) for c in cols[picked]]
+
+
+def _best_assignment(matrix: np.ndarray) -> tuple[int, ...]:
+    """The assignment an exhaustive search over ``itertools.permutations`` picks.
+
+    An assignment scores ``math.fsum`` of its entries over k, NaN (mixed
+    +-inf or a NaN entry) ranking as -inf, and ties go to the first
+    permutation. The score classes are searched best first: any assignment
+    that avoids -inf/NaN and uses a +inf scores +inf; then all-finite
+    assignments; everything else scores -inf, where the identity is first.
+    Each class is solved by ``linear_sum_assignment`` and then made
+    lexicographically first, one row at a time, by re-solving the rest.
+    """
+    k = matrix.shape[0]
+    finite = np.isfinite(matrix)
+    plus_inf = matrix == math.inf
+    inf_count = np.where(plus_inf, 1.0, np.where(finite, 0.0, -math.inf))
+
+    def hits_plus_inf(assignment):
+        return assignment is not None and any(plus_inf[j, c] for j, c in enumerate(assignment))
+
+    if hits_plus_inf(_complete(inf_count, [])):
+        prefix: list[int] = []
+        for j in range(k):
+            prefix.append(next(
+                c for c in range(k)
+                if c not in prefix and hits_plus_inf(_complete(inf_count, prefix + [c]))
+            ))
+        return tuple(prefix)
+
+    weights = np.where(finite, matrix, -math.inf)
+    best = _complete(weights, [])
+    if best is None:
+        return tuple(range(k))
+
+    def score(assignment):
+        return math.fsum(matrix[j, c] for j, c in enumerate(assignment)) / k
+
+    best_score = score(best)
+    for j in range(k):
+        for c in range(best[j]):
+            if c in best[:j]:
+                continue
+            candidate = _complete(weights, best[:j] + [c])
+            if candidate is not None and (candidate_score := score(candidate)) >= best_score:
+                best, best_score = candidate, candidate_score
+                break
+    return tuple(best)
+
+
+def evaluate_permuted(references, estimates, metric="si-sdr"):
+    """Match estimates to references by the best-scoring assignment.
+
+    Scores an assignment by the mean of ``metric`` over its pairs and returns
+    ``(assignment, reports)`` where ``assignment[j]`` is the estimate index
+    paired with reference ``j`` and ``reports[j]`` the corresponding
+    :class:`MetricReport`. The mean is ``math.fsum`` of the pair scores over
+    k, so it does not depend on pair order; a NaN mean (mixed +-inf pairs, or
+    a NaN from a custom metric) ranks as -inf, and ties go to the
+    lexicographically first assignment. The k*k pair scores are computed once
+    and the argmax is found by ``scipy.optimize.linear_sum_assignment``
+    (polynomial in k, no source cap), giving what the exhaustive search over
+    all k! assignments would.
     """
     refs = [_samples(r) for r in references]
     ests = [_samples(e) for e in estimates]
@@ -308,19 +377,8 @@ def evaluate_permuted(references, estimates, metric="si-sdr"):
     k = len(refs)
     if k == 0:
         raise CountMismatchError("need at least one reference/estimate pair")
-    if k > MAX_PERMUTATION_SOURCES:
-        raise ValueError(
-            f"{k} sources exceed the exhaustive-search cap of {MAX_PERMUTATION_SOURCES}"
-        )
     fn = _resolve_metric(metric)
-    matrix = np.array([[fn(r, e) for e in ests] for r in refs])
-
-    best_perm, best_score = None, -math.inf
-    for perm in itertools.permutations(range(k)):
-        score = float(np.mean(matrix[np.arange(k), perm]))
-        if math.isnan(score):  # mixed +-inf pairs rank below any finite mean
-            score = -math.inf
-        if best_perm is None or score > best_score:  # ties keep the earlier perm
-            best_perm, best_score = perm, score
-    reports = [evaluate(refs[j], ests[best_perm[j]]) for j in range(k)]
-    return best_perm, reports
+    matrix = np.array([[fn(r, e) for e in ests] for r in refs], dtype=np.float64)
+    best = _best_assignment(matrix)
+    reports = [evaluate(refs[j], ests[best[j]]) for j in range(k)]
+    return best, reports

@@ -1,6 +1,10 @@
+import logging
+import math
+
 import numpy as np
 import pytest
 
+from sepmetrics import adversary
 from sepmetrics.adversary import (
     AdversaryConfig,
     _istft_adjoint,
@@ -135,6 +139,22 @@ class TestOptimize:
         assert result.trajectory[0] - result.trajectory[-1] >= 20.0
         assert result.trajectory.shape == (31,)
         assert np.all(np.isfinite(result.trajectory))
+
+    def test_nonfinite_gradient_stop_is_logged(self, short_speech, monkeypatch, caplog):
+        exact = adversary._gradient_cached
+        calls = []
+
+        def poisoned_after_three(spec, clean, weights):
+            grad, value = exact(spec, clean, weights)
+            calls.append(1)
+            return (grad * math.nan if len(calls) == 4 else grad), value
+
+        monkeypatch.setattr(adversary, "_gradient_cached", poisoned_after_three)
+        caplog.set_level(logging.DEBUG, logger="sepmetrics")
+        result = optimize(short_speech, AdversaryConfig(iterations=10))
+        assert result.trajectory.shape == (4,)
+        assert [r.getMessage() for r in caplog.records if r.name == "sepmetrics.adversary"] == [
+            "optimize: non-finite gradient, stopping at iteration 3 of 10"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -9,10 +9,11 @@ from sepmetrics.errors import EmptySignalError, FormatError, IoError
 
 
 def make_wav(path, payload: bytes, audio_format: int, channels: int, bits: int,
-             rate: int = 16000) -> str:
+             rate: int = 16000, extension: bytes = b"") -> str:
     """Hand-assembled RIFF file, independent of the library's writer."""
     block = channels * bits // 8
     fmt = struct.pack("<HHIIHH", audio_format, channels, rate, rate * block, block, bits)
+    fmt += extension
     body = (b"WAVE"
             + b"fmt " + struct.pack("<I", len(fmt)) + fmt
             + b"data" + struct.pack("<I", len(payload)) + payload)
@@ -72,6 +73,50 @@ class TestReadWav:
         path = make_wav(tmp_path / "e.wav", payload, 1, 1, 16)
         with pytest.raises(FormatError):
             read_wav(path, channel=1)
+
+
+GUID_TAIL = bytes.fromhex("000000001000800000AA00389B71")
+
+
+def extensible(sub_format: int, bits: int, tail: bytes = GUID_TAIL) -> bytes:
+    """WAVE_FORMAT_EXTENSIBLE fields after the 16-byte base: cbSize, valid
+    bits, channel mask (front centre), sub-format GUID."""
+    return struct.pack("<HHIH", 22, bits, 0x4, sub_format) + tail
+
+
+class TestExtensible:
+    def test_pcm16(self, tmp_path):
+        payload = struct.pack("<3h", 0, 16384, -32768)
+        path = make_wav(tmp_path / "x.wav", payload, 0xFFFE, 1, 16, extension=extensible(1, 16))
+        assert read_wav(path).samples.tolist() == [0.0, 0.5, -1.0]
+
+    def test_float32_stereo(self, tmp_path):
+        payload = struct.pack("<4f", 0.25, -1.5, 0.75, 2.0)
+        path = make_wav(tmp_path / "f.wav", payload, 0xFFFE, 2, 32, rate=44100,
+                        extension=extensible(3, 32))
+        sig = read_wav(path, channel=1)
+        assert sig.samples.tolist() == [-1.5, 2.0]
+        assert sig.sample_rate_hz == 44100
+
+    def test_unknown_guid_rejected(self, tmp_path):
+        tail = bytes(reversed(GUID_TAIL))
+        path = make_wav(tmp_path / "g.wav", b"\x00" * 4, 0xFFFE, 1, 16,
+                        extension=extensible(1, 16, tail))
+        with pytest.raises(FormatError, match="sub-format GUID"):
+            read_wav(path)
+
+    def test_unsupported_sub_format_rejected(self, tmp_path):
+        path = make_wav(tmp_path / "a.wav", b"\x00" * 4, 0xFFFE, 1, 8,
+                        extension=extensible(6, 8))  # A-law
+        with pytest.raises(FormatError, match=r"format=6,"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("keep", [0, 8, 22])
+    def test_truncated_extension_rejected(self, tmp_path, keep):
+        path = make_wav(tmp_path / "t.wav", b"\x00" * 4, 0xFFFE, 1, 16,
+                        extension=extensible(1, 16)[:keep])
+        with pytest.raises(FormatError, match="truncated WAVE_FORMAT_EXTENSIBLE"):
+            read_wav(path)
 
 
 class TestChunkSizes:

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -133,6 +134,27 @@ class TestEvalSet:
         values = [float(p["si_sdr_db"]) for p in pairs]
         finite = [v for v in values if math.isfinite(v)]
         assert float(mean_row["si_sdr_db"]) == pytest.approx(sum(finite) / len(finite))
+
+    def test_summary_drop_counts_logged(self, tmp_path, rng, capsys, caplog):
+        d_ref, d_est = tmp_path / "r", tmp_path / "e"
+        d_ref.mkdir()
+        d_est.mkdir()
+        sigs = [Signal(rng.standard_normal(800) * 0.1, 16000) for _ in range(3)]
+        for k, sig in enumerate(sigs):
+            write_wav(sig, str(d_ref / f"{k}.wav"))
+            # pair 0 is an exact copy: its SNR, SI-SDR and SD-SDR are +inf
+            est = sig if k == 0 else Signal(sig.samples + 0.05 * rng.standard_normal(800), 16000)
+            write_wav(est, str(d_est / f"{k}.wav"))
+        argv = ["eval-set", "--refs", str(d_ref), "--ests", str(d_est)]
+        assert main(argv) == 0
+        quiet = capsys.readouterr().out
+        caplog.set_level(logging.DEBUG, logger="sepmetrics")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == quiet
+        logged = [r.getMessage() for r in caplog.records if r.name == "sepmetrics.cli"]
+        for label in ("mean", "median"):
+            for col in ("snr_db", "si_sdr_db", "sd_sdr_db", "min_snr_sdsdr_db"):
+                assert f"eval-set {label} of {col}: dropped 1 of 3 non-finite rows" in logged
 
     def test_single_pair_identity(self, tmp_path, rng, capsys):
         d_ref, d_est = tmp_path / "r1", tmp_path / "e1"

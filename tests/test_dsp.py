@@ -170,6 +170,23 @@ class TestIstftShape:
         y = istft(spec)
         assert np.linalg.norm(y.samples - x.samples) <= 1e-10 * np.linalg.norm(x.samples)
 
+    @pytest.mark.parametrize("window_len, hop", [(512, 128), (512, 256), (64, 8), (16, 8)])
+    def test_matches_frame_by_frame_overlap_add(self, window_len, hop):
+        cfg = StftConfig(window_len, hop)
+        gen = np.random.default_rng([window_len, hop])
+        for length in (window_len, window_len + 1, 3 * window_len + 5, 1000):
+            # full frame count, and too few frames to cover the signal
+            for n_frames in (cfg.frame_count(length), 2):
+                frames = (gen.standard_normal((n_frames, cfg.n_bins))
+                          + 1j * gen.standard_normal((n_frames, cfg.n_bins)))
+                spec = Spectrogram(frames, cfg, length, 16000)
+                windowed = np.fft.irfft(frames, n=window_len, axis=1) * cfg.window
+                buf = np.zeros(max((n_frames - 1) * hop + window_len, cfg.pad + length))
+                for t in range(n_frames):
+                    buf[t * hop:t * hop + window_len] += windowed[t]
+                expected = buf[cfg.pad:cfg.pad + length] / cfg.ola_gain
+                assert np.array_equal(istft(spec).samples, expected), (length, n_frames)
+
 
 class TestApplyMask:
     def test_zero_mask(self, rng):

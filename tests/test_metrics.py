@@ -359,6 +359,60 @@ class TestEvaluate:
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
+def exhaustive_assignment(matrix):
+    """Oracle: score every permutation, fsum mean, NaN as -inf, first one wins ties."""
+    k = len(matrix)
+    best, best_score = None, -math.inf
+    for perm in itertools.permutations(range(k)):
+        try:
+            score = math.fsum(matrix[j][perm[j]] for j in range(k)) / k
+        except ValueError:  # fsum refuses -inf + inf
+            score = math.nan
+        if math.isnan(score):
+            score = -math.inf
+        if best is None or score > best_score:
+            best, best_score = perm, score
+    return best
+
+
+def _with_infs(rng, k, nan=False):
+    matrix = rng.integers(-2, 3, (k, k)).astype(float)
+    draw = rng.random((k, k))
+    matrix[draw < 0.2] = math.inf
+    matrix[(draw >= 0.2) & (draw < 0.4)] = -math.inf
+    if nan:
+        matrix[draw > 0.85] = math.nan
+    return matrix
+
+
+def _duplicated(rng, k, axis):
+    matrix = rng.standard_normal((k, k))
+    if k > 1:
+        if axis == 0:
+            matrix[k - 1] = matrix[0]
+        else:
+            matrix[:, k - 1] = matrix[:, 0]
+    return matrix
+
+
+MATRIX_KINDS = {
+    "random": lambda rng, k: rng.standard_normal((k, k)) * 10.0,
+    "integer_ties": lambda rng, k: rng.integers(0, 3, (k, k)).astype(float),
+    "duplicated_row": lambda rng, k: _duplicated(rng, k, 0),
+    "duplicated_column": lambda rng, k: _duplicated(rng, k, 1),
+    "plus_minus_inf": lambda rng, k: _with_infs(rng, k),
+    "nan": lambda rng, k: _with_infs(rng, k, nan=True),
+}
+
+
+def matrix_metric(matrix):
+    """One-sample signals tagged 1..k and a metric that looks their pair up."""
+    k = len(matrix)
+    refs = [np.array([j + 1.0]) for j in range(k)]
+    ests = [np.array([c + 1.0]) for c in range(k)]
+    return refs, ests, lambda r, e: float(matrix[int(r[0]) - 1][int(e[0]) - 1])
+
+
 class TestEvaluatePermuted:
     def test_swapped_copies(self, rng):
         a = rng.standard_normal(64)
@@ -379,13 +433,29 @@ class TestEvaluatePermuted:
         mix = [refs[i] + 0.5 * refs[(i + 1) % 3] + 0.1 * rng.standard_normal(128)
                for i in range(3)]
         perm, _ = evaluate_permuted(refs, mix, "si-sdr")
-        matrix = [[si_sdr(r, e) for e in mix] for r in refs]
-        best, best_score = None, -math.inf
-        for cand in itertools.permutations(range(3)):
-            score = sum(matrix[j][cand[j]] for j in range(3)) / 3
-            if score > best_score:
-                best, best_score = cand, score
-        assert perm == best
+        assert perm == exhaustive_assignment([[si_sdr(r, e) for e in mix] for r in refs])
+
+    @pytest.mark.parametrize("kind", sorted(MATRIX_KINDS))
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_agrees_with_exhaustive_search(self, k, kind):
+        # fewer draws at k = 7, 8, where the oracle scores 5040 / 40320 assignments
+        for seed in range(6 if k <= 6 else 2):
+            matrix = MATRIX_KINDS[kind](np.random.default_rng([k, seed]), k)
+            refs, ests, metric = matrix_metric(matrix)
+            perm, reports = evaluate_permuted(refs, ests, metric)
+            assert perm == exhaustive_assignment(matrix), (kind, k, seed, matrix)
+            assert len(reports) == k
+
+    def test_equivariant_under_estimate_permutation(self, rng):
+        for _ in range(10):
+            k = int(rng.integers(2, 7))
+            refs = [rng.standard_normal(96) for _ in range(k)]
+            ests = [r + 0.8 * rng.standard_normal(96) for r in refs]
+            base, _ = evaluate_permuted(refs, ests)
+            shuffle = rng.permutation(k)  # position i now holds estimate shuffle[i]
+            again, _ = evaluate_permuted(refs, [ests[i] for i in shuffle])
+            inverse = np.argsort(shuffle)
+            assert again == tuple(int(inverse[c]) for c in base)
 
     def test_assignment_invariant_to_estimate_rescaling(self, rng):
         refs = [rng.standard_normal(96) for _ in range(3)]
@@ -411,10 +481,16 @@ class TestEvaluatePermuted:
         with pytest.raises(CountMismatchError):
             evaluate_permuted([rng.standard_normal(10)], [])
 
-    def test_too_many_sources(self, rng):
-        sigs = [rng.standard_normal(8) for _ in range(9)]
-        with pytest.raises(ValueError):
-            evaluate_permuted(sigs, sigs)
+    def test_recovers_planted_permutation_beyond_eight_sources(self, rng):
+        k = 12
+        planted = rng.permutation(k)
+        refs = [rng.standard_normal(256) for _ in range(k)]
+        ests = [None] * k
+        for j, c in enumerate(planted):
+            ests[c] = refs[j] + 0.3 * rng.standard_normal(256)
+        perm, reports = evaluate_permuted(refs, ests)
+        assert perm == tuple(int(c) for c in planted)
+        assert len(reports) == k
 
     def test_metric_selector(self, rng):
         refs = [rng.standard_normal(64) for _ in range(2)]
