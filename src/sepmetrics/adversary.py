@@ -48,14 +48,11 @@ class AdversaryConfig:
     the all-ones starting mask, where reconstruction is near-exact and the
     dB-domain gradient norm blows up like 1/(residual energy); without the
     bound the first step saturates every logistic weight at once.
-    ``seed`` does not affect the loop itself (it is deterministic); it picks
-    the fixture when the caller has to synthesize an input.
     """
 
     iterations: int = 500
     step_size: float = 0.5
     momentum: float = 0.9
-    seed: int = 0
     stft: StftConfig = field(default_factory=StftConfig)
     grad_clip: float = 5.0
     legacy_taps: int = 512

@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="search all assignments for the best metric mean")
     p_set.add_argument("--metric", default="si-sdr",
                        choices=["si-sdr", "snr", "sd-sdr"],
-                       help="metric used for matching and summaries")
+                       help="metric --permute maximizes (summaries cover every column)")
     p_set.add_argument("--zero-mean", action="store_true")
     p_set.add_argument("--truncate", action="store_true")
     p_set.add_argument("--channel", type=int, default=None)

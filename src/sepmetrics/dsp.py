@@ -19,6 +19,7 @@ from .errors import (
     SignalTooShortError,
     ZeroReferenceError,
 )
+from .linalg import _inner
 
 __all__ = [
     "StftConfig",
@@ -235,8 +236,7 @@ def mix_at_snr(clean: Signal, noise: Signal, snr_db: float,
     if clean.sample_rate_hz != noise.sample_rate_hz:
         raise ValueError("clean and noise sample rates differ")
     if band is None:
-        clean_e = float(clean.samples @ clean.samples)
-        noise_e = float(noise.samples @ noise.samples)
+        clean_e, noise_e = _inner(clean.samples), _inner(noise.samples)
     else:
         clean_e = band_spectral_energy(stft(clean, cfg), band)
         noise_e = band_spectral_energy(stft(noise, cfg), band)

@@ -32,6 +32,7 @@ from . import adversary, dsp, legacy, metrics
 from .audio import Signal, read_wav, write_csv
 from .errors import SpecValidationError, ZeroEstimateError
 from .fixtures import speech_like
+from .linalg import _inner
 
 __all__ = [
     "ExperimentSpec",
@@ -226,8 +227,9 @@ def orthogonal_equal_power_pair(length: int, seed: int,
     s = dsp.white_noise(length, seed, sample_rate_hz)
     raw = dsp.white_noise(length, seed + 1, sample_rate_hz).samples
     ref = s.samples
-    ortho = raw - (raw @ ref) / (ref @ ref) * ref
-    ortho *= np.sqrt((ref @ ref) / (ortho @ ortho))
+    energy = _inner(ref)
+    ortho = raw - _inner(raw, ref) / energy * ref
+    ortho *= np.sqrt(energy / _inner(ortho))
     return s, Signal(ortho, sample_rate_hz)
 
 
@@ -304,7 +306,6 @@ def run_adversarial(spec: ExperimentSpec) -> tuple[adversary.AdversaryResult, li
         iterations=spec.iterations,
         step_size=spec.step_size,
         momentum=spec.momentum,
-        seed=spec.seed,
         stft=spec.stft,
         grad_clip=spec.grad_clip,
         legacy_taps=spec.legacy_taps,

@@ -30,7 +30,7 @@ from scipy.linalg import toeplitz
 from scipy.signal import fftconvolve
 
 from .errors import ZeroReferenceError
-from .linalg import solve_spd
+from .linalg import _inner, solve_spd
 from .metrics import db_ratio, prepare
 
 __all__ = [
@@ -166,15 +166,12 @@ def fir_project(estimate, reference, interferers=(),
 
 def legacy_sdr(decomp: LegacyDecomposition) -> float:
     """Target energy over the energy of everything else (interference + artifacts)."""
-    num = float(decomp.s_target @ decomp.s_target)
-    err = decomp.e_interf + decomp.e_artif
-    return db_ratio(num, float(err @ err))
+    return db_ratio(_inner(decomp.s_target), _inner(decomp.e_interf + decomp.e_artif))
 
 
 def legacy_sir(decomp: LegacyDecomposition) -> float:
     """Target energy over interference energy."""
-    num = float(decomp.s_target @ decomp.s_target)
-    return db_ratio(num, float(decomp.e_interf @ decomp.e_interf))
+    return db_ratio(_inner(decomp.s_target), _inner(decomp.e_interf))
 
 
 def legacy_sar(decomp: LegacyDecomposition) -> float:
@@ -184,5 +181,4 @@ def legacy_sar(decomp: LegacyDecomposition) -> float:
     more interference through score a *higher* SAR, one of the documented
     quirks of the original definition.
     """
-    kept = decomp.s_target + decomp.e_interf
-    return db_ratio(float(kept @ kept), float(decomp.e_artif @ decomp.e_artif))
+    return db_ratio(_inner(decomp.s_target + decomp.e_interf), _inner(decomp.e_artif))

@@ -18,6 +18,15 @@ JITTER_SCALE = 1e-12
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
+def _inner(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """``sum(a * b)`` of 1-D float64 arrays (``b`` defaults to ``a``: the energy).
+
+    Every scalar energy and 1-D inner product goes through here. It is summed
+    by numpy, not BLAS ``ddot``, whose bits change with the BLAS thread count.
+    """
+    return float(np.einsum("i,i->", a, a if b is None else b))
+
+
 def _levinson_bound(n: int) -> float:
     """Worst-case normwise backward error of a Cholesky solve of order ``n``.
 
@@ -51,11 +60,11 @@ def _solve_toeplitz(column: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
         return None
     residual = rhs - scipy.linalg.matmul_toeplitz(column, x, check_finite=False)
     # ||T||_F^2: diagonal k (k > 0) holds 2 (n - k) copies of t_k, the main one n.
-    weights = np.arange(n, 0, -1)
-    norm_t = math.sqrt(2.0 * float(weights @ column ** 2) - n * float(column[0]) ** 2)
-    scale = norm_t * float(np.linalg.norm(x)) + float(np.linalg.norm(rhs))
+    weights = np.arange(n, 0, -1.0)
+    norm_t = math.sqrt(2.0 * _inner(weights, column ** 2) - n * float(column[0]) ** 2)
+    scale = norm_t * math.sqrt(_inner(x)) + math.sqrt(_inner(rhs))
     # scale is 0 only for rhs = x = 0, which is solved exactly.
-    error = float(np.linalg.norm(residual)) / scale if scale else 0.0
+    error = math.sqrt(_inner(residual)) / scale if scale else 0.0
     bound = _levinson_bound(n)
     if error <= bound:
         _log.debug("solve_spd: Levinson (n=%d, backward error %.3g)", n, error)

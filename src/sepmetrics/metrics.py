@@ -1,8 +1,9 @@
 """Scale-aware separation metrics.
 
-All ratios are formed from exact 64-bit accumulated squared sums and reported
-as ``10*log10(num/den)`` dB with no epsilon inside the logarithm. Degenerate
-ratios yield +inf/-inf sentinels instead of clamped values:
+All ratios are formed from 64-bit squared sums (``linalg._inner``: the same
+bits at any BLAS thread count) and reported as ``10*log10(num/den)`` dB with
+no epsilon inside the logarithm. Degenerate ratios yield +inf/-inf sentinels
+instead of clamped values:
 
 * ``snr``     -- energy of the reference over energy of the raw residual.
 * ``si_sdr``  -- scale-invariant SDR: the reference is rescaled by the
@@ -35,7 +36,7 @@ from .errors import (
     ZeroReferenceError,
     ZeroTargetError,
 )
-from .linalg import solve_spd
+from .linalg import _inner, solve_spd
 
 __all__ = [
     "Decomposition",
@@ -96,54 +97,52 @@ def db_ratio(num: float, den: float) -> float:
     return 10.0 * math.log10(num / den)
 
 
-def snr(reference, estimate, truncate: bool = False) -> float:
+def snr(reference, estimate) -> float:
     """Classical SNR: reference energy over energy of ``reference - estimate``.
 
     Returns +inf when the estimate equals the reference exactly.
     """
-    ref, est = prepare([reference, estimate], truncate=truncate)
+    ref, est = prepare([reference, estimate])
     if not ref.any():
         raise ZeroReferenceError("reference signal is all zeros")
-    # same reduction for both energies, so snr(s, 0) is exactly 0 dB
-    return db_ratio(float(np.sum(ref ** 2)), float(np.sum((ref - est) ** 2)))
+    return db_ratio(_inner(ref), _inner(ref - est))
 
 
-def _alpha(ref: np.ndarray, est: np.ndarray) -> float:
-    return float(est @ ref) / float(ref @ ref)
+def _gain(ref: np.ndarray, est: np.ndarray) -> tuple[float, float]:
+    """Optimal gain ``alpha = <est, ref>/||ref||^2`` and target energy ``||alpha*ref||^2``."""
+    energy = _inner(ref)
+    a = _inner(est, ref) / energy
+    return a, a * a * energy
 
 
-def si_sdr(reference, estimate, truncate: bool = False) -> float:
+def si_sdr(reference, estimate) -> float:
     """Scale-invariant SDR.
 
     Rescales the reference by ``alpha = <est, ref>/||ref||^2`` and returns
     ``10*log10(||alpha*ref||^2 / ||alpha*ref - est||^2)``. +inf for estimates
     collinear with the reference, -inf for nonzero estimates orthogonal to it.
     """
-    ref, est = prepare([reference, estimate], truncate=truncate)
+    ref, est = prepare([reference, estimate])
     if not ref.any():
         raise ZeroReferenceError("reference signal is all zeros")
     if not est.any():
         raise ZeroEstimateError("estimate signal is all zeros")
-    a = _alpha(ref, est)
-    num = a * a * float(ref @ ref)
-    den = float(np.sum((a * ref - est) ** 2))
-    return db_ratio(num, den)
+    a, num = _gain(ref, est)
+    return db_ratio(num, _inner(a * ref - est))
 
 
-def sd_sdr(reference, estimate, truncate: bool = False) -> float:
+def sd_sdr(reference, estimate) -> float:
     """Scale-dependent SDR: rescaled target energy over the raw residual.
 
     Equal to ``snr + 10*log10(alpha^2)``; -inf when the optimal gain is zero.
     """
-    ref, est = prepare([reference, estimate], truncate=truncate)
+    ref, est = prepare([reference, estimate])
     if not ref.any():
         raise ZeroReferenceError("reference signal is all zeros")
     if not est.any():
         raise ZeroEstimateError("estimate signal is all zeros")
-    a = _alpha(ref, est)
-    num = a * a * float(ref @ ref)
-    den = float(np.sum((ref - est) ** 2))
-    return db_ratio(num, den)
+    _, num = _gain(ref, est)
+    return db_ratio(num, _inner(ref - est))
 
 
 @dataclass(eq=False)
@@ -185,7 +184,7 @@ def decompose(reference, estimate, interferers=()) -> Decomposition:
     if not ref.any():
         raise ZeroReferenceError("reference signal is all zeros")
 
-    a = _alpha(ref, est)
+    a, _ = _gain(ref, est)
     e_target = a * ref
     e_res = est - e_target
     if others:
@@ -200,20 +199,21 @@ def decompose(reference, estimate, interferers=()) -> Decomposition:
     return Decomposition(a, e_target, e_interf, e_artif, e_res)
 
 
-def si_sir(decomp: Decomposition) -> float:
-    """Scale-invariant signal-to-interference ratio of a decomposition."""
-    num = float(decomp.e_target @ decomp.e_target)
+def _target_ratio(decomp: Decomposition, error: np.ndarray) -> float:
+    num = _inner(decomp.e_target)
     if num == 0.0:
         raise ZeroTargetError("decomposition has a zero target component")
-    return db_ratio(num, float(decomp.e_interf @ decomp.e_interf))
+    return db_ratio(num, _inner(error))
+
+
+def si_sir(decomp: Decomposition) -> float:
+    """Scale-invariant signal-to-interference ratio of a decomposition."""
+    return _target_ratio(decomp, decomp.e_interf)
 
 
 def si_sar(decomp: Decomposition) -> float:
     """Scale-invariant signal-to-artifacts ratio of a decomposition."""
-    num = float(decomp.e_target @ decomp.e_target)
-    if num == 0.0:
-        raise ZeroTargetError("decomposition has a zero target component")
-    return db_ratio(num, float(decomp.e_artif @ decomp.e_artif))
+    return _target_ratio(decomp, decomp.e_artif)
 
 
 @dataclass(frozen=True)
@@ -308,50 +308,48 @@ def _complete(weights: np.ndarray, prefix: list[int]) -> list[int] | None:
     return list(prefix) + [int(c) for c in cols[picked]]
 
 
+def _mean(values: np.ndarray) -> float:
+    """``math.fsum(values) / k`` as if the exponent range were unbounded.
+
+    An overflowing sum is redone on values scaled by ``2**-ceil(log2 k)``
+    (it cannot overflow then) and the quotient scaled back, exactly.
+    """
+    k = len(values)
+    try:
+        return math.fsum(values) / k
+    except OverflowError:
+        shift = math.ceil(math.log2(k))
+        return math.ldexp(math.fsum(math.ldexp(v, -shift) for v in values) / k, shift)
+
+
 def _best_assignment(matrix: np.ndarray) -> tuple[int, ...]:
     """The assignment an exhaustive search over ``itertools.permutations`` picks.
 
-    An assignment scores ``math.fsum`` of its entries over k, NaN (mixed
-    +-inf or a NaN entry) ranking as -inf, and ties go to the first
-    permutation. The score classes are searched best first: any assignment
-    that avoids -inf/NaN and uses a +inf scores +inf; then all-finite
-    assignments; everything else scores -inf, where the identity is first.
-    Each class is solved by ``linear_sum_assignment`` and then made
-    lexicographically first, one row at a time, by re-solving the rest.
+    An assignment scores the :func:`_mean` of its entries, NaN (mixed +-inf
+    or a NaN entry) ranking as -inf; ties go to the first permutation. If an
+    assignment avoids -inf/NaN and uses a +inf (``linear_sum_assignment`` on
+    weights 1 for +inf, 0 for finite, -inf forbidden), the best class scores
+    +inf and keeps those weights; else the all-finite assignments are solved
+    on their values; with neither, all score -inf and the identity is first.
+    The class optimum is then made lexicographically first, row by row, by
+    re-solving the rest.
     """
     k = matrix.shape[0]
-    finite = np.isfinite(matrix)
-    plus_inf = matrix == math.inf
-    inf_count = np.where(plus_inf, 1.0, np.where(finite, 0.0, -math.inf))
-
-    def hits_plus_inf(assignment):
-        return assignment is not None and any(plus_inf[j, c] for j, c in enumerate(assignment))
-
-    if hits_plus_inf(_complete(inf_count, [])):
-        prefix: list[int] = []
-        for j in range(k):
-            prefix.append(next(
-                c for c in range(k)
-                if c not in prefix and hits_plus_inf(_complete(inf_count, prefix + [c]))
-            ))
-        return tuple(prefix)
-
-    weights = np.where(finite, matrix, -math.inf)
+    rows, finite = np.arange(k), np.isfinite(matrix)
+    weights = np.where(matrix == math.inf, 1.0, np.where(finite, 0.0, -math.inf))
     best = _complete(weights, [])
-    if best is None:
-        return tuple(range(k))
+    if best is None or _mean(matrix[rows, best]) != math.inf:
+        weights = np.where(finite, matrix, -math.inf)
+        best = _complete(weights, [])
+        if best is None:
+            return tuple(range(k))
 
-    def score(assignment):
-        return math.fsum(matrix[j, c] for j, c in enumerate(assignment)) / k
-
-    best_score = score(best)
+    best_score = _mean(matrix[rows, best])
     for j in range(k):
-        for c in range(best[j]):
-            if c in best[:j]:
-                continue
+        for c in [c for c in range(best[j]) if c not in best[:j]]:
             candidate = _complete(weights, best[:j] + [c])
-            if candidate is not None and (candidate_score := score(candidate)) >= best_score:
-                best, best_score = candidate, candidate_score
+            if candidate is not None and (score := _mean(matrix[rows, candidate])) >= best_score:
+                best, best_score = candidate, score
                 break
     return tuple(best)
 
@@ -359,16 +357,14 @@ def _best_assignment(matrix: np.ndarray) -> tuple[int, ...]:
 def evaluate_permuted(references, estimates, metric="si-sdr"):
     """Match estimates to references by the best-scoring assignment.
 
-    Scores an assignment by the mean of ``metric`` over its pairs and returns
-    ``(assignment, reports)`` where ``assignment[j]`` is the estimate index
-    paired with reference ``j`` and ``reports[j]`` the corresponding
-    :class:`MetricReport`. The mean is ``math.fsum`` of the pair scores over
-    k, so it does not depend on pair order; a NaN mean (mixed +-inf pairs, or
-    a NaN from a custom metric) ranks as -inf, and ties go to the
-    lexicographically first assignment. The k*k pair scores are computed once
-    and the argmax is found by ``scipy.optimize.linear_sum_assignment``
-    (polynomial in k, no source cap), giving what the exhaustive search over
-    all k! assignments would.
+    Returns ``(assignment, reports)``: ``assignment[j]`` is the estimate index
+    paired with reference ``j`` and ``reports[j]`` its :class:`MetricReport`.
+    An assignment scores the mean of ``metric`` over its pairs (``math.fsum``
+    over k: independent of pair order, and rescaled rather than overflowing);
+    a NaN mean (mixed +-inf, or a NaN from a custom metric) ranks as -inf and
+    ties go to the lexicographically first assignment. The k*k pair scores are
+    computed once and ``scipy.optimize.linear_sum_assignment`` finds what an
+    exhaustive search over all k! assignments would, with no source cap.
     """
     refs = [_samples(r) for r in references]
     ests = [_samples(e) for e in estimates]

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -200,3 +202,29 @@ class TestRunToDirectory:
         assert len(clean) == int(0.3 * 16000)
         rows = run_progressive_deletion(spec)
         assert len(rows) == 1
+
+
+_RUN_DEFAULT_SPECS = """
+import sys
+from sepmetrics.experiments import ExperimentSpec, run_to_directory
+for kind in ("rescale-sweep", "progressive-deletion"):
+    run_to_directory(ExperimentSpec(kind=kind), sys.argv[1] + "/" + kind)
+"""
+
+
+def test_default_csvs_do_not_depend_on_blas_threads(tmp_path):
+    # Energies are reduced by numpy, not by BLAS ddot, whose bits change with
+    # the thread count. The count is fixed at process start, so each run is a
+    # subprocess with its own environment.
+    import sepmetrics
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sepmetrics.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-c", _RUN_DEFAULT_SPECS, str(out)],
+                       env=env, check=True)
+        outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")})
+    assert len(outputs[0]) == 2
+    assert outputs[0] == outputs[1]

@@ -22,6 +22,7 @@ from sepmetrics.errors import (
     ZeroTargetError,
 )
 from sepmetrics.metrics import (
+    _mean,
     decompose,
     evaluate,
     evaluate_permuted,
@@ -96,7 +97,11 @@ class TestSnr:
             snr([1.0, 2.0], [1.0, 2.0, 3.0])
 
     def test_truncate_mode(self):
-        assert snr(S34, E26 + [1.0, 1.0], truncate=True) == pytest.approx(
+        # the length policy lives on prepare/evaluate, not on the metrics
+        assert snr(*prepare([S34, E26 + [1.0, 1.0]], truncate=True)) == pytest.approx(
+            SNR_34, abs=1e-12
+        )
+        assert evaluate(S34, E26 + [1.0, 1.0], truncate=True).snr_db == pytest.approx(
             SNR_34, abs=1e-12
         )
 
@@ -413,6 +418,25 @@ def matrix_metric(matrix):
     return refs, ests, lambda r, e: float(matrix[int(r[0]) - 1][int(e[0]) - 1])
 
 
+class TestMean:
+    def test_equals_fsum_over_k(self, rng):
+        values = list(rng.standard_normal(7))
+        assert _mean(values) == math.fsum(values) / 7
+
+    def test_overflowing_sum_scales_like_the_unscaled_one(self, rng):
+        # 2**1000 times 20 values in [2**20, 2**23): their sum overflows, the
+        # mean does not, and scaling by a power of two commutes with rounding.
+        values = list((1.0 + np.minimum(np.abs(rng.standard_normal(20)), 6.0)) * 2.0 ** 20)
+        scaled = [math.ldexp(v, 1000) for v in values]
+        with pytest.raises(OverflowError):
+            math.fsum(scaled)
+        assert _mean(scaled) == math.ldexp(_mean(values), 1000)
+
+    def test_huge_values(self):
+        assert _mean([1e308, 1e308]) == 1e308
+        assert _mean([1e308, 1e308, math.inf]) == math.inf
+
+
 class TestEvaluatePermuted:
     def test_swapped_copies(self, rng):
         a = rng.standard_normal(64)
@@ -476,6 +500,24 @@ class TestEvaluatePermuted:
         perm, reports = evaluate_permuted(refs, ests)
         assert perm == tuple(range(k))
         assert [r.si_sdr_db for r in reports] == [-math.inf] * k
+
+    def test_overflowing_sums_tie_to_identity(self):
+        # every assignment's sum overflows; its mean is 1e308 all the same
+        refs, ests, metric = matrix_metric([[1e308, 1e308], [1e308, 1e308]])
+        perm, _ = evaluate_permuted(refs, ests, metric)
+        assert perm == (0, 1)
+
+    def test_overflowing_sums_still_rank(self):
+        refs, ests, metric = matrix_metric([[1e308, 1.5e308], [1.5e308, 1e308]])
+        perm, _ = evaluate_permuted(refs, ests, metric)
+        assert perm == (1, 0)
+
+    def test_overflowing_sum_next_to_plus_inf(self):
+        matrix = np.full((3, 3), 1e308)
+        matrix[0, 1] = math.inf
+        refs, ests, metric = matrix_metric(matrix)
+        perm, _ = evaluate_permuted(refs, ests, metric)
+        assert perm == (1, 0, 2)
 
     def test_count_mismatch(self, rng):
         with pytest.raises(CountMismatchError):
