@@ -168,7 +168,8 @@ def istft(spec: Spectrogram) -> Signal:
     """Overlap-add synthesis with the analysis window; trims to the original length."""
     cfg = spec.cfg
     n_frames = spec.frames.shape[0]
-    frames = np.fft.irfft(spec.frames, n=cfg.window_len, axis=1) * cfg.window
+    frames = np.fft.irfft(spec.frames, n=cfg.window_len, axis=1)
+    frames *= cfg.window
     size = max((n_frames - 1) * cfg.hop + cfg.window_len, cfg.pad + spec.original_len)
     # Frame t covers hop-sized blocks t..t+r-1, its sub-block i landing on block
     # t+i. Adding sub-blocks from the last to the first gives every sample its
@@ -178,7 +179,8 @@ def istft(spec: Spectrogram) -> Signal:
     parts = frames.reshape(n_frames, r, cfg.hop)
     for i in reversed(range(r)):
         blocks[i:i + n_frames] += parts[:, i]
-    out = blocks.ravel()[cfg.pad:cfg.pad + spec.original_len] / cfg.ola_gain
+    out = blocks.ravel()[cfg.pad:cfg.pad + spec.original_len]
+    out /= cfg.ola_gain
     return Signal(out, spec.sample_rate_hz)
 
 

@@ -15,6 +15,7 @@ from sepmetrics.adversary import (
 )
 from sepmetrics.audio import Signal
 from sepmetrics.dsp import MaskVector, StftConfig, apply_mask, istft, stft
+from sepmetrics.fixtures import speech_like
 
 CFG = StftConfig()
 
@@ -117,6 +118,62 @@ class TestIstftAdjoint:
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
+class TestSynthesisGram:
+    @pytest.mark.parametrize("window_len,hop", [(512, 128), (512, 256), (64, 8), (16, 8)])
+    def test_matches_single_bin_istft_oracle(self, window_len, hop, rng):
+        # Q = BᵀB, with B's rows the explicit single-bin iSTFT outputs; the
+        # lengths end on a hop boundary, one sample past it, and mid-hop.
+        cfg = StftConfig(window_len, hop)
+        eye = np.eye(cfg.n_bins)
+        for length in (3 * window_len, 3 * window_len + 1, 3 * window_len + hop // 2 + 3):
+            spec = stft(Signal(rng.standard_normal(length)), cfg)
+            basis = np.array([istft(apply_mask(spec, MaskVector(e))).samples for e in eye])
+            oracle = basis @ basis.T
+            q = adversary._synthesis_gram(spec)
+            assert np.max(np.abs(q - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+            g = rng.uniform(0.0, 1.0, cfg.n_bins)
+            adj = _istft_adjoint(spec, istft(apply_mask(spec, MaskVector(g))).samples)
+            assert np.linalg.norm(q @ g - adj) <= 1e-12 * np.linalg.norm(adj)
+
+    def test_gram_gradient_matches_exact_below_cutoff(self, short_speech, rng):
+        spec = stft(short_speech, CFG)
+        ref = short_speech.samples
+        gram = adversary._Gram(adversary._synthesis_gram(spec), _istft_adjoint(spec, ref))
+        for _ in range(5):
+            w = rng.standard_normal(CFG.n_bins)
+            exact, value = adversary._gradient_cached(spec, ref, w)
+            fast, fast_value = adversary._gradient_cached(spec, ref, w, gram)
+            assert fast_value == value
+            assert np.linalg.norm(fast - exact) <= 1e-10 * np.linalg.norm(exact)
+        assert gram.used == 5
+
+    def test_zero_energy_bins_have_zero_gram_gradient(self, short_speech, rng):
+        # the Gram rows and adjoint entries of silent bins are exactly zero
+        spec = stft(short_speech, CFG)
+        ref = short_speech.samples
+        silent = np.arange(180, 220)
+        spec.frames[:, silent] = 0.0
+        gram = adversary._Gram(adversary._synthesis_gram(spec), _istft_adjoint(spec, ref))
+        w = rng.standard_normal(CFG.n_bins) * 0.1
+        w[30] = 5.0  # pin the argmax on a live bin
+        g, _ = adversary._gradient_cached(spec, ref, w, gram)
+        assert gram.used == 1
+        assert np.array_equal(g[silent], np.zeros(silent.size))
+        assert np.max(np.abs(g)) > 0
+
+    def test_near_perfect_reconstruction_takes_the_exact_adjoint(self, short_speech):
+        # the all-ones mask is above the cutoff: its gradient keeps the exact bits
+        spec = stft(short_speech, CFG)
+        ref = short_speech.samples
+        gram = adversary._Gram(adversary._synthesis_gram(spec), _istft_adjoint(spec, ref))
+        w = np.zeros(CFG.n_bins)
+        exact, value = adversary._gradient_cached(spec, ref, w)
+        guarded, guarded_value = adversary._gradient_cached(spec, ref, w, gram)
+        assert value > 60.0
+        assert gram.used == 0
+        assert np.array_equal(guarded, exact) and guarded_value == value
+
+
 class TestOptimize:
     def test_zero_iterations(self, short_speech):
         cfg = AdversaryConfig(iterations=0)
@@ -144,8 +201,8 @@ class TestOptimize:
         exact = adversary._gradient_cached
         calls = []
 
-        def poisoned_after_three(spec, clean, weights):
-            grad, value = exact(spec, clean, weights)
+        def poisoned_after_three(spec, clean, weights, gram=None):
+            grad, value = exact(spec, clean, weights, gram)
             calls.append(1)
             return (grad * math.nan if len(calls) == 4 else grad), value
 
@@ -155,6 +212,56 @@ class TestOptimize:
         assert result.trajectory.shape == (4,)
         assert [r.getMessage() for r in caplog.records if r.name == "sepmetrics.adversary"] == [
             "optimize: non-finite gradient, stopping at iteration 3 of 10"]
+
+    def test_gram_paths_are_logged(self, short_speech, caplog):
+        caplog.set_level(logging.WARNING, logger="sepmetrics")
+        optimize(short_speech, AdversaryConfig(iterations=5))
+        assert caplog.records == []  # silent by default
+        caplog.set_level(logging.DEBUG, logger="sepmetrics")
+        optimize(short_speech, AdversaryConfig(iterations=5))
+        assert [r.getMessage() for r in caplog.records if r.name == "sepmetrics.adversary"] == [
+            "optimize: 1 exact-adjoint and 5 Gram gradients (cutoff 1e+06)"]
+
+    def test_nonfinite_gram_gradient_stops_the_loop(self, short_speech, monkeypatch, caplog):
+        build = adversary._synthesis_gram
+
+        def poisoned(spec):
+            q = build(spec)
+            q[3, 3] = math.nan
+            return q
+
+        monkeypatch.setattr(adversary, "_synthesis_gram", poisoned)
+        caplog.set_level(logging.DEBUG, logger="sepmetrics")
+        result = optimize(short_speech, AdversaryConfig(iterations=10))
+        assert result.trajectory.shape == (2,)
+        assert np.all(np.isfinite(result.trajectory))
+        assert [r.getMessage() for r in caplog.records if r.name == "sepmetrics.adversary"] == [
+            "optimize: non-finite gradient, stopping at iteration 1 of 10"]
+
+    @pytest.mark.parametrize("iterations", [0, 1, 3, 7])
+    def test_one_istft_per_objective_plus_the_final_mask(self, short_speech, monkeypatch,
+                                                         iterations):
+        # the rule behind the benchmark's expected dsp.istft count (502 at 500)
+        calls = []
+
+        def counting(spec):
+            calls.append(1)
+            return istft(spec)
+
+        monkeypatch.setattr(adversary, "istft", counting)
+        optimize(short_speech, AdversaryConfig(iterations=iterations))
+        assert len(calls) == iterations + 2
+
+    @pytest.mark.parametrize("duration_s", [1.0, 1.5, 2.0, 3.0])
+    def test_gram_path_tracks_the_exact_path(self, duration_s, monkeypatch):
+        clean = speech_like(duration_s)
+        fast = optimize(clean)
+        monkeypatch.setattr(adversary, "_GRAM_CUTOFF", 0.0)  # exact adjoint everywhere
+        exact = optimize(clean)
+        assert fast.trajectory[0] == exact.trajectory[0]
+        assert np.max(np.abs(fast.trajectory - exact.trajectory)) <= 1e-9
+        assert fast.final_legacy_sdr_db == pytest.approx(exact.final_legacy_sdr_db, abs=1e-9)
+        assert np.max(np.abs(fast.mask.gains - exact.mask.gains)) <= 1e-12
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

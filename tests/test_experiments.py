@@ -207,7 +207,7 @@ class TestRunToDirectory:
 _RUN_DEFAULT_SPECS = """
 import sys
 from sepmetrics.experiments import ExperimentSpec, run_to_directory
-for kind in ("rescale-sweep", "progressive-deletion"):
+for kind in ("rescale-sweep", "progressive-deletion", "bandstop-sweep"):
     run_to_directory(ExperimentSpec(kind=kind), sys.argv[1] + "/" + kind)
 """
 
@@ -226,5 +226,5 @@ def test_default_csvs_do_not_depend_on_blas_threads(tmp_path):
         subprocess.run([sys.executable, "-c", _RUN_DEFAULT_SPECS, str(out)],
                        env=env, check=True)
         outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")})
-    assert len(outputs[0]) == 2
+    assert len(outputs[0]) == 3
     assert outputs[0] == outputs[1]
