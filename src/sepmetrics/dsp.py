@@ -8,6 +8,7 @@ machine-precision reconstruction for any hop dividing the window length.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 
@@ -185,14 +186,19 @@ def istft(spec: Spectrogram) -> Signal:
 
 
 def apply_mask(spec: Spectrogram, mask: MaskVector) -> Spectrogram:
-    """Multiply every frame elementwise by the mask gains."""
+    """Multiply every frame elementwise by the mask gains.
+
+    Trusts the :class:`Spectrogram` invariant (finite frames) and does not
+    re-scan: finite frames times gains in [0, 1] are finite. Frames written
+    after construction are the caller's to keep finite.
+    """
     if len(mask) != spec.n_bins:
         raise LengthMismatchError(
             f"mask has {len(mask)} gains, spectrogram has {spec.n_bins} bins"
         )
-    return Spectrogram(
-        spec.frames * mask.gains, spec.cfg, spec.original_len, spec.sample_rate_hz
-    )
+    out = copy.copy(spec)  # skips __post_init__ and its finiteness scan
+    out.frames = spec.frames * mask.gains
+    return out
 
 
 def white_noise(length: int, seed: int, sample_rate_hz: int = 16000) -> Signal:

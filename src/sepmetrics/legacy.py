@@ -17,17 +17,19 @@ Solvers: with the reference alone the normal equations are symmetric Toeplitz
 and are solved by Levinson recursion on the reference's autocorrelation,
 O(taps^2) time and O(taps) memory; with interferers the block-Toeplitz Gram
 matrix is formed and Cholesky-factored, O((taps*sources)^3) time (see
-:func:`sepmetrics.linalg.solve_spd`).
+:func:`sepmetrics.linalg.solve_spd`). The last reference's spectrum and
+autocorrelation are kept in a private one-entry plan, reused only for an
+exactly equal reference and ``taps`` (see :func:`fir_project`).
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 from scipy.linalg import toeplitz
-from scipy.signal import fftconvolve
 
 from .errors import ZeroReferenceError
 from .linalg import _inner, solve_spd
@@ -42,8 +44,39 @@ __all__ = [
     "legacy_sar",
 ]
 
+_log = logging.getLogger(__name__)
+
 # Dense normal equations are taps*nsrc square; keep the solve at desk scale.
 MAX_PROBLEM_SIZE = 4096
+
+
+# The last reference seen: (copy of its samples, taps, rfft spectrum,
+# autocorrelation), replaced whole and never modified.
+_plan: tuple | None = None
+
+
+def _lags(cc: np.ndarray, taps: int) -> np.ndarray:
+    """``cc[0], cc[-1], ..., cc[-(taps-1)]``: correlation at lags 0..taps-1."""
+    return np.concatenate(([cc[0]], cc[-1:-taps:-1]))
+
+
+def _reference_plan(ref: np.ndarray, taps: int, n_fft: int) -> tuple:
+    """``ref``'s spectrum and autocorrelation: the last plan's if ``ref`` and ``taps`` match."""
+    global _plan
+    plan = _plan  # read once, so a concurrent replacement cannot mix two plans
+    if plan is not None and plan[1] == taps and np.array_equal(plan[0], ref):
+        _log.debug("fir_project: reusing the reference plan (L=%d, taps=%d)", ref.size, taps)
+        return plan[2:]
+    spec = scipy.fft.rfft(ref, n_fft)
+    cc = scipy.fft.irfft(spec * np.conj(spec), n_fft)
+    # Lags 0..taps-1, then -(taps-1)..-1: cc[:taps] and _lags read it as cc.
+    acf = np.concatenate((cc[:taps], cc[n_fft - taps + 1:]))
+    ref = ref.copy()
+    for a in (ref, spec, acf):
+        a.flags.writeable = False
+    _plan = (ref, taps, spec, acf)
+    _log.debug("fir_project: new reference plan (L=%d, taps=%d)", ref.size, taps)
+    return spec, acf
 
 
 @dataclass(frozen=True)
@@ -95,6 +128,11 @@ def fir_project(estimate, reference, interferers=(),
     jitter retry. Both paths keep ``taps*sources`` within
     ``MAX_PROBLEM_SIZE``.
 
+    The reference's spectrum and autocorrelation live in a private one-entry
+    plan, reused only if ``taps`` matches and the prepared reference is
+    ``np.array_equal`` to the plan's copy, else replaced. Reuse gives the same
+    bits as a rebuild, so no caller can observe the plan; both log at DEBUG.
+
     Raises:
         LengthMismatchError: signals of unequal length.
         ValueError: taps outside [1, L] or a problem above the size cap.
@@ -117,40 +155,44 @@ def fir_project(estimate, reference, interferers=(),
     # Correlations are alias-free for lags < taps once the FFT length covers
     # the padded support.
     n_fft = scipy.fft.next_fast_len(L + taps - 1, real=True)
-    spectra = [np.fft.rfft(src, n_fft) for src in sources]
-    est_spec = np.fft.rfft(est, n_fft)
-
-    def lags(cc):
-        """``cc[0], cc[-1], ..., cc[-(taps-1)]``: correlation at lags 0..taps-1."""
-        return np.concatenate(([cc[0]], cc[-1:-taps:-1]))
+    ref_spec, ref_acf = _reference_plan(ref, taps, n_fft)
+    spectra = [ref_spec] + [scipy.fft.rfft(src, n_fft) for src in sources[1:]]
+    est_spec = scipy.fft.rfft(est, n_fft)
 
     if nsrc == 1:
         # Symmetric Toeplitz: its first column, the reference's autocorrelation,
         # is all solve_spd needs (Levinson), so the matrix is never formed.
-        gram = lags(np.fft.irfft(spectra[0] * np.conj(spectra[0]), n_fft))
+        gram = _lags(ref_acf, taps)
     else:
         gram = np.empty((nsrc * taps, nsrc * taps))
         for i in range(nsrc):
             for j in range(i, nsrc):
-                cc = np.fft.irfft(spectra[i] * np.conj(spectra[j]), n_fft)
+                cc = ref_acf if i == j == 0 else (
+                    scipy.fft.irfft(spectra[i] * np.conj(spectra[j]), n_fft))
                 # block[a, b] = <delay_a(source_i), delay_b(source_j)> = cc[b - a]
-                block = toeplitz(lags(cc), r=cc[:taps])
+                block = toeplitz(_lags(cc, taps), r=cc[:taps])
                 gram[i * taps:(i + 1) * taps, j * taps:(j + 1) * taps] = block
                 if i != j:
                     gram[j * taps:(j + 1) * taps, i * taps:(i + 1) * taps] = block.T
 
     rhs = np.empty(nsrc * taps)
     for i in range(nsrc):
-        cc = np.fft.irfft(spectra[i] * np.conj(est_spec), n_fft)
-        rhs[i * taps:(i + 1) * taps] = lags(cc)
+        cc = scipy.fft.irfft(spectra[i] * np.conj(est_spec), n_fft)
+        rhs[i * taps:(i + 1) * taps] = _lags(cc, taps)
 
     coeffs = solve_spd(gram, rhs).reshape(nsrc, taps)
+    padded_len = L + taps - 1
     if taps == 1:
         contribs = [coeffs[i, 0] * sources[i] for i in range(nsrc)]
     else:
-        contribs = [fftconvolve(sources[i], coeffs[i]) for i in range(nsrc)]
+        # fftconvolve(sources[i], h) from the spectra, bit for bit: the same
+        # n_fft and scipy.fft. h_spec needs a name: numpy may reuse a temporary
+        # right operand in place, operands swapped, which rounds differently.
+        contribs = []
+        for i in range(nsrc):
+            h_spec = scipy.fft.rfft(coeffs[i], n_fft)
+            contribs.append(scipy.fft.irfft(spectra[i] * h_spec, n_fft)[:padded_len])
 
-    padded_len = L + taps - 1
     s_target = contribs[0]
     e_interf = np.sum(contribs[1:], axis=0) if nsrc > 1 else np.zeros(padded_len)
     est_padded = np.concatenate([est, np.zeros(taps - 1)])

@@ -199,6 +199,32 @@ class TestApplyMask:
         with pytest.raises(LengthMismatchError):
             apply_mask(stft(x, CFG), MaskVector(np.ones(100)))
 
+    def test_frames_are_the_product(self, rng):
+        spec = stft(Signal(rng.standard_normal(2000), 8000), CFG)
+        before = spec.frames.copy()
+        mask = MaskVector(rng.uniform(size=CFG.n_bins))
+        out = apply_mask(spec, mask)
+        assert isinstance(out, Spectrogram) and out is not spec
+        assert np.array_equal(out.frames, spec.frames * mask.gains)
+        assert out.frames.dtype == np.complex128
+        assert (out.cfg, out.original_len, out.sample_rate_hz) == (CFG, 2000, 8000)
+        assert np.array_equal(spec.frames, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_direct_construction_still_validates(self, bad):
+        frames = np.zeros((3, CFG.n_bins), dtype=complex)
+        frames[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Spectrogram(frames, CFG, original_len=600, sample_rate_hz=16000)
+
+    def test_trusts_the_spectrogram_invariant(self):
+        # Documented: apply_mask does not re-scan; frames edited after
+        # construction pass through unchecked.
+        spec = Spectrogram(np.ones((3, CFG.n_bins), dtype=complex), CFG, 600, 16000)
+        spec.frames[1, 2] = np.nan
+        out = apply_mask(spec, MaskVector(np.ones(CFG.n_bins)))
+        assert np.isnan(out.frames[1, 2])
+
     def test_mask_bounds(self):
         with pytest.raises(ValueError):
             MaskVector(np.array([0.5, 1.0001]))

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -228,3 +229,25 @@ def test_default_csvs_do_not_depend_on_blas_threads(tmp_path):
         outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")})
     assert len(outputs[0]) == 3
     assert outputs[0] == outputs[1]
+
+
+_STORED_SEED0 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench", "expected_seed0.json")
+
+
+@pytest.mark.parametrize("kind, runner", [
+    ("rescale-sweep", run_rescale_sweep),
+    ("progressive-deletion", run_progressive_deletion),
+    ("bandstop-sweep", run_bandstop_sweep),
+])
+def test_default_sweeps_match_stored_seed0_values(kind, runner):
+    # The benchmark's stored full-precision values; a fast path that moves
+    # any of them fails here as well as in the benchmark.
+    with open(_STORED_SEED0, encoding="utf-8") as fh:
+        stored = json.load(fh)["sweeps"][kind]
+    rows = runner(ExperimentSpec.from_json_dict({"kind": kind, "seed": 0}))
+    got = [[r.x, r.sdr_legacy_db, r.snr_db, r.si_sdr_db, r.sd_sdr_db] for r in rows]
+    assert len(got) == len(stored)
+    for i, (g_row, w_row) in enumerate(zip(got, stored)):
+        for g, w in zip(g_row, w_row, strict=True):
+            assert g == w or abs(g - w) <= 1e-9, (i, g_row, w_row)

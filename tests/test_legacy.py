@@ -1,11 +1,15 @@
 import logging
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 from scipy.signal import fftconvolve
 
+from sepmetrics import legacy
 from sepmetrics.errors import LengthMismatchError, ZeroReferenceError
 from sepmetrics.legacy import (
     FirProjectionConfig,
@@ -227,7 +231,7 @@ class TestLevinsonAgainstDense:
         est = (fftconvolve(ref, rng.standard_normal(40) / 40)[:ref.size]
                + 0.05 * rng.standard_normal(ref.size))
         cfg = FirProjectionConfig(taps=512)
-        caplog.set_level(logging.DEBUG, logger="sepmetrics")
+        caplog.set_level(logging.DEBUG, logger="sepmetrics.linalg")
         fast = fir_project(est, ref, cfg=cfg)
 
         def no_levinson(*args, **kwargs):
@@ -240,3 +244,143 @@ class TestLevinsonAgainstDense:
                          "solve_spd: Cholesky"]
         for metric in (legacy_sdr, legacy_sir, legacy_sar):
             assert metric(fast) == pytest.approx(metric(dense), abs=1e-9)
+
+
+def cold_project(est, ref, interferers=(), taps=32):
+    """``fir_project`` with no reference plan left by an earlier call."""
+    legacy._plan = None
+    return fir_project(est, ref, interferers, FirProjectionConfig(taps=taps))
+
+
+def assert_same(got, want):
+    for name in ("s_target", "e_interf", "e_artif"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert len(got.projection_filters) == len(want.projection_filters)
+    for g, w in zip(got.projection_filters, want.projection_filters):
+        assert np.array_equal(g, w)
+
+
+class TestReferencePlan:
+    """Calls that reuse the last reference's statistics match a cold call bit for bit."""
+
+    @pytest.fixture()
+    def signals(self, rng):
+        a, b = rng.standard_normal(1500), rng.standard_normal(1500)
+        ests = [np.convolve(a, rng.standard_normal(9))[:1500] + 0.2 * rng.standard_normal(1500)
+                for _ in range(3)]
+        return a, b, ests
+
+    @pytest.fixture(autouse=True)
+    def no_plan(self):
+        legacy._plan = None
+        yield
+        legacy._plan = None
+
+    def run_warm(self, calls):
+        """Each call cold, then all in sequence on one plan; the results must agree."""
+        cold = [cold_project(*c) for c in calls]
+        legacy._plan = None
+        for c, want in zip(calls, cold):
+            assert_same(fir_project(c[0], c[1], c[2], FirProjectionConfig(taps=c[3])), want)
+
+    def test_repeated_calls_on_one_reference(self, signals):
+        a, _, ests = signals
+        self.run_warm([(e, a, (), 32) for e in ests])
+        plan = legacy._plan
+        fir_project(ests[0], a, cfg=FirProjectionConfig(taps=32))
+        assert legacy._plan is plan
+
+    def test_alternating_references(self, signals):
+        a, b, ests = signals
+        self.run_warm([(ests[0], a, (), 32), (ests[1], b, (), 32), (ests[2], a, (), 32)])
+
+    def test_changing_taps(self, signals):
+        a, _, ests = signals
+        self.run_warm([(ests[0], a, (), t) for t in (32, 1, 17, 32, 512)])
+
+    def test_reference_edited_in_place(self, signals):
+        a, _, ests = signals
+        first = fir_project(ests[0], a, cfg=FirProjectionConfig(taps=32))
+        a[700] += 1.0  # prepare() hands fir_project this very array
+        edited = fir_project(ests[0], a, cfg=FirProjectionConfig(taps=32))
+        assert not np.array_equal(edited.s_target, first.s_target)
+        assert_same(edited, cold_project(ests[0], a))
+
+    def test_multi_source_between_single_source_calls(self, signals):
+        a, b, ests = signals
+        interf = [b, np.roll(b, 3) + 0.1 * a]
+        self.run_warm([(ests[0], a, (), 32), (ests[1], a, interf, 32),
+                       (ests[2], b, [a], 16), (ests[2], a, (), 32)])
+
+    def test_target_is_fftconvolve(self, speech):
+        ref = speech.samples
+        est = (fftconvolve(ref, np.random.default_rng(2).standard_normal(30) / 30)[:ref.size]
+               + 0.05 * np.random.default_rng(3).standard_normal(ref.size))
+        for taps in (2, 17, 512):
+            for _ in range(2):  # cold, then from the plan
+                d = fir_project(est, ref, cfg=FirProjectionConfig(taps=taps))
+                assert np.array_equal(d.s_target, fftconvolve(ref, d.projection_filters[0]))
+
+    def test_contributions_are_fftconvolve(self, signals):
+        a, b, ests = signals
+        interf = [b, np.roll(b, 3) + 0.1 * a]
+        for _ in range(2):  # cold, then from the plan
+            d = fir_project(ests[0] + 0.5 * b, a, interf, FirProjectionConfig(taps=32))
+            f = d.projection_filters
+            assert np.array_equal(d.s_target, fftconvolve(a, f[0]))
+            assert np.array_equal(d.e_interf, np.sum(
+                [fftconvolve(s, h) for s, h in zip(interf, f[1:])], axis=0))
+
+    def test_holds_one_private_reference(self, signals):
+        a, b, ests = signals
+        fir_project(ests[0], a, cfg=FirProjectionConfig(taps=32))
+        fir_project(ests[1], b, cfg=FirProjectionConfig(taps=16))
+        ref, taps, spec, acf = legacy._plan
+        assert taps == 16 and np.array_equal(ref, b) and ref is not b
+        assert not any(x.flags.writeable for x in (ref, spec, acf))
+        # Only 2*taps-1 lags are kept, read exactly as the full autocorrelation.
+        cc = scipy.fft.irfft(spec * np.conj(spec), scipy.fft.next_fast_len(1515, real=True))
+        assert acf.size == 31 and np.array_equal(acf[:16], cc[:16])
+        assert np.array_equal(legacy._lags(acf, 16), legacy._lags(cc, 16))
+
+    def test_reuse_and_rebuild_logged(self, signals, caplog):
+        a, b, ests = signals
+        caplog.set_level(logging.WARNING, logger="sepmetrics")
+        fir_project(ests[0], a)
+        assert caplog.records == []  # silent by default
+        legacy._plan = None
+        caplog.set_level(logging.DEBUG, logger="sepmetrics")
+        for ref in (a, a, b):
+            fir_project(ests[0], ref)
+        assert [r.getMessage() for r in caplog.records if r.name == "sepmetrics.legacy"] == [
+            "fir_project: new reference plan (L=1500, taps=512)",
+            "fir_project: reusing the reference plan (L=1500, taps=512)",
+            "fir_project: new reference plan (L=1500, taps=512)",
+        ]
+
+    def test_threads_share_the_plan_safely(self, signals):
+        a, b, ests = signals
+        cases = [(ests[i % 3], (a, b)[i % 2], (), 16) for i in range(4)]
+        want = [cold_project(*c) for c in cases]
+        failures = []
+
+        def worker(offset):
+            for i in range(40):
+                k = (i + offset) % len(cases)
+                est, ref, _, taps = cases[k]
+                got = fir_project(est, ref, cfg=FirProjectionConfig(taps=taps))
+                if not np.array_equal(got.s_target, want[k].s_target):
+                    failures.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
