@@ -43,6 +43,7 @@ from .errors import (
     IoError,
     LengthMismatchError,
     NonFiniteError,
+    SampleRateMismatchError,
     SepMetricsError,
     SignalTooShortError,
     SpecValidationError,

@@ -63,10 +63,12 @@ class Signal:
         return self.samples.size / self.sample_rate_hz
 
 
-def _read_chunks(data: bytes, path: str) -> dict[bytes, bytes]:
+def _read_chunks(data: bytes, path: str) -> dict[bytes, memoryview]:
+    """Chunk bodies by id, as views into ``data`` (the payload is not copied)."""
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise FormatError(f"{path}: not a RIFF/WAVE file")
-    chunks: dict[bytes, bytes] = {}
+    view = memoryview(data)
+    chunks: dict[bytes, memoryview] = {}
     pos = 12
     while pos + 8 <= len(data):
         cid = data[pos:pos + 4]
@@ -76,7 +78,7 @@ def _read_chunks(data: bytes, path: str) -> dict[bytes, bytes]:
                 f"{path}: chunk {cid.decode('latin-1')!r} declares {size} bytes "
                 f"but only {len(data) - pos - 8} remain"
             )
-        body = data[pos + 8:pos + 8 + size]
+        body = view[pos + 8:pos + 8 + size]
         if cid not in chunks:  # keep the first occurrence
             chunks[cid] = body
         pos += 8 + size + (size & 1)  # chunks are word-aligned
@@ -120,30 +122,31 @@ def read_wav(path: str, channel: int | None = None) -> Signal:
     if n_channels < 1:
         raise FormatError(f"{path}: invalid channel count {n_channels}")
 
-    payload = chunks[b"data"]
     if audio_format == _PCM and bits == 16:
-        raw = np.frombuffer(payload[: len(payload) - len(payload) % 2], dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
+        dtype = np.dtype("<i2")
     elif audio_format == _IEEE_FLOAT and bits == 32:
-        raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
-        samples = raw.astype(np.float64)
+        dtype = np.dtype("<f4")
     else:
         raise FormatError(
             f"{path}: unsupported encoding (format={audio_format}, bits={bits}); "
             "only 16-bit PCM and 32-bit float are supported"
         )
+    payload = chunks[b"data"]
+    raw = np.frombuffer(payload[: len(payload) - len(payload) % dtype.itemsize], dtype=dtype)
 
-    frames = samples.size // n_channels
+    frames = raw.size // n_channels
     if frames == 0:
         raise EmptySignalError(f"{path}: no audio frames")
-    samples = samples[: frames * n_channels].reshape(frames, n_channels)
     ch = 0 if channel is None else int(channel)
     if not 0 <= ch < n_channels:
         raise FormatError(f"{path}: channel {ch} out of range (file has {n_channels})")
-    picked = samples[:, ch]
-    if not np.all(np.isfinite(picked)):
+    # The one float64 buffer: the channel is picked on the raw view, converted once.
+    samples = raw[: frames * n_channels].reshape(frames, n_channels)[:, ch].astype(np.float64)
+    if dtype.kind == "i":
+        samples /= 32768.0
+    if not np.all(np.isfinite(samples)):
         raise FormatError(f"{path}: float payload contains non-finite samples")
-    return Signal(picked.copy(), int(rate))
+    return Signal(samples, int(rate))
 
 
 def write_wav(signal: Signal, path: str) -> None:

@@ -7,9 +7,11 @@ Subcommands:
   compare     flag estimates whose legacy SDR overstates quality vs SI-SDR
 
 Exit codes: 0 success, 2 input/format problems, 3 metric precondition
-violations, 1 anything unexpected. ``eval-set --truncate`` truncates each
-pair on its own, as ``eval --truncate`` does; with ``--permute`` every
-reference meets every estimate, so the whole set is cut to its shortest file.
+violations (including mixed sample rates), 1 anything unexpected.
+``eval-set`` reads, scores and drops one pair at a time, and ``--truncate``
+truncates each pair on its own, as ``eval --truncate`` does; with
+``--permute`` every reference meets every estimate, so all files are held and
+the whole set is cut to its shortest file.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import (
     FormatError,
     IoError,
     LengthMismatchError,
+    SampleRateMismatchError,
     SepMetricsError,
     SignalTooShortError,
     SpecValidationError,
@@ -51,6 +54,7 @@ _log = logging.getLogger(__name__)
 _INPUT_ERRORS = (IoError, FormatError, EmptySignalError, SpecValidationError)
 _PRECONDITION_ERRORS = (
     LengthMismatchError,
+    SampleRateMismatchError,
     ZeroReferenceError,
     ZeroEstimateError,
     ZeroTargetError,
@@ -173,16 +177,18 @@ def _cmd_eval_set(args) -> int:
         )
     if not ref_paths:
         raise CountMismatchError("no input files matched")
-    refs = [read_wav(p, args.channel) for p in ref_paths]
-    ests = [read_wav(p, args.channel) for p in est_paths]
     prep = {"truncate": args.truncate, "zero_mean": args.zero_mean}
     if args.permute:
-        sigs = metrics.prepare(refs + ests, **prep)
+        # Every reference meets every estimate, so all k sources are held.
+        sigs = metrics.prepare([read_wav(p, args.channel) for p in ref_paths + est_paths],
+                               **prep)
         assignment, reports = metrics.evaluate_permuted(
-            sigs[:len(refs)], sigs[len(refs):], args.metric)
+            sigs[:len(ref_paths)], sigs[len(ref_paths):], args.metric)
     else:
-        assignment = tuple(range(len(refs)))
-        reports = [metrics.evaluate(r, e, **prep) for r, e in zip(refs, ests)]
+        # One pair at a time: read, scored and dropped before the next is read.
+        assignment = tuple(range(len(ref_paths)))
+        reports = [metrics.evaluate(read_wav(r, args.channel), read_wav(e, args.channel), **prep)
+                   for r, e in zip(ref_paths, est_paths)]
 
     metric_cols = ["snr_db", "si_sdr_db", "sd_sdr_db", "min_snr_sdsdr_db"]
     rows = []

@@ -21,6 +21,10 @@ class LengthMismatchError(SepMetricsError):
     """Two signals (or a spectrogram and a mask) that must agree in length do not."""
 
 
+class SampleRateMismatchError(SepMetricsError):
+    """Signals that are compared sample by sample carry different sample rates."""
+
+
 class NonFiniteError(SepMetricsError):
     """A metric's energy ratio is NaN or infinite: the inputs hold NaN/inf samples."""
 

@@ -15,8 +15,11 @@ plain optimal-gain rescaling and the legacy SDR coincides with SI-SDR.
 
 Solvers: with the reference alone the normal equations are symmetric Toeplitz
 and are solved by Levinson recursion on the reference's autocorrelation,
-O(taps^2) time and O(taps) memory; with interferers the block-Toeplitz Gram
-matrix is formed and Cholesky-factored, O((taps*sources)^3) time (see
+O(taps^2) time and O(taps) memory; with interferers they are block Toeplitz
+and are solved by block Levinson recursion on taps lag blocks of the sources'
+cross-correlations, O(taps^2 sources^3) time and O(taps sources^2) memory. Either
+answer is checked against Cholesky's backward-error bound, and the Gram
+matrix is formed and Cholesky-factored only if the check fails (see
 :func:`sepmetrics.linalg.solve_spd`). The last reference's spectrum and
 autocorrelation are kept in a private one-entry plan, reused only for an
 exactly equal reference and ``taps`` (see :func:`fir_project`).
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.linalg import toeplitz
 
 from .errors import ZeroReferenceError
 from .linalg import _inner, solve_spd
@@ -46,7 +48,7 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 
-# Dense normal equations are taps*nsrc square; keep the solve at desk scale.
+# The dense fallback's normal equations are taps*nsrc square; keep it at desk scale.
 MAX_PROBLEM_SIZE = 4096
 
 
@@ -123,10 +125,13 @@ def fir_project(estimate, reference, interferers=(),
     finite reference ``s``: ``h @ G @ h`` is the energy of the full
     convolution ``h * s``, and the convolution of two nonzero finite
     sequences is nonzero (its last nonzero sample is the product of their
-    last nonzero samples). With interferers the block-Toeplitz Gram matrix
-    of ``(taps*sources)^2`` floats is formed and solved by Cholesky plus one
-    jitter retry. Both paths keep ``taps*sources`` within
-    ``MAX_PROBLEM_SIZE``.
+    last nonzero samples). With interferers the Gram matrix is block
+    Toeplitz; ``solve_spd`` gets its first block row, ``taps`` lag blocks of
+    ``sources x sources``, and solves by block Levinson recursion in
+    O(taps^2 sources^3) time and O(taps sources^2) memory, the matrix never
+    formed. If either recursion fails its check, the ``(taps*sources)^2``
+    matrix is built and solved by Cholesky plus one jitter retry, so
+    ``taps*sources`` is kept within ``MAX_PROBLEM_SIZE``.
 
     The reference's spectrum and autocorrelation live in a private one-entry
     plan, reused only if ``taps`` matches and the prepared reference is
@@ -159,28 +164,25 @@ def fir_project(estimate, reference, interferers=(),
     spectra = [ref_spec] + [scipy.fft.rfft(src, n_fft) for src in sources[1:]]
     est_spec = scipy.fft.rfft(est, n_fft)
 
+    rhs = np.empty((nsrc, taps))
+    for i in range(nsrc):
+        rhs[i] = _lags(scipy.fft.irfft(spectra[i] * np.conj(est_spec), n_fft), taps)
+
     if nsrc == 1:
         # Symmetric Toeplitz: its first column, the reference's autocorrelation,
         # is all solve_spd needs (Levinson), so the matrix is never formed.
-        gram = _lags(ref_acf, taps)
+        coeffs = solve_spd(_lags(ref_acf, taps), rhs[0]).reshape(1, taps)
     else:
-        gram = np.empty((nsrc * taps, nsrc * taps))
+        # Block Toeplitz: lag blocks[d][i, j] = <source_i, delay_d(source_j)>
+        # = cc_ij[d] and blocks[d][j, i] = cc_ij[-d] (block Levinson).
+        blocks = np.empty((taps, nsrc, nsrc))
         for i in range(nsrc):
             for j in range(i, nsrc):
                 cc = ref_acf if i == j == 0 else (
                     scipy.fft.irfft(spectra[i] * np.conj(spectra[j]), n_fft))
-                # block[a, b] = <delay_a(source_i), delay_b(source_j)> = cc[b - a]
-                block = toeplitz(_lags(cc, taps), r=cc[:taps])
-                gram[i * taps:(i + 1) * taps, j * taps:(j + 1) * taps] = block
-                if i != j:
-                    gram[j * taps:(j + 1) * taps, i * taps:(i + 1) * taps] = block.T
-
-    rhs = np.empty(nsrc * taps)
-    for i in range(nsrc):
-        cc = scipy.fft.irfft(spectra[i] * np.conj(est_spec), n_fft)
-        rhs[i * taps:(i + 1) * taps] = _lags(cc, taps)
-
-    coeffs = solve_spd(gram, rhs).reshape(nsrc, taps)
+                blocks[:, j, i] = _lags(cc, taps)
+                blocks[:, i, j] = cc[:taps]
+        coeffs = solve_spd(blocks, rhs)
     padded_len = L + taps - 1
     if taps == 1:
         contribs = [coeffs[i, 0] * sources[i] for i in range(nsrc)]

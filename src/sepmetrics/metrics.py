@@ -32,6 +32,7 @@ from .errors import (
     CountMismatchError,
     LengthMismatchError,
     NonFiniteError,
+    SampleRateMismatchError,
     ZeroEstimateError,
     ZeroReferenceError,
     ZeroTargetError,
@@ -65,10 +66,17 @@ def _samples(x) -> np.ndarray:
 def prepare(signals, *, truncate: bool = False, zero_mean: bool = False) -> list[np.ndarray]:
     """Coerce signals to 1-D float64 arrays of one common length.
 
-    Unequal lengths raise :class:`LengthMismatchError` unless ``truncate``,
-    which cuts every signal to the shortest; ``zero_mean`` then subtracts each
-    signal's mean.
+    :class:`~sepmetrics.audio.Signal` inputs with different sample rates raise
+    :class:`SampleRateMismatchError`; plain arrays carry no rate and are not
+    checked. Unequal lengths raise :class:`LengthMismatchError` unless
+    ``truncate``, which cuts every signal to the shortest; ``zero_mean`` then
+    subtracts each signal's mean.
     """
+    signals = list(signals)
+    rates = list(dict.fromkeys(s.sample_rate_hz for s in signals if isinstance(s, Signal)))
+    if len(rates) > 1:
+        raise SampleRateMismatchError(
+            "sample rates differ: " + " vs ".join(f"{r} Hz" for r in rates))
     arrays = [_samples(s) for s in signals]
     n = min(a.size for a in arrays)
     if any(a.size != n for a in arrays):
@@ -366,13 +374,14 @@ def evaluate_permuted(references, estimates, metric="si-sdr"):
     computed once and ``scipy.optimize.linear_sum_assignment`` finds what an
     exhaustive search over all k! assignments would, with no source cap.
     """
-    refs = [_samples(r) for r in references]
-    ests = [_samples(e) for e in estimates]
-    if len(refs) != len(ests):
-        raise CountMismatchError(f"{len(refs)} references vs {len(ests)} estimates")
-    k = len(refs)
+    references, estimates = list(references), list(estimates)
+    if len(references) != len(estimates):
+        raise CountMismatchError(f"{len(references)} references vs {len(estimates)} estimates")
+    k = len(references)
     if k == 0:
         raise CountMismatchError("need at least one reference/estimate pair")
+    sigs = prepare(references + estimates)
+    refs, ests = sigs[:k], sigs[k:]
     fn = _resolve_metric(metric)
     matrix = np.array([[fn(r, e) for e in ests] for r in refs], dtype=np.float64)
     best = _best_assignment(matrix)

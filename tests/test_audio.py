@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,49 @@ class TestExtensible:
                         extension=extensible(1, 16)[:keep])
         with pytest.raises(FormatError, match="truncated WAVE_FORMAT_EXTENSIBLE"):
             read_wav(path)
+
+
+class TestOneBuffer:
+    """Decoded samples equal a plain reference decode and own their memory."""
+
+    @pytest.mark.parametrize("audio_format, channels, bits, channel, extension", [
+        (1, 1, 16, None, b""),
+        (3, 1, 32, None, b""),
+        (1, 2, 16, 1, b""),
+        (3, 2, 32, 1, b""),
+        (0xFFFE, 1, 16, None, extensible(1, 16)),
+        (0xFFFE, 2, 32, 1, extensible(3, 32)),
+    ])
+    def test_samples_match_and_own_memory(self, tmp_path, rng, audio_format, channels,
+                                          bits, channel, extension):
+        n = 1001 * channels
+        if bits == 16:
+            raw = rng.integers(-32768, 32768, n).astype("<i2")
+            want = raw.astype(np.float64) / 32768.0
+        else:
+            raw = (rng.standard_normal(n) * 2.0).astype("<f4")
+            want = raw.astype(np.float64)
+        want = want.reshape(-1, channels)[:, channel or 0]
+        path = make_wav(tmp_path / "w.wav", raw.tobytes(), audio_format, channels, bits,
+                        extension=extension)
+        sig = read_wav(path, channel)
+        assert sig.samples.dtype == np.float64
+        assert sig.samples.tobytes() == want.tobytes()
+        assert sig.samples.base is None  # no view pins the file's bytes
+        assert sig.samples.flags.c_contiguous and sig.samples.flags.writeable
+
+    def test_peak_memory_is_file_plus_one_buffer(self, tmp_path, rng):
+        n = 200_000
+        path = make_wav(tmp_path / "m.wav", rng.integers(-32768, 32768, n).astype("<i2").tobytes(),
+                        1, 1, 16)
+        tracemalloc.start()
+        try:
+            sig = read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the file's bytes plus the float64 samples, with room for bookkeeping
+        assert peak < 2 * n + 1.25 * sig.samples.nbytes
 
 
 class TestChunkSizes:

@@ -1,10 +1,12 @@
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sepmetrics import cli, metrics
 from sepmetrics.audio import Signal, read_wav, write_wav
 from sepmetrics.cli import gap_db, main
 from sepmetrics.fixtures import speech_like
@@ -211,6 +213,101 @@ class TestEvalSet:
         ref0 = read_wav(str(refs_dir / "0.wav")).samples[:1000]
         est0 = read_wav(str(ests_dir / "0.wav")).samples[:1000]
         assert float(permuted[0]["si_sdr_db"]) == pytest.approx(si_sdr(ref0, est0), abs=1e-6)
+
+
+class TestMixedSampleRates:
+    """A 16 kHz reference against an 8 kHz estimate of equal length is refused."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, rng):
+        x = rng.standard_normal(1200) * 0.1
+        for sub in ("refs", "ests"):
+            (tmp_path / sub).mkdir()
+        paths = {}
+        for k in range(2):
+            for sub, rate in (("refs", 16000), ("ests", 8000 if k == 1 else 16000)):
+                paths[sub, k] = str(tmp_path / sub / f"{k}.wav")
+                write_wav(Signal(np.roll(x, k), rate), paths[sub, k])
+        return tmp_path, paths
+
+    def check(self, argv, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "16000 Hz" in err and "8000 Hz" in err
+
+    def test_eval(self, files, capsys):
+        _, paths = files
+        self.check(["eval", "--ref", paths["refs", 1], "--est", paths["ests", 1]], capsys)
+
+    def test_eval_interferer(self, files, capsys):
+        _, paths = files
+        self.check(["eval", "--ref", paths["refs", 0], "--est", paths["ests", 0],
+                    "--interf", paths["ests", 1]], capsys)
+
+    @pytest.mark.parametrize("permute", [[], ["--permute"]])
+    def test_eval_set(self, files, capsys, permute):
+        root, _ = files
+        self.check(["eval-set", "--refs", str(root / "refs"), "--ests", str(root / "ests"),
+                    *permute], capsys)
+
+    def test_compare(self, files, capsys):
+        _, paths = files
+        self.check(["compare", "--ref", paths["refs", 0], "--est", paths["ests", 0],
+                    "--est", paths["ests", 1], "--legacy-taps", "8"], capsys)
+
+
+class TestEvalSetStreaming:
+    """Without --permute, eval-set holds one pair at a time."""
+
+    def write_set(self, root, n_pairs, rng, samples=16000):
+        refs, ests = root / "refs", root / "ests"
+        refs.mkdir(parents=True)
+        ests.mkdir()
+        for k in range(n_pairs):
+            x = rng.standard_normal(samples) * 0.1
+            write_wav(Signal(x, 16000), str(refs / f"{k:02d}.wav"))
+            write_wav(Signal(0.9 * x + 0.01 * rng.standard_normal(samples), 16000),
+                      str(ests / f"{k:02d}.wav"))
+        return ["eval-set", "--refs", str(refs), "--ests", str(ests)]
+
+    def test_reads_interleave_with_scoring(self, tmp_path, rng, monkeypatch, capsys):
+        argv = self.write_set(tmp_path, 3, rng, samples=500)
+        events = []
+        read, evaluate = cli.read_wav, metrics.evaluate
+
+        def logged_read(path, channel=None):
+            events.append("read " + path.rsplit("/", 2)[1])
+            return read(path, channel)
+
+        def logged_evaluate(*args, **kwargs):
+            events.append("evaluate")
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_wav", logged_read)
+        monkeypatch.setattr(metrics, "evaluate", logged_evaluate)
+        assert main(argv) == 0
+        assert events == ["read refs", "read ests", "evaluate"] * 3
+
+    def test_peak_memory_does_not_grow_with_pairs(self, tmp_path, rng, capsys):
+        peaks = []
+        for n_pairs in (2, 16):
+            argv = self.write_set(tmp_path / str(n_pairs), n_pairs, rng)
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+        # holding all 16 pairs would add 14 * 2 * 128 kB of float64 samples
+        assert peaks[1] < peaks[0] + 64 * 1024
+
+    def test_first_failing_pair_is_reported(self, tmp_path, rng, capsys):
+        argv = self.write_set(tmp_path, 3, rng, samples=500)
+        (tmp_path / "ests" / "00.wav").write_bytes(b"not a wav")
+        (tmp_path / "refs" / "02.wav").write_bytes(b"not a wav either")
+        assert main(argv) == 2
+        assert "ests/00.wav" in capsys.readouterr().err
 
 
 class TestExperimentCmd:

@@ -1,7 +1,10 @@
 import logging
 import math
+import os
+import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +12,9 @@ import scipy.fft
 import scipy.linalg
 from scipy.signal import fftconvolve
 
-from sepmetrics import legacy
-from sepmetrics.errors import LengthMismatchError, ZeroReferenceError
+from sepmetrics import legacy, linalg
+from sepmetrics.errors import DegenerateSourcesError, LengthMismatchError, ZeroReferenceError
+from sepmetrics.fixtures import speech_like
 from sepmetrics.legacy import (
     FirProjectionConfig,
     fir_project,
@@ -205,7 +209,7 @@ class TestLstsqOracle:
     """``fir_project`` against an explicit delay-matrix least-squares solve."""
 
     @pytest.mark.parametrize("taps", [1, 2, 17])
-    @pytest.mark.parametrize("n_interf", [0, 2])
+    @pytest.mark.parametrize("n_interf", [0, 1, 2, 3])
     def test_matches_lstsq(self, rng, taps, n_interf):
         L = 300
         sources = [rng.standard_normal(L) for _ in range(1 + n_interf)]
@@ -244,6 +248,99 @@ class TestLevinsonAgainstDense:
                          "solve_spd: Cholesky"]
         for metric in (legacy_sdr, legacy_sir, legacy_sar):
             assert metric(fast) == pytest.approx(metric(dense), abs=1e-9)
+
+
+def solver_paths(caplog):
+    return [r.getMessage().split(" (")[0] for r in caplog.records if r.name == "sepmetrics.linalg"]
+
+
+def speech_mix(n_interf, seconds=0.5, seed=20):
+    """Speech-like sources and a filtered, noisy mixture of all of them."""
+    rng = np.random.default_rng(seed)
+    sources = [speech_like(seconds, 16000, seed + k).samples for k in range(1 + n_interf)]
+    est = fftconvolve(sources[0], rng.standard_normal(24) / 24)[:sources[0].size]
+    for k, src in enumerate(sources[1:]):
+        est += (0.4 - 0.1 * k) * src
+    return sources, est + 0.02 * rng.standard_normal(est.size)
+
+
+def no_block_levinson(blocks, rhs):
+    raise np.linalg.LinAlgError("disabled")
+
+
+class TestBlockLevinsonAgainstDense:
+    """Multi-source projections by block Levinson against the dense Cholesky path."""
+
+    @pytest.mark.parametrize("taps", [1, 2, 17, 128, 512])
+    @pytest.mark.parametrize("n_interf", [1, 2, 3])
+    def test_speech_like(self, n_interf, taps, monkeypatch, caplog):
+        sources, est = speech_mix(n_interf)
+        cfg = FirProjectionConfig(taps=taps)
+        caplog.set_level(logging.DEBUG, logger="sepmetrics.linalg")
+        fast = fir_project(est, sources[0], sources[1:], cfg)
+        assert solver_paths(caplog) == ["solve_spd: block Levinson"]
+        caplog.clear()
+        monkeypatch.setattr(linalg, "_block_levinson", no_block_levinson)
+        dense = fir_project(est, sources[0], sources[1:], cfg)
+        assert solver_paths(caplog) == ["solve_spd: block Levinson failed", "solve_spd: Cholesky"]
+        for metric in (legacy_sdr, legacy_sir, legacy_sar):
+            assert metric(fast) == pytest.approx(metric(dense), abs=1e-9)
+
+    def test_duplicated_interferer_goes_to_jitter_or_raises(self, caplog):
+        sources, est = speech_mix(1)
+        caplog.set_level(logging.DEBUG, logger="sepmetrics.linalg")
+        try:
+            d = fir_project(est, sources[0], [sources[0].copy()], FirProjectionConfig(taps=16))
+        except DegenerateSourcesError:
+            d = None
+        paths = solver_paths(caplog)
+        assert paths[0].startswith("solve_spd: block Levinson") and len(paths) == 2
+        assert paths[1] == "solve_spd: Cholesky failed"
+        if d is not None:  # span{s, s} = span{s}: the split may be arbitrary, the sum is not
+            lone = fir_project(est, sources[0], cfg=FirProjectionConfig(taps=16))
+            np.testing.assert_allclose(d.s_target + d.e_interf, lone.s_target,
+                                       atol=1e-6 * np.linalg.norm(lone.s_target))
+
+    def test_peak_memory_is_linear_in_taps(self):
+        sources, est = speech_mix(2, seconds=2.0)
+        legacy._plan = None
+        tracemalloc.start()
+        try:
+            fir_project(est, sources[0], sources[1:], FirProjectionConfig(taps=512))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            legacy._plan = None
+        # a dense (3 * 512)^2 Gram matrix alone would be 18.9 MB
+        assert peak < 10 * 2 ** 20
+
+
+_MULTI_SOURCE_LEGACY = """
+import logging, sys
+from sepmetrics import fixtures, legacy
+logging.basicConfig(level=logging.DEBUG, stream=sys.stdout, format="%(message)s")
+logging.getLogger("sepmetrics.legacy").setLevel(logging.INFO)
+for seconds in (1.0, 2.0, 3.0, 4.0):
+    s = [fixtures.speech_like(seconds, 16000, seed).samples for seed in (11, 12, 13, 14)]
+    est = s[0] + 0.4 * s[1] - 0.3 * s[2] + 0.05 * s[3]
+    d = legacy.fir_project(est, s[0], s[1:3], legacy.FirProjectionConfig(taps=256))
+    print(repr((legacy.legacy_sdr(d), legacy.legacy_sir(d), legacy.legacy_sar(d))))
+"""
+
+
+def test_multi_source_scores_do_not_depend_on_blas_threads():
+    # The block recursion contracts with numpy einsum and checks its residual
+    # with FFTs, so no BLAS call sees the data. The thread count is fixed at
+    # process start, so each run is a subprocess with its own environment.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(legacy.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        outputs.append(subprocess.run([sys.executable, "-c", _MULTI_SOURCE_LEGACY], env=env,
+                                      check=True, capture_output=True, text=True).stdout)
+    assert outputs[0].count("solve_spd: block Levinson (n=768") == 4
+    assert outputs[0] == outputs[1]
 
 
 def cold_project(est, ref, interferers=(), taps=32):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from sepmetrics import linalg
 from sepmetrics.linalg import solve_spd
 
 
@@ -70,6 +71,77 @@ class TestToeplitzPath:
         failed, retry = messages(debug_log)
         assert failed.startswith("solve_spd: Levinson failed (n=2")
         assert retry == "solve_spd: Cholesky failed (n=2); jitter retry with 1e-12"
+
+
+def delay_gram(sources, taps):
+    """Explicit Gram matrix of every source delayed by 0..taps-1, source-major."""
+    length = sources.shape[1]
+    columns = np.zeros((length + taps - 1, len(sources) * taps))
+    for i, src in enumerate(sources):
+        for d in range(taps):
+            columns[d:d + length, i * taps + d] = src
+    return columns.T @ columns
+
+
+def first_block_row(gram, m, taps):
+    """``blocks[d][i, j]``: source ``i`` undelayed against source ``j`` delayed by ``d``."""
+    return np.stack([gram[::taps, d::taps][:m, :m] for d in range(taps)])
+
+
+def dense_block_answer(blocks, rhs):
+    m = blocks.shape[1]
+    gram = np.block([[scipy.linalg.toeplitz(blocks[:, j, i], blocks[:, i, j])
+                      for j in range(m)] for i in range(m)])
+    cf = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+    return scipy.linalg.cho_solve(cf, rhs.ravel(), check_finite=False).reshape(rhs.shape)
+
+
+class TestBlockToeplitzPath:
+    @pytest.fixture()
+    def system(self, rng):
+        def make(m, taps):
+            gram = delay_gram(rng.standard_normal((m, 300)), taps)
+            return gram, first_block_row(gram, m, taps), rng.standard_normal((m, taps))
+        return make
+
+    @pytest.mark.parametrize("taps", [1, 2, 17, 64])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_matches_dense_solve(self, system, m, taps, debug_log):
+        gram, blocks, rhs = system(m, taps)
+        x = solve_spd(blocks, rhs)
+        assert x.shape == (m, taps)
+        np.testing.assert_allclose(x.ravel(), np.linalg.solve(gram, rhs.ravel()),
+                                   rtol=1e-9, atol=1e-12 * np.abs(x).max())
+        (msg,) = messages(debug_log)
+        assert msg.startswith(f"solve_spd: block Levinson (n={m * taps}, backward error")
+
+    def test_rejected_answer_falls_back_to_dense(self, system, monkeypatch, debug_log):
+        _, blocks, rhs = system(3, 32)
+        exact = linalg._block_levinson
+        monkeypatch.setattr(linalg, "_block_levinson",
+                            lambda b, r: exact(b, r) * (1.0 + 1e-6))
+        x = solve_spd(blocks, rhs)
+        np.testing.assert_array_equal(x, dense_block_answer(blocks, rhs))
+        rejected, cholesky = messages(debug_log)
+        assert rejected.startswith("solve_spd: block Levinson rejected (n=96, backward error")
+        assert cholesky == "solve_spd: Cholesky (n=96)"
+
+    @pytest.mark.parametrize("broken, logged", [
+        (np.linalg.LinAlgError("disabled"), "solve_spd: block Levinson failed (n=40: disabled)"),
+        (np.full((2, 20), np.nan), "solve_spd: block Levinson gave non-finite values (n=40)"),
+    ])
+    def test_failed_recursion_falls_back_to_dense(self, system, monkeypatch, debug_log,
+                                                   broken, logged):
+        _, blocks, rhs = system(2, 20)
+
+        def recursion(b, r):
+            if isinstance(broken, Exception):
+                raise broken
+            return broken
+
+        monkeypatch.setattr(linalg, "_block_levinson", recursion)
+        np.testing.assert_array_equal(solve_spd(blocks, rhs), dense_block_answer(blocks, rhs))
+        assert messages(debug_log)[0].startswith(logged)
 
 
 class TestLogging:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import sepmetrics
 from sepmetrics.audio import Signal
 from sepmetrics.legacy import (
     FirProjectionConfig,
@@ -73,6 +74,16 @@ class TestPrepare:
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             prepare([np.ones((2, 2)), np.ones(4)])
+
+    def test_mixed_sample_rates_rejected(self):
+        x = np.array(S34)
+        with pytest.raises(sepmetrics.SampleRateMismatchError, match="16000 Hz vs 8000 Hz"):
+            prepare([Signal(x, 16000), Signal(x, 16000), Signal(x, 8000)])
+        assert issubclass(sepmetrics.SampleRateMismatchError, sepmetrics.SepMetricsError)
+
+    def test_plain_arrays_carry_no_rate(self):
+        x = np.array(S34)
+        assert prepare([Signal(x, 8000), 2 * x])[1].tolist() == (2 * x).tolist()
 
 
 class TestSnr:
@@ -445,6 +456,12 @@ class TestEvaluatePermuted:
         assert perm == (1, 0)
         assert reports[0].si_sdr_db == math.inf
         assert reports[1].si_sdr_db == math.inf
+
+    def test_mixed_sample_rates_rejected(self, rng):
+        a, b = rng.standard_normal(64), rng.standard_normal(64)
+        with pytest.raises(sepmetrics.SampleRateMismatchError, match="16000 Hz vs 8000 Hz"):
+            evaluate_permuted([Signal(a, 16000), Signal(b, 16000)],
+                              [Signal(b, 8000), Signal(a, 16000)])
 
     def test_single_source(self, rng):
         perm, reports = evaluate_permuted([rng.standard_normal(32)],
