@@ -96,8 +96,8 @@ def read_wav(path: str, channel: int | None = None) -> Signal:
     Raises:
         IoError: the file cannot be read.
         FormatError: encoding other than PCM16/float32 (plain or under a
-            WAVE_FORMAT_EXTENSIBLE GUID), malformed chunks, or a float
-            payload containing non-finite values.
+            WAVE_FORMAT_EXTENSIBLE GUID), malformed chunks, a zero sample
+            rate, or a float payload containing non-finite values.
         EmptySignalError: the file has no frames.
     """
     try:
@@ -121,6 +121,8 @@ def read_wav(path: str, channel: int | None = None) -> Signal:
         (audio_format,) = struct.unpack_from("<H", fmt, 24)
     if n_channels < 1:
         raise FormatError(f"{path}: invalid channel count {n_channels}")
+    if rate < 1:
+        raise FormatError(f"{path}: invalid sample rate {rate}")
 
     if audio_format == _PCM and bits == 16:
         dtype = np.dtype("<i2")

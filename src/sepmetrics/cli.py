@@ -66,6 +66,17 @@ _PRECONDITION_ERRORS = (
 GAP_THRESHOLD_DB = 5.0
 
 
+def _tap_count(text: str) -> int:
+    """``--legacy-taps`` value: an integer >= 1 (else argparse exits 2)."""
+    try:
+        taps = int(text)
+    except ValueError:
+        taps = 0
+    if taps < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return taps
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sepmetrics",
@@ -82,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="subtract each signal's mean first")
     p_eval.add_argument("--truncate", action="store_true",
                         help="truncate unequal lengths to the shortest signal")
-    p_eval.add_argument("--legacy-taps", type=int, default=None, metavar="N",
+    p_eval.add_argument("--legacy-taps", type=_tap_count, default=None, metavar="N",
                         help="also report FIR-projection SDR/SIR/SAR with N taps")
     p_eval.add_argument("--channel", type=int, default=None,
                         help="channel to read from multichannel files")
@@ -109,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--ref", required=True, help="reference WAV")
     p_cmp.add_argument("--est", required=True, action="append",
                        help="estimate WAV (repeatable)")
-    p_cmp.add_argument("--legacy-taps", type=int, default=512, metavar="N")
+    p_cmp.add_argument("--legacy-taps", type=_tap_count, default=512, metavar="N")
     p_cmp.add_argument("--threshold", type=float, default=GAP_THRESHOLD_DB,
                        help="gap (dB) beyond which an estimate is flagged")
     p_cmp.add_argument("--channel", type=int, default=None)

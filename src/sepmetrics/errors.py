@@ -50,7 +50,7 @@ class CountMismatchError(SepMetricsError):
 
 
 class SignalTooShortError(SepMetricsError):
-    """The signal is shorter than one analysis window."""
+    """The signal is shorter than one analysis window or than the FIR filter."""
 
 
 class SpecValidationError(SepMetricsError):

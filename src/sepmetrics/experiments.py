@@ -101,6 +101,7 @@ class ExperimentSpec:
             if lo is not None and (grid[0] < lo or grid[-1] > hi):
                 raise SpecValidationError(name, f"values must lie in [{lo}, {hi}]")
         for name, ok in (
+            ("seed", self.seed >= 0),
             ("sample_rate_hz", self.sample_rate_hz >= 1),
             ("duration_s", self.duration_s > 0),
             ("legacy_taps", self.legacy_taps >= 1),
@@ -116,6 +117,7 @@ class ExperimentSpec:
                 raise SpecValidationError(name, f"invalid value {getattr(self, name)!r}")
 
     _GRID_FIELDS = ("proportions", "gains", "mu_grid")
+    _INT_KEYS = ("seed", "sample_rate_hz", "legacy_taps", "length", "iterations")
     _COMMON_KEYS = ("kind", "input", "seed", "stft", "sample_rate_hz", "duration_s",
                     "legacy_taps")
     _KIND_KEYS = {
@@ -134,6 +136,10 @@ class ExperimentSpec:
         ``duration_s``, ``legacy_taps``, and the kind-specific parameters
         (``mu_grid``/``length``, ``proportions``/``noise_snr_db``,
         ``gains``/``band_width_hz``, or the optimizer settings).
+        ``seed``, ``sample_rate_hz``, ``legacy_taps``, ``length``,
+        ``iterations`` and the ``stft`` fields must be JSON integers (not
+        ``true``/``false`` or ``2.0``); every number must be finite, since
+        Python's ``json`` reads ``NaN`` and ``Infinity``.
         """
         if not isinstance(data, dict):
             raise SpecValidationError("$", "experiment spec must be a JSON object")
@@ -156,23 +162,32 @@ class ExperimentSpec:
                     raise SpecValidationError(
                         "stft", "must be an object with window_len/hop"
                     )
+                for name, v in value.items():
+                    _json_number(f"stft.{name}", v, integer=True)
                 try:
                     kwargs["stft"] = dsp.StftConfig(**value)
                 except ValueError as exc:
                     raise SpecValidationError("stft", str(exc)) from exc
             elif key in cls._GRID_FIELDS:
-                try:
-                    kwargs[key] = tuple(float(v) for v in value)
-                except (TypeError, ValueError) as exc:
-                    raise SpecValidationError(key, "must be an array of numbers") from exc
+                if not isinstance(value, list):
+                    raise SpecValidationError(key, "must be an array of numbers")
+                kwargs[key] = tuple(float(_json_number(key, v)) for v in value)
             else:
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise SpecValidationError(key, "must be a number")
-                kwargs[key] = value
+                kwargs[key] = _json_number(key, value, integer=key in cls._INT_KEYS)
         try:
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise SpecValidationError("$", str(exc)) from exc
+
+
+def _json_number(name: str, value, integer: bool = False):
+    """``value`` if it is a finite JSON number (an integer if ``integer``), else raise."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise SpecValidationError(name, f"must be {'an integer' if integer else 'a number'}, "
+                                        f"got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SpecValidationError(name, f"must be finite, got {value!r}")
+    return value
 
 
 @dataclass(eq=False)

@@ -13,14 +13,13 @@ projection lives on the full convolution support of L + taps - 1 samples and
 all decomposition vectors have that length. For ``taps == 1`` this reduces to
 plain optimal-gain rescaling and the legacy SDR coincides with SI-SDR.
 
-Solvers: with the reference alone the normal equations are symmetric Toeplitz
-and are solved by Levinson recursion on the reference's autocorrelation,
-O(taps^2) time and O(taps) memory; with interferers they are block Toeplitz
-and are solved by block Levinson recursion on taps lag blocks of the sources'
-cross-correlations, O(taps^2 sources^3) time and O(taps sources^2) memory. Either
-answer is checked against Cholesky's backward-error bound, and the Gram
-matrix is formed and Cholesky-factored only if the check fails (see
-:func:`sepmetrics.linalg.solve_spd`). The last reference's spectrum and
+Solvers: the normal equations are block Toeplitz and reach
+:func:`sepmetrics.linalg.solve_spd` as taps lag blocks of the sources'
+cross-correlations, whatever the number of sources. It solves them by
+Levinson recursion (scalar for the reference alone, block with interferers),
+O(taps^2 sources^3) time and O(taps sources^2) memory, checks the answer
+against Cholesky's backward-error bound, and forms and Cholesky-factors the
+Gram matrix only if the check fails. The last reference's spectrum and
 autocorrelation are kept in a private one-entry plan, reused only for an
 exactly equal reference and ``taps`` (see :func:`fir_project`).
 """
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import ZeroReferenceError
+from .errors import SignalTooShortError, ZeroReferenceError
 from .linalg import _inner, solve_spd
 from .metrics import db_ratio, prepare
 
@@ -116,22 +115,19 @@ def fir_project(estimate, reference, interferers=(),
     """Least-squares projection of the estimate onto delayed source copies.
 
     The normal equations are assembled from FFT auto/cross-correlations of
-    the sources. With no interferers the Gram matrix is the symmetric
-    Toeplitz matrix of the reference's autocorrelation at lags 0..taps-1; only
-    that column is passed to :func:`~sepmetrics.linalg.solve_spd`, which
-    solves by Levinson recursion in O(taps^2) time without forming the matrix
-    and falls back to Cholesky if the result fails its backward-error check.
-    In exact arithmetic that matrix is positive definite for any nonzero
-    finite reference ``s``: ``h @ G @ h`` is the energy of the full
-    convolution ``h * s``, and the convolution of two nonzero finite
-    sequences is nonzero (its last nonzero sample is the product of their
-    last nonzero samples). With interferers the Gram matrix is block
-    Toeplitz; ``solve_spd`` gets its first block row, ``taps`` lag blocks of
-    ``sources x sources``, and solves by block Levinson recursion in
+    the sources. Their Gram matrix is block Toeplitz for any number of
+    sources; :func:`~sepmetrics.linalg.solve_spd` gets its first block row,
+    ``taps`` lag blocks of ``sources x sources``, and solves by Levinson
+    recursion (scalar for the reference alone, block otherwise) in
     O(taps^2 sources^3) time and O(taps sources^2) memory, the matrix never
-    formed. If either recursion fails its check, the ``(taps*sources)^2``
-    matrix is built and solved by Cholesky plus one jitter retry, so
-    ``taps*sources`` is kept within ``MAX_PROBLEM_SIZE``.
+    formed. With the reference alone the matrix is positive definite in exact
+    arithmetic for any nonzero finite reference ``s``: ``h @ G @ h`` is the
+    energy of the full convolution ``h * s``, and the convolution of two
+    nonzero finite sequences is nonzero (its last nonzero sample is the
+    product of their last nonzero samples). If the recursion fails its
+    backward-error check, the ``(taps*sources)^2`` matrix is built and solved
+    by Cholesky plus one jitter retry, so ``taps*sources`` is kept within
+    ``MAX_PROBLEM_SIZE``.
 
     The reference's spectrum and autocorrelation live in a private one-entry
     plan, reused only if ``taps`` matches and the prepared reference is
@@ -140,7 +136,8 @@ def fir_project(estimate, reference, interferers=(),
 
     Raises:
         LengthMismatchError: signals of unequal length.
-        ValueError: taps outside [1, L] or a problem above the size cap.
+        SignalTooShortError: signals shorter than ``taps``.
+        ValueError: a problem above the size cap.
         DegenerateSourcesError: Gram matrix singular beyond jitter.
         ZeroReferenceError: all-zero reference.
     """
@@ -150,7 +147,7 @@ def fir_project(estimate, reference, interferers=(),
         raise ZeroReferenceError("reference signal is all zeros")
     taps = int(cfg.taps)
     if taps > L:
-        raise ValueError(f"taps ({taps}) exceeds the signal length ({L})")
+        raise SignalTooShortError(f"taps ({taps}) exceeds the signal length ({L})")
     nsrc = len(sources)
     if taps * nsrc > MAX_PROBLEM_SIZE:
         raise ValueError(
@@ -168,21 +165,17 @@ def fir_project(estimate, reference, interferers=(),
     for i in range(nsrc):
         rhs[i] = _lags(scipy.fft.irfft(spectra[i] * np.conj(est_spec), n_fft), taps)
 
-    if nsrc == 1:
-        # Symmetric Toeplitz: its first column, the reference's autocorrelation,
-        # is all solve_spd needs (Levinson), so the matrix is never formed.
-        coeffs = solve_spd(_lags(ref_acf, taps), rhs[0]).reshape(1, taps)
-    else:
-        # Block Toeplitz: lag blocks[d][i, j] = <source_i, delay_d(source_j)>
-        # = cc_ij[d] and blocks[d][j, i] = cc_ij[-d] (block Levinson).
-        blocks = np.empty((taps, nsrc, nsrc))
-        for i in range(nsrc):
-            for j in range(i, nsrc):
-                cc = ref_acf if i == j == 0 else (
-                    scipy.fft.irfft(spectra[i] * np.conj(spectra[j]), n_fft))
-                blocks[:, j, i] = _lags(cc, taps)
-                blocks[:, i, j] = cc[:taps]
-        coeffs = solve_spd(blocks, rhs)
+    # Lag blocks[d][i, j] = <source_i, delay_d(source_j)> = cc_ij[d] and
+    # blocks[d][j, i] = cc_ij[-d]. Diagonal blocks keep the negative lags,
+    # written last; they equal the positive ones only up to rounding.
+    blocks = np.empty((taps, nsrc, nsrc))
+    for i in range(nsrc):
+        for j in range(i, nsrc):
+            cc = ref_acf if i == j == 0 else (
+                scipy.fft.irfft(spectra[i] * np.conj(spectra[j]), n_fft))
+            blocks[:, i, j] = cc[:taps]
+            blocks[:, j, i] = _lags(cc, taps)
+    coeffs = solve_spd(blocks, rhs)
     padded_len = L + taps - 1
     if taps == 1:
         contribs = [coeffs[i, 0] * sources[i] for i in range(nsrc)]

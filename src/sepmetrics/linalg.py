@@ -48,36 +48,6 @@ def _levinson_bound(n: int) -> float:
     return math.sqrt(n) * m / (1.0 - m)
 
 
-def _checked_solve(what: str, solve, matvec, norm_t: float,
-                   rhs: np.ndarray) -> np.ndarray | None:
-    """``solve()`` if it is finite and within :func:`_levinson_bound`, else ``None``.
-
-    ``matvec(x)`` is ``T x`` and ``norm_t`` is ``||T||_F``. The normwise
-    backward error is ``||T x - b|| / (||T||_F ||x|| + ||b||)``. Each outcome
-    is logged at DEBUG.
-    """
-    n = rhs.size
-    try:
-        x = solve()
-    except np.linalg.LinAlgError as exc:
-        _log.debug("solve_spd: %s failed (n=%d: %s); using Cholesky", what, n, exc)
-        return None
-    if not np.all(np.isfinite(x)):
-        _log.debug("solve_spd: %s gave non-finite values (n=%d); using Cholesky", what, n)
-        return None
-    residual = rhs - matvec(x)
-    scale = norm_t * math.sqrt(_inner(x.ravel())) + math.sqrt(_inner(rhs.ravel()))
-    # scale is 0 only for rhs = x = 0, which is solved exactly.
-    error = math.sqrt(_inner(residual.ravel())) / scale if scale else 0.0
-    bound = _levinson_bound(n)
-    if error <= bound:
-        _log.debug("solve_spd: %s (n=%d, backward error %.3g)", what, n, error)
-        return x
-    _log.debug("solve_spd: %s rejected (n=%d, backward error %.3g > %.3g); "
-               "using Cholesky", what, n, error, bound)
-    return None
-
-
 def _toeplitz_norm(sq_lags: np.ndarray) -> float:
     """``||T||_F`` of a symmetric (block) Toeplitz matrix from its lags' squared norms.
 
@@ -139,23 +109,19 @@ def _block_matvec(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
 def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``gram @ x = rhs`` for a symmetric positive-definite Gram matrix.
 
-    A 2-D ``gram`` is the matrix itself. A 1-D ``gram`` of length ``n`` is the
-    first column of a symmetric ``n x n`` Toeplitz matrix, which must be
-    positive definite (this path does not check it; an autocorrelation of a
-    nonzero finite signal qualifies). That form is solved by Levinson
-    recursion (``scipy.linalg.solve_toeplitz``: O(n^2) time, O(n) memory,
-    the matrix is never formed).
+    A 2-D ``gram`` is the matrix itself. A 3-D ``gram`` of shape ``(p, m, m)``
+    is the first block row of a symmetric block-Toeplitz matrix, given as lag
+    blocks: for ``m`` signals and delays ``0..p-1``, ``gram[d][i, j]`` is the
+    inner product of signal ``i`` with signal ``j`` delayed by ``d``. ``rhs``
+    and the result then have shape ``(m, p)`` and are ordered source-major,
+    signal ``i``'s delay ``a`` at ``[i, a]``; the matrix is the
+    ``(m p) x (m p)`` Gram matrix of that ordering, and it is never formed
+    unless the check below fails. With ``m == 1`` it is symmetric Toeplitz
+    with first column ``gram[:, 0, 0]`` and is solved by Levinson recursion
+    (``scipy.linalg.solve_toeplitz``, O(p^2) time, O(p) memory); otherwise by
+    block Levinson recursion (Whittle; O(p^2 m^3) time, O(p m^2) memory).
 
-    A 3-D ``gram`` of shape ``(p, m, m)`` is the first block row of a
-    symmetric block-Toeplitz matrix, given as lag blocks: for ``m`` signals
-    and delays ``0..p-1``, ``gram[d][i, j]`` is the inner product of signal
-    ``i`` with signal ``j`` delayed by ``d``. ``rhs`` and the result then
-    have shape ``(m, p)`` and are ordered source-major, signal ``i``'s delay
-    ``a`` at ``[i, a]``; the matrix is the ``(m p) x (m p)`` Gram matrix of
-    that ordering. It is solved by block Levinson recursion (Whittle;
-    O(p^2 m^3) time, O(p m^2) memory, the matrix is never formed).
-
-    Either recursion's answer is kept only if it is finite and its normwise
+    The recursion's answer is kept only if it is finite and its normwise
     backward error ``||T x - b|| / (||T||_F ||x|| + ||b||)`` is within
     Cholesky's worst-case bound (see :func:`_levinson_bound`). Otherwise the
     matrix is built and solved as below.
@@ -165,28 +131,40 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     diagonal; failure beyond that raises :class:`DegenerateSourcesError`
     rather than silently falling back to a pseudo-inverse.
 
-    The path taken is logged at DEBUG on the ``sepmetrics.linalg`` logger.
+    Any other ``gram.ndim`` raises ``ValueError``. The path taken is logged
+    at DEBUG on the ``sepmetrics.linalg`` logger.
     """
-    if gram.ndim == 1:
-        x = _checked_solve(
-            "Levinson", lambda: scipy.linalg.solve_toeplitz(gram, rhs, check_finite=False),
-            lambda x: scipy.linalg.matmul_toeplitz(gram, x, check_finite=False),
-            _toeplitz_norm(gram ** 2), rhs)
-        if x is not None:
-            return x
-        gram = scipy.linalg.toeplitz(gram)
-    elif gram.ndim == 3:
-        x = _checked_solve(
-            "block Levinson", lambda: _block_levinson(gram, rhs),
-            lambda x: _block_matvec(gram, x),
-            _toeplitz_norm(np.einsum("kij,kij->k", gram, gram)), rhs)
-        if x is not None:
-            return x
-        m = gram.shape[1]
-        gram = np.block([[scipy.linalg.toeplitz(gram[:, j, i], gram[:, i, j])
-                          for j in range(m)] for i in range(m)])
-        return _solve_dense(gram, rhs.ravel()).reshape(rhs.shape)
-    return _solve_dense(gram, rhs)
+    if gram.ndim == 2:
+        return _solve_dense(gram, rhs)
+    if gram.ndim != 3:
+        raise ValueError(f"gram must be a 2-D matrix or 3-D lag blocks, got {gram.ndim}-D")
+    m = gram.shape[1]
+    what, n = ("Levinson" if m == 1 else "block Levinson"), rhs.size
+    try:
+        if m == 1:
+            x = scipy.linalg.solve_toeplitz(gram[:, 0, 0], rhs[0], check_finite=False)[None]
+        else:
+            x = _block_levinson(gram, rhs)
+    except np.linalg.LinAlgError as exc:
+        _log.debug("solve_spd: %s failed (n=%d: %s); using Cholesky", what, n, exc)
+    else:
+        if np.all(np.isfinite(x)):
+            residual = rhs - _block_matvec(gram, x)
+            norm_t = _toeplitz_norm(np.einsum("kij,kij->k", gram, gram))
+            scale = norm_t * math.sqrt(_inner(x.ravel())) + math.sqrt(_inner(rhs.ravel()))
+            # scale is 0 only for rhs = x = 0, which is solved exactly.
+            error = math.sqrt(_inner(residual.ravel())) / scale if scale else 0.0
+            bound = _levinson_bound(n)
+            if error <= bound:
+                _log.debug("solve_spd: %s (n=%d, backward error %.3g)", what, n, error)
+                return x
+            _log.debug("solve_spd: %s rejected (n=%d, backward error %.3g > %.3g); "
+                       "using Cholesky", what, n, error, bound)
+        else:
+            _log.debug("solve_spd: %s gave non-finite values (n=%d); using Cholesky", what, n)
+    dense = np.block([[scipy.linalg.toeplitz(gram[:, j, i], gram[:, i, j])
+                       for j in range(m)] for i in range(m)])
+    return _solve_dense(dense, rhs.ravel()).reshape(rhs.shape)
 
 
 def _solve_dense(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -69,6 +69,11 @@ class TestReadWav:
         with pytest.raises(FormatError):
             read_wav(path)
 
+    def test_zero_sample_rate(self, tmp_path):
+        path = make_wav(tmp_path / "r.wav", struct.pack("<2h", 1, 2), 1, 1, 16, rate=0)
+        with pytest.raises(FormatError, match="sample rate 0"):
+            read_wav(path)
+
     def test_channel_out_of_range(self, tmp_path):
         payload = struct.pack("<2h", 1, 2)
         path = make_wav(tmp_path / "e.wav", payload, 1, 1, 16)
@@ -233,7 +238,8 @@ class TestCsv:
     def test_two_line_file(self, tmp_path):
         path = str(tmp_path / "m.csv")
         write_csv([{"gain": 0.5, "snr_db": 3.0103}], path)
-        assert open(path).read() == "gain,snr_db\n0.5,3.0103\n"
+        with open(path) as fh:
+            assert fh.read() == "gain,snr_db\n0.5,3.0103\n"
 
     def test_sentinels(self):
         text = rows_to_csv([{"a": math.inf, "b": -math.inf, "c": math.nan}])
@@ -242,7 +248,8 @@ class TestCsv:
     def test_header_only(self, tmp_path):
         path = str(tmp_path / "h.csv")
         write_csv([], path, columns=["x", "y"])
-        assert open(path).read() == "x,y\n"
+        with open(path) as fh:
+            assert fh.read() == "x,y\n"
 
     def test_nine_significant_digits(self):
         assert format_cell(math.pi) == "3.14159265"

@@ -40,7 +40,8 @@ class TestEval:
         stdout_text = capsys.readouterr().out
         out_path = str(tmp_path / "m.csv")
         assert main(["eval", "--ref", ref, "--est", est, "--out", out_path]) == 0
-        assert open(out_path).read() == stdout_text
+        with open(out_path) as fh:
+            assert fh.read() == stdout_text
 
     def test_self_estimate_inf(self, wav_pair, capsys):
         ref, _ = wav_pair
@@ -67,6 +68,20 @@ class TestEval:
               "--interf", paths["interf"]])
         header = capsys.readouterr().out.split("\n")[0]
         assert "si_sir_db" in header and "si_sar_db" in header
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.parametrize("taps, code", [("0", 2), ("-5", 2), ("x", 2), ("2001", 3)])
+    def test_legacy_taps_bounds(self, wav_pair, capsys, command, taps, code):
+        ref, est = wav_pair  # 2000 samples each
+        argv = [command, "--ref", ref, "--est", est, "--legacy-taps", taps]
+        if code == 2:  # rejected while parsing the arguments
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert "--legacy-taps: must be an integer >= 1" in capsys.readouterr().err
+        else:
+            assert main(argv) == 3
+            assert "exceeds the signal length" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         missing = str(tmp_path / "none.wav")

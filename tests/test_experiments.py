@@ -65,6 +65,27 @@ class TestSpecValidation:
                 {"kind": "rescale-sweep", "stft": {"window_len": 512, "hop": 100}}
             )
 
+    @pytest.mark.parametrize("kind, fields, field", [
+        ("adversarial", '"iterations": 2.5', "iterations"),
+        ("rescale-sweep", '"length": 100.5', "length"),
+        ("rescale-sweep", '"seed": 1.5', "seed"),
+        ("rescale-sweep", '"seed": -1', "seed"),
+        ("rescale-sweep", '"legacy_taps": 3.7', "legacy_taps"),
+        ("rescale-sweep", '"sample_rate_hz": 16000.5', "sample_rate_hz"),
+        ("rescale-sweep", '"stft": {"window_len": 512.0, "hop": 128}', "stft.window_len"),
+        ("rescale-sweep", '"stft": {"window_len": 512, "hop": 128.5}', "stft.hop"),
+        ("bandstop-sweep", '"band_width_hz": Infinity', "band_width_hz"),
+        ("rescale-sweep", '"duration_s": Infinity', "duration_s"),
+        ("adversarial", '"step_size": Infinity', "step_size"),
+        ("rescale-sweep", '"mu_grid": [NaN]', "mu_grid"),
+        ("progressive-deletion", '"proportions": [0.0, NaN]', "proportions"),
+    ])
+    def test_from_json_rejects_non_integer_or_non_finite(self, kind, fields, field):
+        data = json.loads(f'{{"kind": "{kind}", {fields}}}')
+        with pytest.raises(SpecValidationError) as info:
+            ExperimentSpec.from_json_dict(data)
+        assert info.value.field == field
+
     def test_from_json_roundtrip(self):
         spec = ExperimentSpec.from_json_dict(
             {"kind": "rescale-sweep", "seed": 3, "mu_grid": [0.5, 1.0], "length": 1000}

@@ -13,7 +13,12 @@ import scipy.linalg
 from scipy.signal import fftconvolve
 
 from sepmetrics import legacy, linalg
-from sepmetrics.errors import DegenerateSourcesError, LengthMismatchError, ZeroReferenceError
+from sepmetrics.errors import (
+    DegenerateSourcesError,
+    LengthMismatchError,
+    SignalTooShortError,
+    ZeroReferenceError,
+)
 from sepmetrics.fixtures import speech_like
 from sepmetrics.legacy import (
     FirProjectionConfig,
@@ -180,7 +185,7 @@ class TestValidation:
     def test_taps_bounds(self):
         with pytest.raises(ValueError):
             FirProjectionConfig(taps=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(SignalTooShortError):
             fir_project(np.ones(10), np.ones(10), cfg=FirProjectionConfig(taps=11))
 
     def test_problem_size_cap(self, rng):

@@ -9,15 +9,15 @@ from sepmetrics.linalg import solve_spd
 
 
 def autocorrelation_column(rng, taps, length=400):
-    """First column of a well-conditioned SPD Toeplitz Gram matrix."""
+    """First column of a well-conditioned SPD Toeplitz Gram matrix, as ``(taps, 1, 1)`` lag blocks."""
     x = rng.standard_normal(length)
     full = np.correlate(x, x, mode="full")
-    return full[length - 1:length - 1 + taps]
+    return full[length - 1:length - 1 + taps, None, None]
 
 
 def dense_answer(column, rhs):
-    cf = scipy.linalg.cho_factor(scipy.linalg.toeplitz(column), lower=True)
-    return scipy.linalg.cho_solve(cf, rhs)
+    cf = scipy.linalg.cho_factor(scipy.linalg.toeplitz(column[:, 0, 0]), lower=True)
+    return scipy.linalg.cho_solve(cf, rhs[0])[None]
 
 
 @pytest.fixture()
@@ -31,10 +31,12 @@ def messages(caplog):
 
 
 class TestToeplitzPath:
+    """One signal: ``(p, 1, 1)`` lag blocks are solved by scalar Levinson recursion."""
+
     @pytest.mark.parametrize("taps", [1, 2, 17, 128])
     def test_matches_dense_cholesky(self, rng, taps, debug_log):
         column = autocorrelation_column(rng, taps)
-        rhs = rng.standard_normal(taps)
+        rhs = rng.standard_normal((1, taps))
         x = solve_spd(column, rhs)
         np.testing.assert_allclose(x, dense_answer(column, rhs), rtol=1e-9, atol=0)
         (msg,) = messages(debug_log)
@@ -42,7 +44,7 @@ class TestToeplitzPath:
 
     def test_perturbed_levinson_falls_back_to_cholesky(self, rng, monkeypatch, debug_log):
         column = autocorrelation_column(rng, 64)
-        rhs = rng.standard_normal(64)
+        rhs = rng.standard_normal((1, 64))
         exact = scipy.linalg.solve_toeplitz
 
         def perturbed(c, b, check_finite=True):
@@ -57,7 +59,7 @@ class TestToeplitzPath:
 
     def test_non_finite_levinson_falls_back(self, rng, monkeypatch, debug_log):
         column = autocorrelation_column(rng, 8)
-        rhs = rng.standard_normal(8)
+        rhs = rng.standard_normal((1, 8))
         monkeypatch.setattr(scipy.linalg, "solve_toeplitz",
                             lambda c, b, check_finite=True: np.full(8, np.inf))
         np.testing.assert_array_equal(solve_spd(column, rhs), dense_answer(column, rhs))
@@ -66,11 +68,15 @@ class TestToeplitzPath:
     def test_singular_minor_goes_to_jitter_retry(self, debug_log):
         # [[1, 1], [1, 1]]: Levinson hits a zero pivot, Cholesky too, the
         # jittered matrix factors.
-        x = solve_spd(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+        x = solve_spd(np.ones((2, 1, 1)), np.ones((1, 2)))
         assert np.all(np.isfinite(x))
         failed, retry = messages(debug_log)
         assert failed.startswith("solve_spd: Levinson failed (n=2")
         assert retry == "solve_spd: Cholesky failed (n=2); jitter retry with 1e-12"
+
+    def test_bare_column_rejected(self, rng):
+        with pytest.raises(ValueError, match="got 1-D"):
+            solve_spd(autocorrelation_column(rng, 8)[:, 0, 0], rng.standard_normal(8))
 
 
 def delay_gram(sources, taps):
@@ -105,7 +111,7 @@ class TestBlockToeplitzPath:
         return make
 
     @pytest.mark.parametrize("taps", [1, 2, 17, 64])
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_matches_dense_solve(self, system, m, taps, debug_log):
         gram, blocks, rhs = system(m, taps)
         x = solve_spd(blocks, rhs)
@@ -113,7 +119,8 @@ class TestBlockToeplitzPath:
         np.testing.assert_allclose(x.ravel(), np.linalg.solve(gram, rhs.ravel()),
                                    rtol=1e-9, atol=1e-12 * np.abs(x).max())
         (msg,) = messages(debug_log)
-        assert msg.startswith(f"solve_spd: block Levinson (n={m * taps}, backward error")
+        what = "Levinson" if m == 1 else "block Levinson"
+        assert msg.startswith(f"solve_spd: {what} (n={m * taps}, backward error")
 
     def test_rejected_answer_falls_back_to_dense(self, system, monkeypatch, debug_log):
         _, blocks, rhs = system(3, 32)
