@@ -36,6 +36,7 @@ from .dsp import (
     white_noise,
 )
 from .errors import (
+    ConfigError,
     CountMismatchError,
     DegenerateSourcesError,
     EmptySignalError,

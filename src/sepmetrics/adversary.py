@@ -34,6 +34,7 @@ from scipy.special import expit
 from . import legacy
 from .audio import Signal
 from .dsp import MaskVector, Spectrogram, StftConfig, _analyze, apply_mask, istft, stft
+from .errors import ConfigError, _check_number
 from .metrics import db_ratio
 
 __all__ = [
@@ -70,14 +71,19 @@ class AdversaryConfig:
     legacy_taps: int = 512
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.step_size <= 0.0:
-            raise ValueError("step_size must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.grad_clip <= 0.0:
-            raise ValueError("grad_clip must be positive")
+        if not isinstance(self.stft, StftConfig):
+            raise ConfigError("stft", f"must be a StftConfig, got {self.stft!r}")
+        for name in ("iterations", "legacy_taps", "step_size", "momentum", "grad_clip"):
+            _check_number(name, getattr(self, name), integer=name in ("iterations", "legacy_taps"))
+        for name, ok, rule in (
+            ("iterations", self.iterations >= 0, ">= 0"),
+            ("legacy_taps", self.legacy_taps >= 1, ">= 1"),
+            ("step_size", self.step_size > 0.0, "positive"),
+            ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+            ("grad_clip", self.grad_clip > 0.0, "positive"),
+        ):
+            if not ok:
+                raise ConfigError(name, f"must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(eq=False)

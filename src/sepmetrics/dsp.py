@@ -16,9 +16,11 @@ import numpy as np
 
 from .audio import Signal
 from .errors import (
+    ConfigError,
     LengthMismatchError,
     SignalTooShortError,
     ZeroReferenceError,
+    _check_number,
 )
 from .linalg import _inner
 
@@ -50,18 +52,20 @@ class StftConfig:
     hop: int = 128
 
     def __post_init__(self):
+        _check_number("window_len", self.window_len, integer=True)
+        _check_number("hop", self.hop, integer=True)
         n, h = int(self.window_len), int(self.hop)
         if n < 2 or n % 2:
-            raise ValueError(f"window_len must be even and >= 2, got {n}")
+            raise ConfigError("window_len", f"must be even and >= 2, got {n}")
         if h < 1 or n % h:
-            raise ValueError(f"hop must divide window_len ({n}), got {h}")
+            raise ConfigError("hop", f"must divide window_len ({n}), got {h}")
         if n // h < 2:
-            raise ValueError("need at least 2x overlap for reconstruction")
+            raise ConfigError("hop", "need at least 2x overlap for reconstruction")
         window = _sqrt_hann(n)
         ola = window.reshape(n // h, h) ** 2
         sums = ola.sum(axis=0)
         if np.ptp(sums) > 1e-10 * sums.mean():
-            raise ValueError("window does not satisfy constant overlap-add")
+            raise ConfigError("hop", "window does not satisfy constant overlap-add")
 
     @property
     def fft_size(self) -> int:

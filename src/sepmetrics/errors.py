@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all sepmetrics modules."""
+"""Exception hierarchy shared by all sepmetrics modules, and the number check
+every configuration class runs on its fields."""
+
+import math
+import numbers
 
 
 class SepMetricsError(Exception):
@@ -53,12 +57,34 @@ class SignalTooShortError(SepMetricsError):
     """The signal is shorter than one analysis window or than the FIR filter."""
 
 
-class SpecValidationError(SepMetricsError):
-    """An experiment description read from JSON is invalid.
+class ConfigError(SepMetricsError, ValueError):
+    """A configuration field holds a value of the wrong type or out of range.
+
+    ``field`` names the offending field and ``reason`` says what is wrong
+    with it. A ``ValueError`` too, like any bad argument.
+    """
+
+    def __init__(self, field: str, reason: str):
+        self.field = field
+        self.reason = reason
+        super().__init__(f"{field}: {reason}")
+
+
+class SpecValidationError(ConfigError):
+    """An experiment description is invalid.
 
     ``field`` holds the dotted path of the offending entry.
     """
 
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"{field}: {message}")
+
+def _check_number(field: str, value, integer: bool = False, error=ConfigError) -> None:
+    """Raise ``error(field, ...)`` unless ``value`` is a finite real number.
+
+    With ``integer`` it must be an ``int`` or a numpy integer: an integral
+    float such as ``512.0`` is rejected, as is ``True``/``False`` either way.
+    """
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise error(field, f"must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if not integer and not math.isfinite(value):
+        raise error(field, f"must be finite, got {value!r}")

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import adversary, dsp, legacy, metrics
 from .audio import Signal, read_wav, write_csv
-from .errors import SpecValidationError, ZeroEstimateError
+from .errors import ConfigError, SpecValidationError, ZeroEstimateError, _check_number
 from .fixtures import speech_like
 from .linalg import _inner
 
@@ -62,7 +62,14 @@ def _default_mu_grid() -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to reproduce one experiment run."""
+    """Everything needed to reproduce one experiment run.
+
+    Construction validates every field, with the same checks whether the
+    spec comes from Python or from :meth:`from_json_dict`: the integer fields
+    (``seed``, ``sample_rate_hz``, ``legacy_taps``, ``length``,
+    ``iterations``) must be integers, every other number finite. Grids are
+    stored as tuples of floats.
+    """
 
     kind: str
     input_path: str | None = None
@@ -89,11 +96,20 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise SpecValidationError("kind", f"must be one of {KINDS}, got {self.kind!r}")
-        for name, grid, lo, hi in (
-            ("proportions", self.proportions, 0.0, 1.0),
-            ("gains", self.gains, 0.0, 1.0),
-            ("mu_grid", self.mu_grid, None, None),
-        ):
+        if self.input_path is not None and not isinstance(self.input_path, (str, os.PathLike)):
+            # open() would take an integer as a file descriptor
+            raise SpecValidationError("input", f"must be a path or None, got {self.input_path!r}")
+        if not isinstance(self.stft, dsp.StftConfig):
+            raise SpecValidationError("stft", f"must be a StftConfig, got {self.stft!r}")
+        for name in self._INT_FIELDS + self._REAL_FIELDS:
+            _check_number(name, getattr(self, name), integer=name in self._INT_FIELDS,
+                          error=SpecValidationError)
+        for name, lo, hi in (("proportions", 0.0, 1.0), ("gains", 0.0, 1.0),
+                             ("mu_grid", None, None)):
+            for value in getattr(self, name):
+                _check_number(name, value, error=SpecValidationError)
+            grid = tuple(map(float, getattr(self, name)))
+            object.__setattr__(self, name, grid)  # frozen: store the normalized grid
             if len(grid) == 0:
                 raise SpecValidationError(name, "grid must be non-empty")
             if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -107,7 +123,6 @@ class ExperimentSpec:
             ("legacy_taps", self.legacy_taps >= 1),
             ("length", self.length >= 1),
             ("band_width_hz", self.band_width_hz > 0),
-            ("noise_snr_db", math.isfinite(self.noise_snr_db)),
             ("iterations", self.iterations >= 0),
             ("step_size", self.step_size > 0),
             ("momentum", 0.0 <= self.momentum < 1.0),
@@ -117,7 +132,9 @@ class ExperimentSpec:
                 raise SpecValidationError(name, f"invalid value {getattr(self, name)!r}")
 
     _GRID_FIELDS = ("proportions", "gains", "mu_grid")
-    _INT_KEYS = ("seed", "sample_rate_hz", "legacy_taps", "length", "iterations")
+    _INT_FIELDS = ("seed", "sample_rate_hz", "legacy_taps", "length", "iterations")
+    _REAL_FIELDS = ("duration_s", "noise_snr_db", "band_width_hz", "step_size", "momentum",
+                    "grad_clip")
     _COMMON_KEYS = ("kind", "input", "seed", "stft", "sample_rate_hz", "duration_s",
                     "legacy_taps")
     _KIND_KEYS = {
@@ -139,7 +156,8 @@ class ExperimentSpec:
         ``seed``, ``sample_rate_hz``, ``legacy_taps``, ``length``,
         ``iterations`` and the ``stft`` fields must be JSON integers (not
         ``true``/``false`` or ``2.0``); every number must be finite, since
-        Python's ``json`` reads ``NaN`` and ``Infinity``.
+        Python's ``json`` reads ``NaN`` and ``Infinity``. Those checks are
+        the constructors' own; here they are reported under the JSON field.
         """
         if not isinstance(data, dict):
             raise SpecValidationError("$", "experiment spec must be a JSON object")
@@ -154,40 +172,21 @@ class ExperimentSpec:
             if key not in allowed:
                 raise SpecValidationError(key, f"unknown field for kind {kind!r}")
             if key == "input":
-                if value is not None and not isinstance(value, str):
-                    raise SpecValidationError("input", "must be a path string or null")
                 kwargs["input_path"] = value
             elif key == "stft":
                 if not isinstance(value, dict) or not set(value) <= {"window_len", "hop"}:
                     raise SpecValidationError(
                         "stft", "must be an object with window_len/hop"
                     )
-                for name, v in value.items():
-                    _json_number(f"stft.{name}", v, integer=True)
                 try:
                     kwargs["stft"] = dsp.StftConfig(**value)
-                except ValueError as exc:
-                    raise SpecValidationError("stft", str(exc)) from exc
-            elif key in cls._GRID_FIELDS:
-                if not isinstance(value, list):
-                    raise SpecValidationError(key, "must be an array of numbers")
-                kwargs[key] = tuple(float(_json_number(key, v)) for v in value)
+                except ConfigError as exc:
+                    raise SpecValidationError(f"stft.{exc.field}", exc.reason) from exc
+            elif key in cls._GRID_FIELDS and not isinstance(value, list):
+                raise SpecValidationError(key, "must be an array of numbers")
             else:
-                kwargs[key] = _json_number(key, value, integer=key in cls._INT_KEYS)
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise SpecValidationError("$", str(exc)) from exc
-
-
-def _json_number(name: str, value, integer: bool = False):
-    """``value`` if it is a finite JSON number (an integer if ``integer``), else raise."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise SpecValidationError(name, f"must be {'an integer' if integer else 'a number'}, "
-                                        f"got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise SpecValidationError(name, f"must be finite, got {value!r}")
-    return value
+                kwargs[key] = value
+        return cls(**kwargs)
 
 
 @dataclass(eq=False)

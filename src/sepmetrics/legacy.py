@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import SignalTooShortError, ZeroReferenceError
+from .errors import ConfigError, SignalTooShortError, ZeroReferenceError, _check_number
 from .linalg import _inner, solve_spd
 from .metrics import db_ratio, prepare
 
@@ -87,8 +87,9 @@ class FirProjectionConfig:
     taps: int = 512
 
     def __post_init__(self):
-        if int(self.taps) < 1:
-            raise ValueError(f"taps must be >= 1, got {self.taps}")
+        _check_number("taps", self.taps, integer=True)
+        if self.taps < 1:
+            raise ConfigError("taps", f"must be >= 1, got {self.taps}")
 
 
 @dataclass(eq=False)

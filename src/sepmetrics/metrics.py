@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .audio import Signal
 from .errors import (
@@ -303,6 +302,7 @@ def _complete(weights: np.ndarray, prefix: list[int]) -> list[int] | None:
     The remaining rows get the completion of largest ``weights`` sum, with
     -inf entries forbidden; None when the prefix or every completion hits one.
     """
+    from scipy.optimize import linear_sum_assignment  # its only use: not loaded on import
     if any(weights[j, c] == -math.inf for j, c in enumerate(prefix)):
         return None
     k = weights.shape[0]

@@ -272,3 +272,24 @@ class TestOptimize:
             AdversaryConfig(iterations=-1)
         with pytest.raises(ValueError):
             AdversaryConfig(grad_clip=0.0)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(iterations=2.5), "iterations"),
+        (dict(iterations=True), "iterations"),
+        (dict(legacy_taps=3.7), "legacy_taps"),
+        (dict(legacy_taps=0), "legacy_taps"),
+        (dict(step_size=math.nan), "step_size"),
+        (dict(step_size=math.inf), "step_size"),
+        (dict(grad_clip=math.inf), "grad_clip"),
+        (dict(momentum=None), "momentum"),
+        (dict(stft={"window_len": 512, "hop": 128}), "stft"),
+    ])
+    def test_config_rejects_at_construction(self, kwargs, field):
+        # legacy_taps=0 used to fail only in optimize, after every iteration had run
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            AdversaryConfig(**kwargs)
+
+    def test_config_accepts_numpy_scalars(self):
+        cfg = AdversaryConfig(iterations=np.int64(3), legacy_taps=np.int32(8),
+                              step_size=np.float32(0.25))
+        assert cfg.iterations == 3 and cfg.legacy_taps == 8

@@ -355,6 +355,14 @@ class TestExperimentCmd:
                      "--out-dir", str(tmp_path / "x")]) == 2
         assert "mu_grid" in capsys.readouterr().err
 
+    def test_non_integer_stft_size_exit_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"kind": "rescale-sweep",
+                                         "stft": {"window_len": 512.0, "hop": 128}}))
+        assert main(["experiment", "--spec", str(spec_path),
+                     "--out-dir", str(tmp_path / "x")]) == 2
+        assert "stft.window_len: must be an integer" in capsys.readouterr().err
+
     def test_bad_json_exit_2(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text("{nope")

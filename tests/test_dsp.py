@@ -49,6 +49,20 @@ class TestStftConfig:
         with pytest.raises(ValueError):
             StftConfig(512, 512)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(window_len=512.0), "window_len"),
+        (dict(hop=128.0), "hop"),
+        (dict(window_len=True), "window_len"),
+        (dict(hop="128"), "hop"),
+    ])
+    def test_sizes_must_be_integers(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field}: must be an integer"):
+            StftConfig(**kwargs)
+
+    def test_numpy_integer_sizes(self):
+        cfg = StftConfig(np.int64(256), np.int32(64))
+        assert cfg.n_bins == 129
+
     def test_other_valid_geometries(self):
         for window_len, hop in ((256, 64), (512, 256), (1024, 128), (64, 32)):
             cfg = StftConfig(window_len, hop)

@@ -79,12 +79,43 @@ class TestSpecValidation:
         ("adversarial", '"step_size": Infinity', "step_size"),
         ("rescale-sweep", '"mu_grid": [NaN]', "mu_grid"),
         ("progressive-deletion", '"proportions": [0.0, NaN]', "proportions"),
+        ("rescale-sweep", '"seed": "3"', "seed"),
+        ("rescale-sweep", '"duration_s": null', "duration_s"),
+        ("rescale-sweep", '"mu_grid": [true]', "mu_grid"),
+        ("rescale-sweep", '"stft": {"window_len": false}', "stft.window_len"),
+        ("progressive-deletion", '"input": 0', "input"),
     ])
     def test_from_json_rejects_non_integer_or_non_finite(self, kind, fields, field):
         data = json.loads(f'{{"kind": "{kind}", {fields}}}')
         with pytest.raises(SpecValidationError) as info:
             ExperimentSpec.from_json_dict(data)
         assert info.value.field == field
+
+    @pytest.mark.parametrize("kind, kwargs, field", [
+        ("rescale-sweep", dict(length=100.5), "length"),
+        ("rescale-sweep", dict(duration_s=math.inf), "duration_s"),
+        ("rescale-sweep", dict(legacy_taps=3.7), "legacy_taps"),
+        ("rescale-sweep", dict(seed=True), "seed"),
+        ("rescale-sweep", dict(sample_rate_hz=16000.0), "sample_rate_hz"),
+        ("rescale-sweep", dict(mu_grid=(0.5, math.inf)), "mu_grid"),
+        ("rescale-sweep", dict(stft={"window_len": 512, "hop": 128}), "stft"),
+        ("progressive-deletion", dict(input_path=5), "input"),
+        ("progressive-deletion", dict(noise_snr_db=math.nan), "noise_snr_db"),
+        ("progressive-deletion", dict(proportions=(0.0, "0.5")), "proportions"),
+        ("bandstop-sweep", dict(band_width_hz=math.inf), "band_width_hz"),
+        ("adversarial", dict(iterations=2.5), "iterations"),
+        ("adversarial", dict(step_size=math.nan), "step_size"),
+    ])
+    def test_python_construction_runs_the_json_checks(self, kind, kwargs, field):
+        with pytest.raises(SpecValidationError) as info:
+            ExperimentSpec(kind=kind, **kwargs)
+        assert info.value.field == field
+
+    def test_grids_are_float_tuples(self):
+        spec = ExperimentSpec(kind="rescale-sweep", mu_grid=[1, np.float32(2.5), 3])
+        assert spec.mu_grid == (1.0, 2.5, 3.0)
+        assert all(type(v) is float for v in spec.mu_grid)
+        assert ExperimentSpec(kind="rescale-sweep", seed=np.int64(2)).seed == 2
 
     def test_from_json_roundtrip(self):
         spec = ExperimentSpec.from_json_dict(

@@ -188,6 +188,16 @@ class TestValidation:
         with pytest.raises(SignalTooShortError):
             fir_project(np.ones(10), np.ones(10), cfg=FirProjectionConfig(taps=11))
 
+    @pytest.mark.parametrize("taps", [3.7, 4.0, True, None, np.float64(8)])
+    def test_taps_must_be_an_integer(self, taps):
+        with pytest.raises(ValueError, match="^taps: must be an integer"):
+            FirProjectionConfig(taps=taps)
+
+    def test_numpy_integer_taps(self, rng):
+        x = rng.standard_normal(200)
+        d = fir_project(x, x, cfg=FirProjectionConfig(taps=np.int64(4)))
+        assert d.taps == 4
+
     def test_problem_size_cap(self, rng):
         sigs = [rng.standard_normal(5000) for _ in range(10)]  # 9 sources * 512 taps
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -559,6 +562,22 @@ class TestEvaluatePermuted:
         assert perm_snr == perm_custom
         with pytest.raises(ValueError):
             evaluate_permuted(refs, ests, "pesq")
+
+    def test_scipy_optimize_loads_only_on_first_search(self):
+        # A fresh interpreter: pytest's own imports would otherwise leak in.
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import sepmetrics, sepmetrics.cli\n"
+            "before = 'scipy.optimize' in sys.modules\n"
+            "x = np.random.default_rng(0).standard_normal((2, 64))\n"
+            "sepmetrics.evaluate_permuted(x, x[::-1])\n"
+            "print(before, 'scipy.optimize' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sepmetrics.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             check=True, capture_output=True, text=True).stdout
+        assert out.split() == ["False", "True"]
 
 
 def _poisoned(x, value):
