@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import legacy
 from .audio import Signal
@@ -97,12 +96,18 @@ class AdversaryResult:
     final_legacy_sdr_db: float
 
 
+def _expit(w: np.ndarray) -> np.ndarray:
+    """Logistic function ``1 / (1 + exp(-w))``; ``exp`` overflowing to inf gives 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-w))
+
+
 def mask_from_weights(weights) -> MaskVector:
     """Logistic squash followed by renormalization to unit max gain."""
     w = np.asarray(weights, dtype=np.float64)
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    v = expit(w)
+    v = _expit(w)
     return MaskVector(v / v.max())
 
 
@@ -212,7 +217,7 @@ def _gradient_cached(spec: Spectrogram, clean: np.ndarray, weights: np.ndarray,
     With ``gram`` the adjoint of the residual is ``q g - a c``, taken when the
     residual is large enough for that difference (see :func:`optimize`).
     """
-    v = expit(weights)
+    v = _expit(weights)
     peak = int(np.argmax(v))
     gains = v / v[peak]
     out = istft(apply_mask(spec, MaskVector(gains))).samples

@@ -19,9 +19,12 @@ cross-correlations, whatever the number of sources. It solves them by
 Levinson recursion (scalar for the reference alone, block with interferers),
 O(taps^2 sources^3) time and O(taps sources^2) memory, checks the answer
 against Cholesky's backward-error bound, and forms and Cholesky-factors the
-Gram matrix only if the check fails. The last reference's spectrum and
-autocorrelation are kept in a private one-entry plan, reused only for an
-exactly equal reference and ``taps`` (see :func:`fir_project`).
+Gram matrix only if the check fails. The scalar recursion factors the
+reference's autocorrelation once and solves each estimate by FFTs, reusing
+the factor while the autocorrelation stays exactly the same. The last
+reference's spectrum and autocorrelation are kept in a private one-entry
+plan, reused only for an exactly equal reference and ``taps`` (see
+:func:`fir_project`). Everything here runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -30,10 +33,9 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigError, SignalTooShortError, ZeroReferenceError, _check_number
-from .linalg import _inner, solve_spd
+from .linalg import _inner, _next_fast_len, solve_spd
 from .metrics import db_ratio, prepare
 
 __all__ = [
@@ -68,8 +70,8 @@ def _reference_plan(ref: np.ndarray, taps: int, n_fft: int) -> tuple:
     if plan is not None and plan[1] == taps and np.array_equal(plan[0], ref):
         _log.debug("fir_project: reusing the reference plan (L=%d, taps=%d)", ref.size, taps)
         return plan[2:]
-    spec = scipy.fft.rfft(ref, n_fft)
-    cc = scipy.fft.irfft(spec * np.conj(spec), n_fft)
+    spec = np.fft.rfft(ref, n_fft)
+    cc = np.fft.irfft(spec * np.conj(spec), n_fft)
     # Lags 0..taps-1, then -(taps-1)..-1: cc[:taps] and _lags read it as cc.
     acf = np.concatenate((cc[:taps], cc[n_fft - taps + 1:]))
     ref = ref.copy()
@@ -157,14 +159,14 @@ def fir_project(estimate, reference, interferers=(),
 
     # Correlations are alias-free for lags < taps once the FFT length covers
     # the padded support.
-    n_fft = scipy.fft.next_fast_len(L + taps - 1, real=True)
+    n_fft = _next_fast_len(L + taps - 1)
     ref_spec, ref_acf = _reference_plan(ref, taps, n_fft)
-    spectra = [ref_spec] + [scipy.fft.rfft(src, n_fft) for src in sources[1:]]
-    est_spec = scipy.fft.rfft(est, n_fft)
+    spectra = [ref_spec] + [np.fft.rfft(src, n_fft) for src in sources[1:]]
+    est_spec = np.fft.rfft(est, n_fft)
 
     rhs = np.empty((nsrc, taps))
     for i in range(nsrc):
-        rhs[i] = _lags(scipy.fft.irfft(spectra[i] * np.conj(est_spec), n_fft), taps)
+        rhs[i] = _lags(np.fft.irfft(spectra[i] * np.conj(est_spec), n_fft), taps)
 
     # Lag blocks[d][i, j] = <source_i, delay_d(source_j)> = cc_ij[d] and
     # blocks[d][j, i] = cc_ij[-d]. Diagonal blocks keep the negative lags,
@@ -173,7 +175,7 @@ def fir_project(estimate, reference, interferers=(),
     for i in range(nsrc):
         for j in range(i, nsrc):
             cc = ref_acf if i == j == 0 else (
-                scipy.fft.irfft(spectra[i] * np.conj(spectra[j]), n_fft))
+                np.fft.irfft(spectra[i] * np.conj(spectra[j]), n_fft))
             blocks[:, i, j] = cc[:taps]
             blocks[:, j, i] = _lags(cc, taps)
     coeffs = solve_spd(blocks, rhs)
@@ -182,12 +184,13 @@ def fir_project(estimate, reference, interferers=(),
         contribs = [coeffs[i, 0] * sources[i] for i in range(nsrc)]
     else:
         # fftconvolve(sources[i], h) from the spectra, bit for bit: the same
-        # n_fft and scipy.fft. h_spec needs a name: numpy may reuse a temporary
-        # right operand in place, operands swapped, which rounds differently.
+        # n_fft and the same pocketfft code (scipy.fft's, numpy.fft's since
+        # numpy 2.0). h_spec needs a name: numpy may reuse a temporary right
+        # operand in place, operands swapped, which rounds differently.
         contribs = []
         for i in range(nsrc):
-            h_spec = scipy.fft.rfft(coeffs[i], n_fft)
-            contribs.append(scipy.fft.irfft(spectra[i] * h_spec, n_fft)[:padded_len])
+            h_spec = np.fft.rfft(coeffs[i], n_fft)
+            contribs.append(np.fft.irfft(spectra[i] * h_spec, n_fft)[:padded_len])
 
     s_target = contribs[0]
     e_interf = np.sum(contribs[1:], axis=0) if nsrc > 1 else np.zeros(padded_len)

@@ -6,7 +6,6 @@ import logging
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateSourcesError
 
@@ -97,13 +96,107 @@ def _block_levinson(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth number (``2^a 3^b 5^c``) at least ``n``: a fast FFT length."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # The smallest p35 * 2^k >= n.
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+# The last Toeplitz column factored by _levinson: (copy of the column, FFT
+# length, spectra of x = T^-1 e_1 and of w = [0, x_{p-1}, ..., x_1], x_0),
+# replaced whole and never modified.
+_factor: tuple | None = None
+
+
+def _durbin(column: np.ndarray) -> np.ndarray:
+    """``T^-1 e_1`` for the symmetric Toeplitz ``T`` with first column ``column``.
+
+    Levinson-Durbin recursion on the forward predictor ``a`` (``T_n a =
+    [P, 0, ..., 0]``, ``a_0 = 1``); the backward predictor is ``a`` reversed,
+    so raising the order is one reflection. O(p^2) time, O(p) memory. Raises
+    ``LinAlgError`` when a prediction error ``P`` is not positive, i.e. when a
+    leading minor of ``T`` is not positive definite.
+    """
+    p = column.size
+    a = np.zeros(p)
+    a[0] = 1.0
+    err = float(column[0])
+    n = 1
+    while err > 0.0 and n < p:
+        delta = _inner(a[:n], column[n:0:-1])
+        k = delta / err
+        a[1:n + 1] -= k * a[n - 1::-1]
+        err -= k * delta
+        n += 1
+    if not err > 0.0:  # also catches NaN
+        raise np.linalg.LinAlgError(f"leading minor of order {n} is not positive definite")
+    return a / err
+
+
+def _gohberg_semencul(factor: tuple, b: np.ndarray) -> np.ndarray:
+    """``T^-1 b = (L(x) L(x)^T b - L(w) L(w)^T b) / x_0``: six FFTs.
+
+    ``L(v)`` is the lower-triangular Toeplitz matrix with first column ``v``.
+    Each product is a truncated convolution, and ``L(v)^T = J L(v) J`` with
+    ``J`` the reversal.
+    """
+    _, n_fft, x_spec, w_spec, x0 = factor
+    p = b.size
+    b_spec = np.fft.rfft(b[::-1], n_fft)
+    u = np.fft.irfft(x_spec * b_spec, n_fft)[p - 1::-1]
+    v = np.fft.irfft(w_spec * b_spec, n_fft)[p - 1::-1]
+    return np.fft.irfft(x_spec * np.fft.rfft(u, n_fft) - w_spec * np.fft.rfft(v, n_fft),
+                        n_fft)[:p] / x0
+
+
+def _levinson(column: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the symmetric Toeplitz system ``T x = rhs``, ``T`` given by its first column.
+
+    :func:`_durbin` gives ``T^-1 e_1``, from which the Gohberg-Semencul
+    formula applies ``T^-1`` by FFTs (:func:`_gohberg_semencul`). It is only
+    weakly stable: ``T^-1 e_1`` is off by up to a relative ``cond(T) u`` and
+    every answer inherits that. For a reference low-passed at 1 kHz the
+    backward error reaches 1e-8, far beyond the bound of :func:`solve_spd`'s
+    check. One step of iterative refinement, ``x += T^-1 (rhs - T x)``,
+    brings it back to about ``u``. The factor is kept for the last column,
+    reused only for an exactly equal one and rebuilt otherwise.
+    """
+    global _factor
+    p = column.size
+    factor = _factor  # read once, so a concurrent replacement cannot mix two factors
+    if factor is None or not np.array_equal(factor[0], column):
+        x = _durbin(column)
+        n_fft = _next_fast_len(2 * p - 1)
+        key = column.copy()
+        x_spec = np.fft.rfft(x, n_fft)
+        w_spec = np.fft.rfft(np.concatenate(([0.0], x[:0:-1])), n_fft)
+        for a in (key, x_spec, w_spec):
+            a.flags.writeable = False
+        factor = _factor = (key, n_fft, x_spec, w_spec, float(x[0]))
+    x = _gohberg_semencul(factor, rhs)
+    residual = rhs - _block_matvec(column[:, None, None], x[None])[0]
+    return x + _gohberg_semencul(factor, residual)
+
+
 def _block_matvec(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``T x`` for :func:`solve_spd`'s 3-D form: one FFT Toeplitz product per block."""
-    m = blocks.shape[1]
-    # Block (i, j) has first column blocks[:, j, i] and first row blocks[:, i, j].
-    return np.array([sum(scipy.linalg.matmul_toeplitz((blocks[:, j, i], blocks[:, i, j]), x[j],
-                                                      check_finite=False) for j in range(m))
-                     for i in range(m)])
+    """``T x`` for :func:`solve_spd`'s 3-D form, each block embedded in a circulant."""
+    p = blocks.shape[0]
+    n_fft = _next_fast_len(2 * p - 1)
+    # Block (i, j) has first column blocks[:, j, i] and first row blocks[:, i, j];
+    # its circulant's first column is that column, zeros, then the row reversed.
+    circ = np.zeros(blocks.shape[1:] + (n_fft,))
+    circ[:, :, :p] = blocks.transpose(2, 1, 0)
+    circ[:, :, n_fft - p + 1:] = blocks[:0:-1].transpose(1, 2, 0)
+    prod = np.einsum("ijk,jk->ik", np.fft.rfft(circ, n_fft), np.fft.rfft(x, n_fft))
+    return np.fft.irfft(prod, n_fft)[:, :p]
 
 
 def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -117,16 +210,19 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     signal ``i``'s delay ``a`` at ``[i, a]``; the matrix is the
     ``(m p) x (m p)`` Gram matrix of that ordering, and it is never formed
     unless the check below fails. With ``m == 1`` it is symmetric Toeplitz
-    with first column ``gram[:, 0, 0]`` and is solved by Levinson recursion
-    (``scipy.linalg.solve_toeplitz``, O(p^2) time, O(p) memory); otherwise by
-    block Levinson recursion (Whittle; O(p^2 m^3) time, O(p m^2) memory).
+    with first column ``gram[:, 0, 0]`` and is solved by Levinson recursion:
+    :func:`_durbin` factors the column once (O(p^2) time, O(p) memory) and
+    :func:`_levinson` solves by FFTs (O(p log p)), reusing the factor while the
+    column stays exactly the same. Otherwise it is solved by block Levinson
+    recursion (Whittle; O(p^2 m^3) time, O(p m^2) memory).
 
     The recursion's answer is kept only if it is finite and its normwise
     backward error ``||T x - b|| / (||T||_F ||x|| + ||b||)`` is within
-    Cholesky's worst-case bound (see :func:`_levinson_bound`). Otherwise the
-    matrix is built and solved as below.
+    Cholesky's worst-case bound (see :func:`_levinson_bound`); ``T x`` is
+    taken by circulant FFTs. Otherwise the matrix is built and solved as below.
 
-    The dense path uses a Cholesky factorization. If that fails, it retries
+    The dense path uses a Cholesky factorization (``numpy.linalg.cholesky``
+    and two triangular substitutions). If that fails, it retries
     once with relative jitter ``JITTER_SCALE * trace/n`` added to the
     diagonal; failure beyond that raises :class:`DegenerateSourcesError`
     rather than silently falling back to a pseudo-inverse.
@@ -142,7 +238,7 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     what, n = ("Levinson" if m == 1 else "block Levinson"), rhs.size
     try:
         if m == 1:
-            x = scipy.linalg.solve_toeplitz(gram[:, 0, 0], rhs[0], check_finite=False)[None]
+            x = _levinson(gram[:, 0, 0], rhs[0])[None]
         else:
             x = _block_levinson(gram, rhs)
     except np.linalg.LinAlgError as exc:
@@ -162,27 +258,44 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                        "using Cholesky", what, n, error, bound)
         else:
             _log.debug("solve_spd: %s gave non-finite values (n=%d); using Cholesky", what, n)
-    dense = np.block([[scipy.linalg.toeplitz(gram[:, j, i], gram[:, i, j])
-                       for j in range(m)] for i in range(m)])
-    return _solve_dense(dense, rhs.ravel()).reshape(rhs.shape)
+    # Block (i, j) is Toeplitz with first column gram[:, j, i] and first row
+    # gram[:, i, j]: entry (a, b) is [row reversed, column][p - 1 + a - b].
+    p = gram.shape[0]
+    lag = np.subtract.outer(np.arange(p - 1, 2 * p - 1), np.arange(p))
+    dense = np.empty((m, p, m, p))
+    for i in range(m):
+        for j in range(m):
+            dense[i, :, j] = np.concatenate((gram[:0:-1, i, j], gram[:, j, i]))[lag]
+    return _solve_dense(dense.reshape(n, n), rhs.ravel()).reshape(rhs.shape)
+
+
+def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``gram^-1 rhs`` from the lower Cholesky factor; ``LinAlgError`` if it fails.
+
+    ``rhs`` is 1-D; the substitutions sum by :func:`_inner`.
+    """
+    low = np.linalg.cholesky(gram)
+    x = np.array(rhs, dtype=np.float64)
+    for k in range(x.shape[0]):  # L y = rhs
+        x[k] = (x[k] - _inner(low[k, :k], x[:k])) / low[k, k]
+    for k in range(x.shape[0] - 1, -1, -1):  # L^T x = y
+        x[k] = (x[k] - _inner(low[k + 1:, k], x[k + 1:])) / low[k, k]
+    return x
 
 
 def _solve_dense(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Cholesky solve with one jitter retry (see :func:`solve_spd`)."""
     try:
-        cf = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+        x = _cholesky_solve(gram, rhs)
         _log.debug("solve_spd: Cholesky (n=%d)", gram.shape[0])
-        return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
+        return x
     except np.linalg.LinAlgError:
         pass
     n = gram.shape[0]
     jitter = JITTER_SCALE * np.trace(gram) / n
     _log.debug("solve_spd: Cholesky failed (n=%d); jitter retry with %.3g", n, jitter)
     try:
-        cf = scipy.linalg.cho_factor(
-            gram + jitter * np.eye(n), lower=True, check_finite=False
-        )
-        return scipy.linalg.cho_solve(cf, rhs, check_finite=False)
+        return _cholesky_solve(gram + jitter * np.eye(n), rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateSourcesError(
             f"source Gram matrix ({n}x{n}) is singular beyond jitter {jitter:g}"

@@ -1,8 +1,10 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
 from sepmetrics import adversary
 from sepmetrics.adversary import (
@@ -52,6 +54,23 @@ class TestMaskFromWeights:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             mask_from_weights(np.array([0.0, np.inf]))
+
+    def test_saturated_weights_without_warnings(self):
+        # exp(1000) overflows to inf, so the logistic of -1000 is exactly 0.
+        weights = np.array([-1000.0, 0.0, 1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = mask_from_weights(weights)
+        expit = scipy.special.expit(weights)
+        assert np.array_equal(mask.gains, expit / expit.max())
+        assert np.array_equal(mask.gains, [0.0, 0.5, 1.0])
+
+    def test_logistic_matches_scipy_expit(self):
+        # scipy computes 1 / (1 + exp(-w)) too; the exp implementations may
+        # differ by an ulp.
+        weights = np.linspace(-745.0, 745.0, 20001)
+        np.testing.assert_allclose(adversary._expit(weights), scipy.special.expit(weights),
+                                   rtol=4 * np.finfo(np.float64).eps, atol=0)
 
 
 class TestObjective:

@@ -9,7 +9,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
-import scipy.linalg
 from scipy.signal import fftconvolve
 
 from sepmetrics import legacy, linalg
@@ -256,7 +255,7 @@ class TestLevinsonAgainstDense:
         def no_levinson(*args, **kwargs):
             raise np.linalg.LinAlgError("disabled")
 
-        monkeypatch.setattr(scipy.linalg, "solve_toeplitz", no_levinson)
+        monkeypatch.setattr(linalg, "_levinson", no_levinson)
         dense = fir_project(est, ref, cfg=cfg)
         paths = [r.getMessage().split(" (")[0] for r in caplog.records]
         assert paths == ["solve_spd: Levinson", "solve_spd: Levinson failed",
@@ -359,8 +358,8 @@ def test_multi_source_scores_do_not_depend_on_blas_threads():
 
 
 def cold_project(est, ref, interferers=(), taps=32):
-    """``fir_project`` with no reference plan left by an earlier call."""
-    legacy._plan = None
+    """``fir_project`` with no reference plan or Toeplitz factor left by an earlier call."""
+    legacy._plan = linalg._factor = None
     return fir_project(est, ref, interferers, FirProjectionConfig(taps=taps))
 
 

@@ -2,9 +2,11 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 
 from sepmetrics import linalg
+from sepmetrics.fixtures import speech_like
 from sepmetrics.linalg import solve_spd
 
 
@@ -15,9 +17,19 @@ def autocorrelation_column(rng, taps, length=400):
     return full[length - 1:length - 1 + taps, None, None]
 
 
+def cholesky_answer(gram, rhs):
+    """The dense path's answer, bit for bit: the same numpy calls as ``linalg._cholesky_solve``."""
+    low = np.linalg.cholesky(gram)
+    x = np.array(rhs, dtype=np.float64)
+    for k in range(x.size):
+        x[k] = (x[k] - np.einsum("i,i->", low[k, :k], x[:k])) / low[k, k]
+    for k in range(x.size - 1, -1, -1):
+        x[k] = (x[k] - np.einsum("i,i->", low[k + 1:, k], x[k + 1:])) / low[k, k]
+    return x
+
+
 def dense_answer(column, rhs):
-    cf = scipy.linalg.cho_factor(scipy.linalg.toeplitz(column[:, 0, 0]), lower=True)
-    return scipy.linalg.cho_solve(cf, rhs[0])[None]
+    return cholesky_answer(scipy.linalg.toeplitz(column[:, 0, 0]), rhs[0])[None]
 
 
 @pytest.fixture()
@@ -45,12 +57,8 @@ class TestToeplitzPath:
     def test_perturbed_levinson_falls_back_to_cholesky(self, rng, monkeypatch, debug_log):
         column = autocorrelation_column(rng, 64)
         rhs = rng.standard_normal((1, 64))
-        exact = scipy.linalg.solve_toeplitz
-
-        def perturbed(c, b, check_finite=True):
-            return exact(c, b, check_finite=check_finite) * (1.0 + 1e-6)
-
-        monkeypatch.setattr(scipy.linalg, "solve_toeplitz", perturbed)
+        exact = linalg._levinson
+        monkeypatch.setattr(linalg, "_levinson", lambda c, b: exact(c, b) * (1.0 + 1e-6))
         x = solve_spd(column, rhs)
         np.testing.assert_array_equal(x, dense_answer(column, rhs))
         rejected, cholesky = messages(debug_log)
@@ -60,8 +68,7 @@ class TestToeplitzPath:
     def test_non_finite_levinson_falls_back(self, rng, monkeypatch, debug_log):
         column = autocorrelation_column(rng, 8)
         rhs = rng.standard_normal((1, 8))
-        monkeypatch.setattr(scipy.linalg, "solve_toeplitz",
-                            lambda c, b, check_finite=True: np.full(8, np.inf))
+        monkeypatch.setattr(linalg, "_levinson", lambda c, b: np.full(8, np.inf))
         np.testing.assert_array_equal(solve_spd(column, rhs), dense_answer(column, rhs))
         assert "non-finite" in messages(debug_log)[0]
 
@@ -77,6 +84,80 @@ class TestToeplitzPath:
     def test_bare_column_rejected(self, rng):
         with pytest.raises(ValueError, match="got 1-D"):
             solve_spd(autocorrelation_column(rng, 8)[:, 0, 0], rng.standard_normal(8))
+
+
+def hard_signal(kind, length=4000):
+    """A signal whose autocorrelation gives an ill-conditioned Toeplitz Gram matrix."""
+    rng = np.random.default_rng(11)
+    if kind == "white":
+        return rng.standard_normal(length)
+    if kind == "ar1":  # x[t] = 0.99 x[t-1] + noise
+        x = rng.standard_normal(length)
+        for t in range(1, length):
+            x[t] += 0.99 * x[t - 1]
+        return x
+    if kind == "sine":
+        return np.sin(0.17 * np.arange(length)) + 1e-6 * rng.standard_normal(length)
+    speech = speech_like(length / 16000, 16000, 3).samples
+    if kind == "speech":
+        return speech
+    spec = np.fft.rfft(speech)  # "lowpass": nothing above 1 kHz
+    spec[np.fft.rfftfreq(length, 1 / 16000) > 1000] = 0
+    return np.fft.irfft(spec, length)
+
+
+class TestToeplitzOracle:
+    """The single-source solver against an in-test dense Cholesky solve."""
+
+    @pytest.mark.parametrize("taps", [1, 2, 17, 64, 512])
+    @pytest.mark.parametrize("kind", ["white", "speech", "lowpass", "ar1", "sine"])
+    def test_accepted_without_fallback(self, kind, taps, debug_log):
+        x = hard_signal(kind)
+        column = np.correlate(x, x, mode="full")[x.size - 1:x.size - 1 + taps]
+        gram = scipy.linalg.toeplitz(column)
+        # As in fir_project: the estimate is a filtered reference, rhs = T h.
+        # This rhs lies mostly along T's large eigenvalues, where an answer
+        # off by a relative cond(T) u shows in full in the backward error.
+        rhs = gram @ np.random.default_rng(taps).standard_normal(taps)
+        got = solve_spd(column[:, None, None], rhs[None])[0]
+        (msg,) = messages(debug_log)
+        assert msg.startswith(f"solve_spd: Levinson (n={taps}, backward error")
+
+        backward = np.linalg.norm(rhs - gram @ got) / (
+            np.linalg.norm(gram) * np.linalg.norm(got) + np.linalg.norm(rhs))
+        assert backward <= linalg._levinson_bound(taps)
+        want = cholesky_answer(gram, rhs)
+        # Both answers are backward stable, so they differ by at most cond * u.
+        tol = 16 * np.linalg.cond(gram) * np.finfo(np.float64).eps
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+    def test_factor_reused_bit_for_bit(self, rng):
+        column = autocorrelation_column(rng, 64)
+        a, b = rng.standard_normal((2, 1, 64))
+        linalg._factor = None
+        cold = solve_spd(column, b)
+        factor = linalg._factor
+        assert factor is not None
+        solve_spd(column.copy(), a)
+        hit = solve_spd(column.copy(), b)
+        assert linalg._factor is factor
+        np.testing.assert_array_equal(hit, cold)
+
+    def test_factor_is_a_private_copy_replaced_on_change(self, rng):
+        column = autocorrelation_column(rng, 16)
+        rhs = rng.standard_normal((1, 16))
+        solve_spd(column, rhs)
+        key = linalg._factor[0]
+        assert np.array_equal(key, column[:, 0, 0]) and not key.flags.writeable
+        column[3] *= 1.0 + 1e-12
+        solve_spd(column, rhs)
+        assert linalg._factor[0] is not key
+        assert np.array_equal(linalg._factor[0], column[:, 0, 0])
+
+
+def test_next_fast_len_matches_scipy():
+    got = [linalg._next_fast_len(n) for n in range(1, 100001)]
+    assert got == [scipy.fft.next_fast_len(n, real=True) for n in range(1, 100001)]
 
 
 def delay_gram(sources, taps):
@@ -98,8 +179,7 @@ def dense_block_answer(blocks, rhs):
     m = blocks.shape[1]
     gram = np.block([[scipy.linalg.toeplitz(blocks[:, j, i], blocks[:, i, j])
                       for j in range(m)] for i in range(m)])
-    cf = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    return scipy.linalg.cho_solve(cf, rhs.ravel(), check_finite=False).reshape(rhs.shape)
+    return cholesky_answer(gram, rhs.ravel()).reshape(rhs.shape)
 
 
 class TestBlockToeplitzPath:

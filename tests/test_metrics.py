@@ -563,21 +563,32 @@ class TestEvaluatePermuted:
         with pytest.raises(ValueError):
             evaluate_permuted(refs, ests, "pesq")
 
-    def test_scipy_optimize_loads_only_on_first_search(self):
+    def test_scipy_optimize_loads_only_on_first_search(self, tmp_path):
         # A fresh interpreter: pytest's own imports would otherwise leak in.
+        # Everything but the permutation search runs on numpy alone.
         code = (
-            "import sys\n"
+            "import os, sys\n"
             "import numpy as np\n"
             "import sepmetrics, sepmetrics.cli\n"
-            "before = 'scipy.optimize' in sys.modules\n"
-            "x = np.random.default_rng(0).standard_normal((2, 64))\n"
-            "sepmetrics.evaluate_permuted(x, x[::-1])\n"
-            "print(before, 'scipy.optimize' in sys.modules)\n"
+            "from sepmetrics import AdversaryConfig, Signal, FirProjectionConfig\n"
+            "x = np.random.default_rng(0).standard_normal((4, 2000))\n"
+            "cfg = FirProjectionConfig(taps=64)\n"
+            "sepmetrics.fir_project(x[0] + x[1], x[0], cfg=cfg)\n"
+            "sepmetrics.fir_project(x[0] + x[1], x[0], x[2:], cfg=cfg)\n"
+            "sepmetrics.decompose(x[0], x[0] + x[1], x[1:])\n"
+            "sepmetrics.optimize(sepmetrics.speech_like(0.25), AdversaryConfig(iterations=3))\n"
+            "path = os.path.join(sys.argv[1], 'x.wav')\n"
+            "sepmetrics.write_wav(Signal(x[0]), path)\n"
+            "sepmetrics.read_wav(path)\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "sepmetrics.evaluate_permuted(x[:2], x[1::-1])\n"
+            "print(loaded, 'scipy.optimize' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(sepmetrics.__file__)))
-        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                             env=dict(os.environ, PYTHONPATH=src),
                              check=True, capture_output=True, text=True).stdout
-        assert out.split() == ["False", "True"]
+        assert out.split() == ["[]", "True"]
 
 
 def _poisoned(x, value):
