@@ -67,7 +67,7 @@ class AdversaryConfig:
     momentum: float = 0.9
     stft: StftConfig = field(default_factory=StftConfig)
     grad_clip: float = 5.0
-    legacy_taps: int = 512
+    legacy_taps: int = legacy.FirProjectionConfig.taps
 
     def __post_init__(self):
         if not isinstance(self.stft, StftConfig):

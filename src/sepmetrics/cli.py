@@ -77,6 +77,17 @@ def _tap_count(text: str) -> int:
     return taps
 
 
+def _threshold(text: str) -> float:
+    """``--threshold`` value: a number, not NaN (no gap compares above NaN)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sepmetrics",
@@ -120,8 +131,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--ref", required=True, help="reference WAV")
     p_cmp.add_argument("--est", required=True, action="append",
                        help="estimate WAV (repeatable)")
-    p_cmp.add_argument("--legacy-taps", type=_tap_count, default=512, metavar="N")
-    p_cmp.add_argument("--threshold", type=float, default=GAP_THRESHOLD_DB,
+    p_cmp.add_argument("--legacy-taps", type=_tap_count,
+                       default=legacy.FirProjectionConfig.taps, metavar="N")
+    p_cmp.add_argument("--threshold", type=_threshold, default=GAP_THRESHOLD_DB,
                        help="gap (dB) beyond which an estimate is flagged")
     p_cmp.add_argument("--channel", type=int, default=None)
     return parser

@@ -48,18 +48,6 @@ __all__ = [
 KINDS = ("rescale-sweep", "progressive-deletion", "bandstop-sweep", "adversarial")
 
 
-def _default_proportions() -> tuple[float, ...]:
-    return tuple(round(0.05 * i, 10) for i in range(21))
-
-
-def _default_gains() -> tuple[float, ...]:
-    return tuple(round(0.025 * i, 10) for i in range(41))
-
-
-def _default_mu_grid() -> tuple[float, ...]:
-    return tuple(round(0.1 * i, 10) for i in range(1, 51))
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything needed to reproduce one experiment run.
@@ -67,8 +55,11 @@ class ExperimentSpec:
     Construction validates every field, with the same checks whether the
     spec comes from Python or from :meth:`from_json_dict`: the integer fields
     (``seed``, ``sample_rate_hz``, ``legacy_taps``, ``length``,
-    ``iterations``) must be integers, every other number finite. Grids are
-    stored as tuples of floats.
+    ``iterations``) must be integers, every other number finite. ``stft``,
+    ``legacy_taps`` and the optimizer settings are checked, for every kind,
+    by ``AdversaryConfig``'s rules under the same field names. Grids are
+    stored as tuples of floats; ``mu = 0`` writes ``-inf`` cells, the
+    closed-form one included.
     """
 
     kind: str
@@ -77,21 +68,21 @@ class ExperimentSpec:
     stft: dsp.StftConfig = field(default_factory=dsp.StftConfig)
     sample_rate_hz: int = 16000
     duration_s: float = 2.0
-    legacy_taps: int = 512
+    legacy_taps: int = legacy.FirProjectionConfig.taps
     # progressive-deletion
-    proportions: tuple[float, ...] = field(default_factory=_default_proportions)
+    proportions: tuple[float, ...] = tuple(round(0.05 * i, 10) for i in range(21))
     noise_snr_db: float = 15.0
     # bandstop-sweep
-    gains: tuple[float, ...] = field(default_factory=_default_gains)
+    gains: tuple[float, ...] = tuple(round(0.025 * i, 10) for i in range(41))
     band_width_hz: float = 1600.0
     # rescale-sweep
-    mu_grid: tuple[float, ...] = field(default_factory=_default_mu_grid)
+    mu_grid: tuple[float, ...] = tuple(round(0.1 * i, 10) for i in range(1, 51))
     length: int = 16000
     # adversarial
-    iterations: int = 500
-    step_size: float = 0.5
-    momentum: float = 0.9
-    grad_clip: float = 5.0
+    iterations: int = adversary.AdversaryConfig.iterations
+    step_size: float = adversary.AdversaryConfig.step_size
+    momentum: float = adversary.AdversaryConfig.momentum
+    grad_clip: float = adversary.AdversaryConfig.grad_clip
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -99,8 +90,10 @@ class ExperimentSpec:
         if self.input_path is not None and not isinstance(self.input_path, (str, os.PathLike)):
             # open() would take an integer as a file descriptor
             raise SpecValidationError("input", f"must be a path or None, got {self.input_path!r}")
-        if not isinstance(self.stft, dsp.StftConfig):
-            raise SpecValidationError("stft", f"must be a StftConfig, got {self.stft!r}")
+        try:
+            _adversary_config(self)
+        except ConfigError as exc:
+            raise SpecValidationError(exc.field, exc.reason) from exc
         for name in self._INT_FIELDS + self._REAL_FIELDS:
             _check_number(name, getattr(self, name), integer=name in self._INT_FIELDS,
                           error=SpecValidationError)
@@ -120,21 +113,15 @@ class ExperimentSpec:
             ("seed", self.seed >= 0),
             ("sample_rate_hz", self.sample_rate_hz >= 1),
             ("duration_s", self.duration_s > 0),
-            ("legacy_taps", self.legacy_taps >= 1),
             ("length", self.length >= 1),
             ("band_width_hz", self.band_width_hz > 0),
-            ("iterations", self.iterations >= 0),
-            ("step_size", self.step_size > 0),
-            ("momentum", 0.0 <= self.momentum < 1.0),
-            ("grad_clip", self.grad_clip > 0),
         ):
             if not ok:
                 raise SpecValidationError(name, f"invalid value {getattr(self, name)!r}")
 
     _GRID_FIELDS = ("proportions", "gains", "mu_grid")
-    _INT_FIELDS = ("seed", "sample_rate_hz", "legacy_taps", "length", "iterations")
-    _REAL_FIELDS = ("duration_s", "noise_snr_db", "band_width_hz", "step_size", "momentum",
-                    "grad_clip")
+    _INT_FIELDS = ("seed", "sample_rate_hz", "length")
+    _REAL_FIELDS = ("duration_s", "noise_snr_db", "band_width_hz")
     _COMMON_KEYS = ("kind", "input", "seed", "stft", "sample_rate_hz", "duration_s",
                     "legacy_taps")
     _KIND_KEYS = {
@@ -187,6 +174,14 @@ class ExperimentSpec:
             else:
                 kwargs[key] = value
         return cls(**kwargs)
+
+
+def _adversary_config(spec: ExperimentSpec) -> adversary.AdversaryConfig:
+    """The spec's optimizer settings; constructing it runs their checks."""
+    return adversary.AdversaryConfig(
+        iterations=spec.iterations, step_size=spec.step_size, momentum=spec.momentum,
+        stft=spec.stft, grad_clip=spec.grad_clip, legacy_taps=spec.legacy_taps,
+    )
 
 
 @dataclass(eq=False)
@@ -255,9 +250,7 @@ def run_rescale_sweep(spec: ExperimentSpec) -> list[CurveRow]:
     for mu in spec.mu_grid:
         est = Signal(mu * mixture, spec.sample_rate_hz)
         row = _curve_row(mu, s, est, spec.legacy_taps)
-        row.extra["sd_sdr_closed_form_db"] = (
-            10.0 * math.log10(mu * mu / ((1.0 - mu) ** 2 + mu * mu))
-        )
+        row.extra["sd_sdr_closed_form_db"] = metrics.db_ratio(mu * mu, (1.0 - mu) ** 2 + mu * mu)
         rows.append(row)
     return rows
 
@@ -316,15 +309,7 @@ def run_bandstop_sweep(spec: ExperimentSpec) -> list[CurveRow]:
 def run_adversarial(spec: ExperimentSpec) -> tuple[adversary.AdversaryResult, list[CurveRow]]:
     """Run the mask optimizer; the curve is its per-iteration SI-SDR trajectory."""
     clean = load_input(spec)
-    cfg = adversary.AdversaryConfig(
-        iterations=spec.iterations,
-        step_size=spec.step_size,
-        momentum=spec.momentum,
-        stft=spec.stft,
-        grad_clip=spec.grad_clip,
-        legacy_taps=spec.legacy_taps,
-    )
-    result = adversary.optimize(clean, cfg)
+    result = adversary.optimize(clean, _adversary_config(spec))
     trajectory = [
         CurveRow(float(i), math.nan, math.nan, si, math.nan)
         for i, si in enumerate(result.trajectory)
@@ -338,32 +323,18 @@ def run_to_directory(spec: ExperimentSpec, out_dir: str) -> dict:
 
     if spec.kind == "adversarial":
         result, _ = run_adversarial(spec)
-        write_csv(
-            [{"iteration": i, "si_sdr_db": si} for i, si in enumerate(result.trajectory)],
-            os.path.join(out_dir, "trajectory.csv"),
-            columns=["iteration", "si_sdr_db"],
-        )
-        write_csv(
-            [{"bin": i, "gain": g} for i, g in enumerate(result.mask.gains)],
-            os.path.join(out_dir, "mask.csv"),
-            columns=["bin", "gain"],
-        )
-        gap = result.final_legacy_sdr_db - result.final_si_sdr_db
-        write_csv(
-            [{
-                "iterations": spec.iterations,
-                "final_si_sdr_db": result.final_si_sdr_db,
-                "final_legacy_sdr_db": result.final_legacy_sdr_db,
-                "gap_db": gap,
-            }],
-            os.path.join(out_dir, "adversarial.csv"),
-            columns=["iterations", "final_si_sdr_db", "final_legacy_sdr_db", "gap_db"],
-        )
-        return {
+        write_csv([{"iteration": i, "si_sdr_db": si} for i, si in enumerate(result.trajectory)],
+                  os.path.join(out_dir, "trajectory.csv"))
+        write_csv([{"bin": i, "gain": g} for i, g in enumerate(result.mask.gains)],
+                  os.path.join(out_dir, "mask.csv"))
+        summary = {
             "final_si_sdr_db": result.final_si_sdr_db,
             "final_legacy_sdr_db": result.final_legacy_sdr_db,
-            "gap_db": gap,
+            "gap_db": result.final_legacy_sdr_db - result.final_si_sdr_db,
         }
+        write_csv([{"iterations": spec.iterations, **summary}],
+                  os.path.join(out_dir, "adversarial.csv"))
+        return summary
 
     runner, x_name, filename = {
         "rescale-sweep": (run_rescale_sweep, "mu", "rescale_sweep.csv"),
@@ -372,8 +343,7 @@ def run_to_directory(spec: ExperimentSpec, out_dir: str) -> dict:
         "bandstop-sweep": (run_bandstop_sweep, "gain", "bandstop_sweep.csv"),
     }[spec.kind]
     rows = runner(spec)
-    dicts = [r.as_dict(x_name) for r in rows]
-    write_csv(dicts, os.path.join(out_dir, filename), columns=list(dicts[0].keys()))
+    write_csv([r.as_dict(x_name) for r in rows], os.path.join(out_dir, filename))
 
     finite = [r for r in rows if math.isfinite(r.si_sdr_db)]
     summary: dict = {"rows": len(rows), "csv": filename}

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .audio import Signal
+from .errors import SignalTooShortError
 
 __all__ = ["speech_like"]
 
@@ -35,6 +36,8 @@ def speech_like(duration_s: float = 2.0, sample_rate_hz: int = 16000,
     """Synthesize a speech-like fixture signal with peak amplitude 0.5."""
     rng = np.random.Generator(np.random.PCG64(seed))
     n = int(round(duration_s * sample_rate_hz))
+    if n < 3:  # the 50 ms fades are zero at both ends, so 2 samples are all fade
+        raise SignalTooShortError(f"speech_like needs at least 3 samples, got {n}")
     t = np.arange(n) / sample_rate_hz
     nyquist = sample_rate_hz / 2.0
 

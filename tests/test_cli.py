@@ -369,6 +369,23 @@ class TestExperimentCmd:
         assert main(["experiment", "--spec", str(spec_path),
                      "--out-dir", str(tmp_path / "x")]) == 2
 
+    def test_rescale_mu_zero_writes_sentinels(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"kind": "rescale-sweep", "length": 1200,
+                                         "legacy_taps": 16, "mu_grid": [0.0, 1.0]}))
+        assert main(["experiment", "--spec", str(spec_path),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "rescale_sweep.csv").read_text().splitlines()
+        assert lines[1] == "0,-inf,0,-inf,-inf,-inf"
+
+    def test_signal_too_short_for_fixture_exit_3(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"kind": "progressive-deletion",
+                                         "duration_s": 0.0001}))
+        assert main(["experiment", "--spec", str(spec_path),
+                     "--out-dir", str(tmp_path / "x")]) == 3
+        assert "at least 3 samples" in capsys.readouterr().err
+
     def test_missing_input_exit_2(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(
@@ -402,6 +419,14 @@ class TestCompare:
         out = capsys.readouterr().out
         line = out.strip().split("\n")[1]
         assert line.split()[-1] == "ok"
+
+    @pytest.mark.parametrize("threshold", ["nan", "NaN", "x"])
+    def test_threshold_must_be_a_number(self, wav_pair, capsys, threshold):
+        ref, est = wav_pair
+        with pytest.raises(SystemExit) as info:
+            main(["compare", "--ref", ref, "--est", est, "--threshold", threshold])
+        assert info.value.code == 2
+        assert "--threshold: must be a number" in capsys.readouterr().err
 
     def test_gap_rules(self):
         assert gap_db(math.inf, math.inf) == 0.0

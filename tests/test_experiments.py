@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from sepmetrics.adversary import AdversaryConfig
 from sepmetrics.audio import write_wav
-from sepmetrics.errors import SpecValidationError
+from sepmetrics.errors import ConfigError, SignalTooShortError, SpecValidationError
 from sepmetrics.experiments import (
     ExperimentSpec,
     load_input,
@@ -19,6 +20,7 @@ from sepmetrics.experiments import (
     run_rescale_sweep,
     run_to_directory,
 )
+from sepmetrics.fixtures import speech_like
 
 
 def small_rescale_spec(**overrides):
@@ -111,6 +113,26 @@ class TestSpecValidation:
             ExperimentSpec(kind=kind, **kwargs)
         assert info.value.field == field
 
+    @pytest.mark.parametrize("kind", ["rescale-sweep", "progressive-deletion",
+                                      "bandstop-sweep", "adversarial"])
+    @pytest.mark.parametrize("name, value", [
+        ("iterations", -1), ("iterations", 2.5),
+        ("step_size", 0.0), ("step_size", math.nan),
+        ("momentum", 1.0), ("momentum", -0.1),
+        ("grad_clip", 0.0), ("grad_clip", "5"),
+        ("legacy_taps", 0), ("legacy_taps", 3.7),
+        ("stft", {"window_len": 512, "hop": 128}),
+    ])
+    def test_optimizer_settings_follow_adversary_config(self, kind, name, value):
+        # One rule per setting: the spec reports AdversaryConfig's field and reason.
+        with pytest.raises(ConfigError) as expected:
+            AdversaryConfig(**{name: value})
+        with pytest.raises(SpecValidationError) as info:
+            ExperimentSpec(kind=kind, **{name: value})
+        assert (info.value.field, info.value.reason) == (expected.value.field,
+                                                         expected.value.reason)
+        assert info.value.field == name
+
     def test_grids_are_float_tuples(self):
         spec = ExperimentSpec(kind="rescale-sweep", mu_grid=[1, np.float32(2.5), 3])
         assert spec.mu_grid == (1.0, 2.5, 3.0)
@@ -156,6 +178,14 @@ class TestRescaleSweep:
         assert rows[0].snr_db - rows[1].snr_db == pytest.approx(
             10 * math.log10(2.0), abs=1e-3
         )
+
+    def test_mu_zero_gives_sentinels(self):
+        rows = run_rescale_sweep(small_rescale_spec(mu_grid=(0.0, 1.0)))
+        zero = rows[0]
+        assert zero.extra["sd_sdr_closed_form_db"] == -math.inf
+        assert zero.snr_db == 0.0
+        assert zero.si_sdr_db == zero.sd_sdr_db == zero.sdr_legacy_db == -math.inf
+        assert rows[1].extra["sd_sdr_closed_form_db"] == 0.0
 
     def test_legacy_column_present(self):
         rows = run_rescale_sweep(small_rescale_spec())
@@ -234,6 +264,20 @@ class TestRunToDirectory:
         header = data_a.decode().splitlines()[0]
         assert header == "mu,sdr_legacy_db,snr_db,si_sdr_db,sd_sdr_db,sd_sdr_closed_form_db"
 
+    def test_default_csv_headers(self, tmp_path):
+        for kind in ("rescale-sweep", "progressive-deletion", "bandstop-sweep", "adversarial"):
+            run_to_directory(ExperimentSpec(kind=kind), str(tmp_path))
+        headers = {p.name: p.read_text().splitlines()[0] for p in tmp_path.glob("*.csv")}
+        curve = "sdr_legacy_db,snr_db,si_sdr_db,sd_sdr_db"
+        assert headers == {
+            "rescale_sweep.csv": f"mu,{curve},sd_sdr_closed_form_db",
+            "progressive_deletion.csv": f"proportion,{curve}",
+            "bandstop_sweep.csv": f"gain,{curve}",
+            "trajectory.csv": "iteration,si_sdr_db",
+            "mask.csv": "bin,gain",
+            "adversarial.csv": "iterations,final_si_sdr_db,final_legacy_sdr_db,gap_db",
+        }
+
     def test_adversarial_outputs(self, tmp_path):
         spec = ExperimentSpec(kind="adversarial", duration_s=0.25, iterations=4,
                               legacy_taps=64)
@@ -255,6 +299,13 @@ class TestRunToDirectory:
         assert len(clean) == int(0.3 * 16000)
         rows = run_progressive_deletion(spec)
         assert len(rows) == 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_speech_like_needs_three_samples(n):
+    with pytest.raises(SignalTooShortError, match="at least 3 samples"):
+        speech_like(duration_s=n / 16000)
+    assert len(speech_like(duration_s=3 / 16000)) == 3
 
 
 _RUN_DEFAULT_SPECS = """
