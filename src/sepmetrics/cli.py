@@ -6,8 +6,9 @@ Subcommands:
   experiment  run a JSON-described experiment and write its CSV artifacts
   compare     flag estimates whose legacy SDR overstates quality vs SI-SDR
 
-Exit codes: 0 success, 2 input/format problems, 3 metric precondition
-violations (including mixed sample rates), 1 anything unexpected.
+Exit codes: 0 success, 2 input/format problems (an unwritable ``--out`` or
+``--out-dir`` too), 3 metric precondition violations (including mixed sample
+rates and energies beyond the float64 range), 1 anything unexpected.
 ``eval-set`` reads, scores and drops one pair at a time, and ``--truncate``
 truncates each pair on its own, as ``eval --truncate`` does; with
 ``--permute`` every reference meets every estimate, so all files are held and
@@ -26,7 +27,7 @@ import statistics
 import sys
 
 from . import legacy, metrics
-from .audio import read_wav, rows_to_csv
+from .audio import read_wav, rows_to_csv, write_csv
 from .errors import (
     CountMismatchError,
     DegenerateSourcesError,
@@ -34,6 +35,7 @@ from .errors import (
     FormatError,
     IoError,
     LengthMismatchError,
+    NonFiniteError,
     SampleRateMismatchError,
     SepMetricsError,
     SignalTooShortError,
@@ -61,6 +63,7 @@ _PRECONDITION_ERRORS = (
     DegenerateSourcesError,
     CountMismatchError,
     SignalTooShortError,
+    NonFiniteError,
 )
 
 GAP_THRESHOLD_DB = 5.0
@@ -139,12 +142,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(rows: list[dict], out: str | None) -> None:
+    """CSV to stdout, or to the file ``out`` (``IoError`` if it cannot be written)."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(rows_to_csv(rows))
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_csv(rows, out)
 
 
 def _legacy_columns(ref, est, interferers, taps: int) -> dict[str, float]:
@@ -166,7 +169,7 @@ def _cmd_eval(args) -> int:
     row = metrics.evaluate(sigs[0], sigs[1], sigs[2:]).as_dict()
     if args.legacy_taps is not None:
         row.update(_legacy_columns(sigs[0], sigs[1], sigs[2:], args.legacy_taps))
-    _emit(rows_to_csv([row]), args.out)
+    _emit([row], args.out)
     return EXIT_OK
 
 
@@ -213,19 +216,12 @@ def _cmd_eval_set(args) -> int:
         reports = [metrics.evaluate(read_wav(r, args.channel), read_wav(e, args.channel), **prep)
                    for r, e in zip(ref_paths, est_paths)]
 
-    metric_cols = ["snr_db", "si_sdr_db", "sd_sdr_db", "min_snr_sdsdr_db"]
-    rows = []
-    for j, report in enumerate(reports):
-        row = {"row": "pair", "index": j, "ref": ref_paths[j],
-               "est": est_paths[assignment[j]], "est_index": assignment[j]}
-        row.update(report.as_dict())
-        rows.append(row)
-    out_rows = rows + [
-        _finite_summary(rows, metric_cols, statistics.fmean, "mean"),
-        _finite_summary(rows, metric_cols, statistics.median, "median"),
-    ]
-    columns = ["row", "index", "ref", "est", "est_index"] + metric_cols
-    _emit(rows_to_csv(out_rows, columns), args.out)
+    rows = [{"row": "pair", "index": j, "ref": ref_paths[j], "est": est_paths[assignment[j]],
+             "est_index": assignment[j], **report.as_dict()}
+            for j, report in enumerate(reports)]
+    metric_cols = list(reports[0].as_dict())
+    _emit(rows + [_finite_summary(rows, metric_cols, statistics.fmean, "mean"),
+                  _finite_summary(rows, metric_cols, statistics.median, "median")], args.out)
     print("permutation: " + ",".join(str(i) for i in assignment), file=sys.stderr)
     return EXIT_OK
 
@@ -285,15 +281,11 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _INPUT_ERRORS as exc:
+    except SepMetricsError as exc:  # unclassified package errors are unexpected
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except SepMetricsError as exc:  # anything package-specific but unclassified
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNEXPECTED
+        if isinstance(exc, _INPUT_ERRORS):
+            return EXIT_INPUT
+        return EXIT_PRECONDITION if isinstance(exc, _PRECONDITION_ERRORS) else EXIT_UNEXPECTED
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"unexpected error: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED

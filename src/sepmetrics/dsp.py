@@ -18,6 +18,7 @@ from .audio import Signal
 from .errors import (
     ConfigError,
     LengthMismatchError,
+    SampleRateMismatchError,
     SignalTooShortError,
     ZeroReferenceError,
     _check_number,
@@ -246,7 +247,8 @@ def mix_at_snr(clean: Signal, noise: Signal, snr_db: float,
             f"clean has {len(clean)} samples, noise has {len(noise)}"
         )
     if clean.sample_rate_hz != noise.sample_rate_hz:
-        raise ValueError("clean and noise sample rates differ")
+        raise SampleRateMismatchError(
+            f"sample rates differ: {clean.sample_rate_hz} Hz vs {noise.sample_rate_hz} Hz")
     if band is None:
         clean_e, noise_e = _inner(clean.samples), _inner(noise.samples)
     else:

@@ -30,7 +30,8 @@ class SampleRateMismatchError(SepMetricsError):
 
 
 class NonFiniteError(SepMetricsError):
-    """A metric's energy ratio is NaN or infinite: the inputs hold NaN/inf samples."""
+    """A metric's energy ratio is NaN or infinite: the inputs hold NaN/inf
+    samples, or an energy of finite samples lies beyond the float64 range."""
 
 
 class ZeroReferenceError(SepMetricsError):

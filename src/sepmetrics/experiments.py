@@ -30,7 +30,7 @@ import numpy as np
 
 from . import adversary, dsp, legacy, metrics
 from .audio import Signal, read_wav, write_csv
-from .errors import ConfigError, SpecValidationError, ZeroEstimateError, _check_number
+from .errors import ConfigError, IoError, SpecValidationError, ZeroEstimateError, _check_number
 from .fixtures import speech_like
 from .linalg import _inner
 
@@ -319,7 +319,10 @@ def run_adversarial(spec: ExperimentSpec) -> tuple[adversary.AdversaryResult, li
 
 def run_to_directory(spec: ExperimentSpec, out_dir: str) -> dict:
     """Run an experiment and write its CSV artifacts; returns summary checkpoints."""
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {out_dir}: {exc}") from exc
 
     if spec.kind == "adversarial":
         result, _ = run_adversarial(spec)

@@ -22,7 +22,7 @@ arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -93,10 +93,12 @@ def db_ratio(num: float, den: float) -> float:
     """10*log10(num/den) with sentinel handling: zero num -> -inf, zero den -> +inf.
 
     Every metric ratio passes through here, so a NaN or infinite energy (from
-    non-finite input samples) is caught once, at O(1) cost.
+    non-finite input samples, or finite ones whose energy overflows float64)
+    is caught once, at O(1) cost.
     """
     if not (math.isfinite(num) and math.isfinite(den)):
-        raise NonFiniteError(f"non-finite energies {num!r}/{den!r}: NaN or inf in the inputs")
+        raise NonFiniteError(f"non-finite energies {num!r}/{den!r}: NaN or inf in the "
+                             "inputs, or an energy beyond the float64 range")
     if num == 0.0:
         return -math.inf
     if den == 0.0:
@@ -195,9 +197,11 @@ def decompose(reference, estimate, interferers=()) -> Decomposition:
     e_target = a * ref
     e_res = est - e_target
     if others:
-        basis = np.column_stack([ref, *others])
-        coeffs = solve_spd(basis.T @ basis, basis.T @ e_res)
-        e_interf = basis @ coeffs
+        basis = np.stack([ref, *others])  # one row per source
+        # numpy einsum, not BLAS products: the same bits at any BLAS thread count
+        coeffs = solve_spd(np.einsum("in,jn->ij", basis, basis),
+                           np.einsum("in,n->i", basis, e_res))
+        e_interf = np.einsum("i,in->n", coeffs, basis)
     else:
         # The residual is orthogonal to the reference by construction, so the
         # projection onto span{reference} vanishes identically.
@@ -235,16 +239,9 @@ class MetricReport:
     si_sar_db: float | None = None
 
     def as_dict(self) -> dict[str, float]:
-        out = {
-            "snr_db": self.snr_db,
-            "si_sdr_db": self.si_sdr_db,
-            "sd_sdr_db": self.sd_sdr_db,
-            "min_snr_sdsdr_db": self.min_snr_sdsdr_db,
-        }
-        if self.si_sir_db is not None:
-            out["si_sir_db"] = self.si_sir_db
-            out["si_sar_db"] = self.si_sar_db
-        return out
+        """The metrics that are not ``None``, by field name in declaration order."""
+        return {f.name: value for f in fields(self)
+                if (value := getattr(self, f.name)) is not None}
 
 
 def evaluate(reference, estimate, interferers=(), *,
@@ -262,17 +259,11 @@ def evaluate(reference, estimate, interferers=(), *,
     snr_db = snr(ref, est)
     si_sdr_db = si_sdr(ref, est)
     sd_sdr_db = sd_sdr(ref, est)
-    report = {
-        "snr_db": snr_db,
-        "si_sdr_db": si_sdr_db,
-        "sd_sdr_db": sd_sdr_db,
-        "min_snr_sdsdr_db": min(snr_db, sd_sdr_db),
-    }
+    sir_sar = ()
     if others:
         d = decompose(ref, est, others)
-        report["si_sir_db"] = si_sir(d)
-        report["si_sar_db"] = si_sar(d)
-    return MetricReport(**report)
+        sir_sar = (si_sir(d), si_sar(d))
+    return MetricReport(snr_db, si_sdr_db, sd_sdr_db, min(snr_db, sd_sdr_db), *sir_sar)
 
 
 _METRICS = {

@@ -69,6 +69,24 @@ class TestEval:
         header = capsys.readouterr().out.split("\n")[0]
         assert "si_sir_db" in header and "si_sar_db" in header
 
+    def test_interferer_and_legacy_header(self, wav_pair, tmp_path, rng, capsys):
+        ref, est = wav_pair
+        interf = str(tmp_path / "interf.wav")
+        write_wav(Signal(rng.standard_normal(2000) * 0.1, 16000), interf)
+        assert main(["eval", "--ref", ref, "--est", est, "--interf", interf,
+                     "--legacy-taps", "8"]) == 0
+        assert capsys.readouterr().out.split("\n")[0] == (
+            "snr_db,si_sdr_db,sd_sdr_db,min_snr_sdsdr_db,si_sir_db,si_sar_db,"
+            "legacy_sdr_db,legacy_sir_db,legacy_sar_db")
+
+    def test_out_in_missing_directory_exit_2(self, wav_pair, tmp_path, capsys):
+        ref, est = wav_pair
+        out_path = str(tmp_path / "missing" / "m.csv")
+        assert main(["eval", "--ref", ref, "--est", est, "--out", out_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot write {out_path}" in captured.err
+
     @pytest.mark.parametrize("command", ["eval", "compare"])
     @pytest.mark.parametrize("taps, code", [("0", 2), ("-5", 2), ("x", 2), ("2001", 3)])
     def test_legacy_taps_bounds(self, wav_pair, capsys, command, taps, code):
@@ -140,6 +158,31 @@ class TestEvalSet:
         refs, ests = file_sets
         assert main(["eval-set", "--refs", refs, "--ests", ests]) == 0
         assert "permutation: 0,1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("permute", [[], ["--permute"]], ids=["identity", "permute"])
+    def test_header(self, file_sets, capsys, permute):
+        refs, ests = file_sets
+        assert main(["eval-set", "--refs", refs, "--ests", ests, *permute]) == 0
+        assert capsys.readouterr().out.split("\n")[0] == (
+            "row,index,ref,est,est_index,snr_db,si_sdr_db,sd_sdr_db,min_snr_sdsdr_db")
+
+    def test_out_file_matches_stdout(self, file_sets, tmp_path, capsys):
+        refs, ests = file_sets
+        argv = ["eval-set", "--refs", refs, "--ests", ests, "--permute"]
+        assert main(argv) == 0
+        stdout_text = capsys.readouterr().out
+        out_path = tmp_path / "set.csv"
+        assert main(argv + ["--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out_path.read_bytes() == stdout_text.encode("utf-8")
+
+    def test_out_in_missing_directory_exit_2(self, file_sets, tmp_path, capsys):
+        refs, ests = file_sets
+        out_path = str(tmp_path / "missing" / "set.csv")
+        assert main(["eval-set", "--refs", refs, "--ests", ests, "--out", out_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot write {out_path}" in captured.err
 
     def test_mean_row(self, file_sets, capsys):
         refs, ests = file_sets
@@ -385,6 +428,25 @@ class TestExperimentCmd:
         assert main(["experiment", "--spec", str(spec_path),
                      "--out-dir", str(tmp_path / "x")]) == 3
         assert "at least 3 samples" in capsys.readouterr().err
+
+    def test_energy_overflow_exit_3(self, tmp_path, capsys):
+        # finite samples whose energy exceeds the float64 range
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"kind": "rescale-sweep", "length": 1200,
+                                         "legacy_taps": 16, "mu_grid": [1.0, 1e300]}))
+        assert main(["experiment", "--spec", str(spec_path),
+                     "--out-dir", str(tmp_path / "out")]) == 3
+        assert "an energy beyond the float64 range" in capsys.readouterr().err
+
+    def test_out_dir_is_a_file_exit_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"kind": "rescale-sweep", "length": 1200,
+                                         "legacy_taps": 16, "mu_grid": [1.0]}))
+        assert main(["experiment", "--spec", str(spec_path),
+                     "--out-dir", str(spec_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot create {spec_path}" in captured.err
 
     def test_missing_input_exit_2(self, tmp_path):
         spec_path = tmp_path / "spec.json"

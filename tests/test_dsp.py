@@ -22,6 +22,7 @@ from sepmetrics.dsp import (
 )
 from sepmetrics.errors import (
     LengthMismatchError,
+    SampleRateMismatchError,
     SignalTooShortError,
     ZeroReferenceError,
 )
@@ -299,6 +300,10 @@ class TestMixAtSnr:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             mix_at_snr(white_noise(100, 0), white_noise(101, 0), 0.0)
+
+    def test_sample_rate_mismatch(self):
+        with pytest.raises(SampleRateMismatchError, match="16000 Hz vs 8000 Hz"):
+            mix_at_snr(white_noise(100, 1), white_noise(100, 0, 8000), 0.0)
 
 
 class TestBandCenter:

@@ -331,7 +331,7 @@ class TestBlockLevinsonAgainstDense:
 
 _MULTI_SOURCE_LEGACY = """
 import logging, sys
-from sepmetrics import fixtures, legacy
+from sepmetrics import fixtures, legacy, metrics
 logging.basicConfig(level=logging.DEBUG, stream=sys.stdout, format="%(message)s")
 logging.getLogger("sepmetrics.legacy").setLevel(logging.INFO)
 for seconds in (1.0, 2.0, 3.0, 4.0):
@@ -339,6 +339,8 @@ for seconds in (1.0, 2.0, 3.0, 4.0):
     est = s[0] + 0.4 * s[1] - 0.3 * s[2] + 0.05 * s[3]
     d = legacy.fir_project(est, s[0], s[1:3], legacy.FirProjectionConfig(taps=256))
     print(repr((legacy.legacy_sdr(d), legacy.legacy_sir(d), legacy.legacy_sar(d))))
+    d = metrics.decompose(s[0], est, s[1:3])
+    print(repr((metrics.si_sir(d), metrics.si_sar(d))))
 """
 
 
