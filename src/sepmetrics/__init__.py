@@ -41,9 +41,12 @@ from .errors import (
     DegenerateSourcesError,
     EmptySignalError,
     FormatError,
+    InputError,
     IoError,
     LengthMismatchError,
     NonFiniteError,
+    PreconditionError,
+    ProblemTooLargeError,
     SampleRateMismatchError,
     SepMetricsError,
     SignalTooShortError,

@@ -6,9 +6,11 @@ Subcommands:
   experiment  run a JSON-described experiment and write its CSV artifacts
   compare     flag estimates whose legacy SDR overstates quality vs SI-SDR
 
-Exit codes: 0 success, 2 input/format problems (an unwritable ``--out`` or
-``--out-dir`` too), 3 metric precondition violations (including mixed sample
-rates and energies beyond the float64 range), 1 anything unexpected.
+Exit codes, by the category base of the error (see :mod:`sepmetrics.errors`):
+0 success; 2 an ``InputError`` (unreadable or malformed input, an ``--out``
+directory that does not exist, checked before any WAV is read); 3 a
+``PreconditionError`` (mismatched or zero signals, energies beyond the float64
+range, a legacy projection above its taps*sources cap); 1 anything else.
 ``eval-set`` reads, scores and drops one pair at a time, and ``--truncate``
 truncates each pair on its own, as ``eval --truncate`` does; with
 ``--permute`` every reference meets every estimate, so all files are held and
@@ -26,24 +28,8 @@ import os
 import statistics
 import sys
 
-from . import legacy, metrics
+from . import errors, legacy, metrics
 from .audio import read_wav, rows_to_csv, write_csv
-from .errors import (
-    CountMismatchError,
-    DegenerateSourcesError,
-    EmptySignalError,
-    FormatError,
-    IoError,
-    LengthMismatchError,
-    NonFiniteError,
-    SampleRateMismatchError,
-    SepMetricsError,
-    SignalTooShortError,
-    SpecValidationError,
-    ZeroEstimateError,
-    ZeroReferenceError,
-    ZeroTargetError,
-)
 from .experiments import ExperimentSpec, run_to_directory
 
 EXIT_OK = 0
@@ -52,19 +38,6 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
 _log = logging.getLogger(__name__)
-
-_INPUT_ERRORS = (IoError, FormatError, EmptySignalError, SpecValidationError)
-_PRECONDITION_ERRORS = (
-    LengthMismatchError,
-    SampleRateMismatchError,
-    ZeroReferenceError,
-    ZeroEstimateError,
-    ZeroTargetError,
-    DegenerateSourcesError,
-    CountMismatchError,
-    SignalTooShortError,
-    NonFiniteError,
-)
 
 GAP_THRESHOLD_DB = 5.0
 
@@ -99,6 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one reference/estimate pair")
+    p_eval.set_defaults(run=_cmd_eval)
     p_eval.add_argument("--ref", required=True, help="reference WAV")
     p_eval.add_argument("--est", required=True, help="estimate WAV")
     p_eval.add_argument("--interf", action="append", default=[],
@@ -114,6 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
     p_set = sub.add_parser("eval-set", help="evaluate matched sets of files")
+    p_set.set_defaults(run=_cmd_eval_set)
     p_set.add_argument("--refs", required=True, help="directory or glob of reference WAVs")
     p_set.add_argument("--ests", required=True, help="directory or glob of estimate WAVs")
     p_set.add_argument("--permute", action="store_true",
@@ -127,10 +102,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_set.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
     p_exp = sub.add_parser("experiment", help="run a JSON-described experiment")
+    p_exp.set_defaults(run=_cmd_experiment)
     p_exp.add_argument("--spec", required=True, help="experiment JSON file")
     p_exp.add_argument("--out-dir", required=True, help="directory for CSV outputs")
 
     p_cmp = sub.add_parser("compare", help="flag legacy-SDR/SI-SDR gaps")
+    p_cmp.set_defaults(run=_cmd_compare)
     p_cmp.add_argument("--ref", required=True, help="reference WAV")
     p_cmp.add_argument("--est", required=True, action="append",
                        help="estimate WAV (repeatable)")
@@ -198,11 +175,11 @@ def _cmd_eval_set(args) -> int:
     ref_paths = _expand(args.refs)
     est_paths = _expand(args.ests)
     if len(ref_paths) != len(est_paths):
-        raise CountMismatchError(
+        raise errors.CountMismatchError(
             f"{len(ref_paths)} reference files vs {len(est_paths)} estimate files"
         )
     if not ref_paths:
-        raise CountMismatchError("no input files matched")
+        raise errors.CountMismatchError("no input files matched")
     prep = {"truncate": args.truncate, "zero_mean": args.zero_mean}
     if args.permute:
         # Every reference meets every estimate, so all k sources are held.
@@ -231,9 +208,9 @@ def _cmd_experiment(args) -> int:
         with open(args.spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise IoError(f"cannot read {args.spec}: {exc}") from exc
+        raise errors.IoError(f"cannot read {args.spec}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise SpecValidationError("$", f"not valid JSON: {exc}") from exc
+        raise errors.SpecValidationError("$", f"not valid JSON: {exc}") from exc
     spec = ExperimentSpec.from_json_dict(data)
     summary = run_to_directory(spec, args.out_dir)
     parts = [f"kind={spec.kind}"]
@@ -273,19 +250,15 @@ def _cmd_compare(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "eval": _cmd_eval,
-        "eval-set": _cmd_eval_set,
-        "experiment": _cmd_experiment,
-        "compare": _cmd_compare,
-    }
     try:
-        return handlers[args.command](args)
-    except SepMetricsError as exc:  # unclassified package errors are unexpected
+        if getattr(args, "out", None) and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise errors.IoError(f"cannot write {args.out}: its directory does not exist")
+        return args.run(args)
+    except errors.SepMetricsError as exc:  # uncategorised package errors are unexpected
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, _INPUT_ERRORS):
+        if isinstance(exc, errors.InputError):
             return EXIT_INPUT
-        return EXIT_PRECONDITION if isinstance(exc, _PRECONDITION_ERRORS) else EXIT_UNEXPECTED
+        return EXIT_PRECONDITION if isinstance(exc, errors.PreconditionError) else EXIT_UNEXPECTED
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"unexpected error: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED

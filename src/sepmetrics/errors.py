@@ -1,5 +1,10 @@
 """Exception hierarchy shared by all sepmetrics modules, and the number check
-every configuration class runs on its fields."""
+every configuration class runs on its fields.
+
+A new error class picks its category by its base, and the CLI exit code
+follows the category: ``InputError`` 2, ``PreconditionError`` 3, and 1 for
+the uncategorised ``SepMetricsError`` and ``ConfigError``.
+"""
 
 import math
 import numbers
@@ -9,53 +14,65 @@ class SepMetricsError(Exception):
     """Base class for all sepmetrics errors."""
 
 
-class IoError(SepMetricsError):
+class InputError(SepMetricsError):
+    """Category base: a file, format or experiment spec cannot be used (CLI exit 2)."""
+
+
+class PreconditionError(SepMetricsError):
+    """Category base: the inputs break a metric's precondition (CLI exit 3)."""
+
+
+class IoError(InputError):
     """Reading or writing a file failed."""
 
 
-class FormatError(SepMetricsError):
+class FormatError(InputError):
     """A file is not in a supported format (unsupported WAV encoding, bad chunk layout)."""
 
 
-class EmptySignalError(SepMetricsError):
+class EmptySignalError(InputError):
     """An audio payload contains no samples."""
 
 
-class LengthMismatchError(SepMetricsError):
+class LengthMismatchError(PreconditionError):
     """Two signals (or a spectrogram and a mask) that must agree in length do not."""
 
 
-class SampleRateMismatchError(SepMetricsError):
+class SampleRateMismatchError(PreconditionError):
     """Signals that are compared sample by sample carry different sample rates."""
 
 
-class NonFiniteError(SepMetricsError):
+class NonFiniteError(PreconditionError):
     """A metric's energy ratio is NaN or infinite: the inputs hold NaN/inf
     samples, or an energy of finite samples lies beyond the float64 range."""
 
 
-class ZeroReferenceError(SepMetricsError):
+class ZeroReferenceError(PreconditionError):
     """The reference signal is identically zero, so no ratio against it is defined."""
 
 
-class ZeroEstimateError(SepMetricsError):
+class ZeroEstimateError(PreconditionError):
     """The estimate is identically zero; scale-invariant metrics are undefined for it."""
 
 
-class ZeroTargetError(SepMetricsError):
+class ZeroTargetError(PreconditionError):
     """A decomposition has a zero target component."""
 
 
-class DegenerateSourcesError(SepMetricsError):
+class DegenerateSourcesError(PreconditionError):
     """The source set is (numerically) linearly dependent beyond the jitter safeguard."""
 
 
-class CountMismatchError(SepMetricsError):
+class CountMismatchError(PreconditionError):
     """Reference and estimate collections differ in size."""
 
 
-class SignalTooShortError(SepMetricsError):
+class SignalTooShortError(PreconditionError):
     """The signal is shorter than one analysis window or than the FIR filter."""
+
+
+class ProblemTooLargeError(PreconditionError, ValueError):
+    """taps*sources exceeds the legacy projection's size cap. A ``ValueError`` too."""
 
 
 class ConfigError(SepMetricsError, ValueError):
@@ -71,7 +88,7 @@ class ConfigError(SepMetricsError, ValueError):
         super().__init__(f"{field}: {reason}")
 
 
-class SpecValidationError(ConfigError):
+class SpecValidationError(ConfigError, InputError):
     """An experiment description is invalid.
 
     ``field`` holds the dotted path of the offending entry.

@@ -34,7 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SignalTooShortError, ZeroReferenceError, _check_number
+from .errors import (
+    ConfigError,
+    ProblemTooLargeError,
+    SignalTooShortError,
+    ZeroReferenceError,
+    _check_number,
+)
 from .linalg import _inner, _next_fast_len, solve_spd
 from .metrics import db_ratio, prepare
 
@@ -140,7 +146,7 @@ def fir_project(estimate, reference, interferers=(),
     Raises:
         LengthMismatchError: signals of unequal length.
         SignalTooShortError: signals shorter than ``taps``.
-        ValueError: a problem above the size cap.
+        ProblemTooLargeError: a problem above the size cap (a ``ValueError``).
         DegenerateSourcesError: Gram matrix singular beyond jitter.
         ZeroReferenceError: all-zero reference.
     """
@@ -153,7 +159,7 @@ def fir_project(estimate, reference, interferers=(),
         raise SignalTooShortError(f"taps ({taps}) exceeds the signal length ({L})")
     nsrc = len(sources)
     if taps * nsrc > MAX_PROBLEM_SIZE:
-        raise ValueError(
+        raise ProblemTooLargeError(
             f"taps*sources = {taps * nsrc} exceeds the cap of {MAX_PROBLEM_SIZE}"
         )
 

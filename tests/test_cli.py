@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sepmetrics import cli, metrics
+from sepmetrics import cli, errors, metrics
 from sepmetrics.audio import Signal, read_wav, write_wav
 from sepmetrics.cli import gap_db, main
 from sepmetrics.fixtures import speech_like
@@ -100,6 +100,36 @@ class TestEval:
         else:
             assert main(argv) == 3
             assert "exceeds the signal length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "eval-set"])
+    def test_out_in_missing_directory_reads_no_wav(self, wav_pair, tmp_path, monkeypatch,
+                                                   capsys, command):
+        def no_read(path, channel=None):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli, "read_wav", no_read)
+        ref, est = wav_pair
+        out_path = str(tmp_path / "missing" / "x.csv")
+        if command == "eval":
+            argv = ["eval", "--ref", ref, "--est", est]
+        else:
+            argv = ["eval-set", "--refs", ref, "--ests", est, "--permute"]
+        assert main(argv + ["--out", out_path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out_path}: its directory does not exist\n")
+
+    @pytest.mark.parametrize("taps, code", [("1365", 0), ("1400", 3)])
+    def test_legacy_problem_size_cap(self, tmp_path, rng, capsys, taps, code):
+        # ref, est and two interferers: 3 sources, so 1365 taps are 4095 unknowns
+        paths = [str(tmp_path / f"{name}.wav") for name in ("ref", "est", "a", "b")]
+        for path in paths:
+            write_wav(Signal(rng.standard_normal(3000) * 0.1, 16000), path)
+        ref, est, a, b = paths
+        assert main(["eval", "--ref", ref, "--est", est, "--interf", a, "--interf", b,
+                     "--legacy-taps", taps]) == code
+        if code == 3:
+            assert capsys.readouterr().err == (
+                "error: taps*sources = 4200 exceeds the cap of 4096\n")
 
     def test_missing_file_exit_2(self, tmp_path):
         missing = str(tmp_path / "none.wav")
@@ -494,3 +524,33 @@ class TestCompare:
         assert gap_db(math.inf, math.inf) == 0.0
         assert gap_db(math.inf, 10.0) == math.inf
         assert gap_db(12.0, 2.0) == 10.0
+
+
+class TestExitCategories:
+    """Every error class in sepmetrics.errors exits by its category base."""
+
+    CLASSES = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.SepMetricsError)
+               and c.__module__ == errors.__name__]
+
+    def test_only_the_roots_are_uncategorised(self):
+        categories = (errors.InputError, errors.PreconditionError)
+        uncategorised = {c for c in self.CLASSES if not issubclass(c, categories)}
+        assert uncategorised == {errors.SepMetricsError, errors.ConfigError}
+        assert not any(issubclass(c, errors.InputError) and issubclass(c, errors.PreconditionError)
+                       for c in self.CLASSES)
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+    def test_exit_code(self, cls, monkeypatch, capsys):
+        def raise_it(args):
+            raise cls("field", "reason") if issubclass(cls, errors.ConfigError) else cls("reason")
+
+        monkeypatch.setattr(cli, "_cmd_compare", raise_it)
+        if issubclass(cls, errors.InputError):
+            expected = 2
+        elif issubclass(cls, errors.PreconditionError):
+            expected = 3
+        else:
+            expected = 1
+        assert main(["compare", "--ref", "r.wav", "--est", "e.wav"]) == expected
+        assert capsys.readouterr().err.endswith("reason\n")

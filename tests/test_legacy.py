@@ -15,6 +15,8 @@ from sepmetrics import legacy, linalg
 from sepmetrics.errors import (
     DegenerateSourcesError,
     LengthMismatchError,
+    PreconditionError,
+    ProblemTooLargeError,
     SignalTooShortError,
     ZeroReferenceError,
 )
@@ -201,6 +203,16 @@ class TestValidation:
         sigs = [rng.standard_normal(5000) for _ in range(10)]  # 9 sources * 512 taps
         with pytest.raises(ValueError):
             fir_project(sigs[0], sigs[1], sigs[2:], FirProjectionConfig(taps=512))
+
+    def test_problem_size_cap_boundary(self, rng):
+        # 3 sources: 1365 taps are 4095 unknowns, at the cap; 1400 taps are 4200
+        x, a, b = rng.standard_normal((3, 3000))
+        est = 0.8 * x + 0.2 * a + 0.1 * b
+        d = fir_project(est, x, [a, b], FirProjectionConfig(taps=1365))
+        assert d.taps == 1365 and math.isfinite(legacy_sdr(d))
+        with pytest.raises(ProblemTooLargeError, match="4200 exceeds the cap of 4096") as info:
+            fir_project(est, x, [a, b], FirProjectionConfig(taps=1400))
+        assert isinstance(info.value, PreconditionError) and isinstance(info.value, ValueError)
 
     def test_length_mismatch(self, rng):
         with pytest.raises(LengthMismatchError):
