@@ -240,8 +240,11 @@ def mix_at_snr(clean: Signal, noise: Signal, snr_db: float,
 
     Energies are measured over the whole signal or, when ``band`` is given as
     an inclusive STFT bin range, inside that band only (the "local" SNR).
-    Returns ``(mixture, scaled_noise)``.
+    Returns ``(mixture, scaled_noise)``. ``snr_db = +inf`` adds zero noise;
+    NaN and ``-inf`` raise :class:`ConfigError`.
     """
+    if not snr_db > -np.inf:  # NaN or -inf: no finite noise gain reaches it
+        raise ConfigError("snr_db", f"must be above -inf and not NaN, got {snr_db!r}")
     if len(clean) != len(noise):
         raise LengthMismatchError(
             f"clean has {len(clean)} samples, noise has {len(noise)}"

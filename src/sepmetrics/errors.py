@@ -60,7 +60,9 @@ class ZeroTargetError(PreconditionError):
 
 
 class DegenerateSourcesError(PreconditionError):
-    """The source set is (numerically) linearly dependent beyond the jitter safeguard."""
+    """The source set is (numerically) linearly dependent beyond the jitter safeguard,
+    or a legacy projection has more delayed copies (``taps*sources``) than its
+    padded support has samples (``L + taps - 1``), which makes them dependent."""
 
 
 class CountMismatchError(PreconditionError):

@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DegenerateSourcesError,
     ProblemTooLargeError,
     SignalTooShortError,
     ZeroReferenceError,
@@ -147,7 +148,8 @@ def fir_project(estimate, reference, interferers=(),
         LengthMismatchError: signals of unequal length.
         SignalTooShortError: signals shorter than ``taps``.
         ProblemTooLargeError: a problem above the size cap (a ``ValueError``).
-        DegenerateSourcesError: Gram matrix singular beyond jitter.
+        DegenerateSourcesError: ``taps*sources`` above the padded support of
+            ``L + taps - 1`` samples, or a Gram matrix singular beyond jitter.
         ZeroReferenceError: all-zero reference.
     """
     est, *sources = prepare([estimate, reference, *interferers])
@@ -162,6 +164,9 @@ def fir_project(estimate, reference, interferers=(),
         raise ProblemTooLargeError(
             f"taps*sources = {taps * nsrc} exceeds the cap of {MAX_PROBLEM_SIZE}"
         )
+    if taps * nsrc > L + taps - 1:  # more delayed copies than dimensions: dependent
+        raise DegenerateSourcesError(f"taps*sources = {taps * nsrc} exceeds the padded "
+                                     f"support of L + taps - 1 = {L + taps - 1} samples")
 
     # Correlations are alias-free for lags < taps once the FFT length covers
     # the padded support.

@@ -60,7 +60,7 @@ def _toeplitz_norm(sq_lags: np.ndarray) -> float:
 def _block_levinson(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Block (Whittle / Wiggins-Robinson) Levinson solve of ``T x = rhs``.
 
-    ``T`` is the block-Toeplitz matrix of :func:`solve_spd`'s 3-D form, taken
+    ``T`` is the block-Toeplitz matrix of :func:`solve_spd`'s lag blocks, taken
     delay-major: block ``(a, b)`` is ``blocks[b - a]`` for ``b >= a`` and its
     transpose below. Order ``n`` keeps the forward predictor ``A``
     (``A T_n = [Pf, 0, ..., 0]``, ``A_0 = I``) and the backward one ``B``
@@ -187,7 +187,7 @@ def _levinson(column: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _block_matvec(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``T x`` for :func:`solve_spd`'s 3-D form, each block embedded in a circulant."""
+    """``T x`` for :func:`solve_spd`'s lag blocks, each block embedded in a circulant."""
     p = blocks.shape[0]
     n_fft = _next_fast_len(2 * p - 1)
     # Block (i, j) has first column blocks[:, j, i] and first row blocks[:, i, j];
@@ -200,40 +200,38 @@ def _block_matvec(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``gram @ x = rhs`` for a symmetric positive-definite Gram matrix.
+    """Solve ``T x = rhs`` for a symmetric positive-definite block-Toeplitz Gram matrix ``T``.
 
-    A 2-D ``gram`` is the matrix itself. A 3-D ``gram`` of shape ``(p, m, m)``
-    is the first block row of a symmetric block-Toeplitz matrix, given as lag
-    blocks: for ``m`` signals and delays ``0..p-1``, ``gram[d][i, j]`` is the
-    inner product of signal ``i`` with signal ``j`` delayed by ``d``. ``rhs``
-    and the result then have shape ``(m, p)`` and are ordered source-major,
-    signal ``i``'s delay ``a`` at ``[i, a]``; the matrix is the
-    ``(m p) x (m p)`` Gram matrix of that ordering, and it is never formed
-    unless the check below fails. With ``m == 1`` it is symmetric Toeplitz
-    with first column ``gram[:, 0, 0]`` and is solved by Levinson recursion:
-    :func:`_durbin` factors the column once (O(p^2) time, O(p) memory) and
-    :func:`_levinson` solves by FFTs (O(p log p)), reusing the factor while the
-    column stays exactly the same. Otherwise it is solved by block Levinson
-    recursion (Whittle; O(p^2 m^3) time, O(p m^2) memory).
+    ``gram`` of shape ``(p, m, m)`` is the first block row of ``T``, given as
+    lag blocks: for ``m`` signals and delays ``0..p-1``, ``gram[d][i, j]`` is
+    the inner product of signal ``i`` with signal ``j`` delayed by ``d``.
+    ``rhs`` and the result have shape ``(m, p)`` and are ordered source-major,
+    signal ``i``'s delay ``a`` at ``[i, a]``; ``T`` is the ``(m p) x (m p)``
+    Gram matrix of that ordering, and it is never formed unless the check
+    below fails. A plain ``m x m`` Gram matrix is one lag: ``gram[None]``
+    with ``rhs`` of shape ``(m, 1)``. With ``m == 1``, ``T`` is symmetric
+    Toeplitz with first column ``gram[:, 0, 0]`` and is solved by Levinson
+    recursion: :func:`_durbin` factors the column once (O(p^2) time, O(p)
+    memory) and :func:`_levinson` solves by FFTs (O(p log p)), reusing the
+    factor while the column stays exactly the same. Otherwise it is solved by
+    block Levinson recursion (Whittle; O(p^2 m^3) time, O(p m^2) memory).
 
     The recursion's answer is kept only if it is finite and its normwise
     backward error ``||T x - b|| / (||T||_F ||x|| + ||b||)`` is within
     Cholesky's worst-case bound (see :func:`_levinson_bound`); ``T x`` is
-    taken by circulant FFTs. Otherwise the matrix is built and solved as below.
-
-    The dense path uses a Cholesky factorization (``numpy.linalg.cholesky``
-    and two triangular substitutions). If that fails, it retries
-    once with relative jitter ``JITTER_SCALE * trace/n`` added to the
-    diagonal; failure beyond that raises :class:`DegenerateSourcesError`
-    rather than silently falling back to a pseudo-inverse.
+    taken by circulant FFTs. Otherwise ``T`` is built and Cholesky-factored
+    (``numpy.linalg.cholesky`` and two triangular substitutions). If that
+    fails, it retries once with relative jitter ``JITTER_SCALE * trace/n``
+    added to the diagonal; failure beyond that raises
+    :class:`DegenerateSourcesError` rather than silently falling back to a
+    pseudo-inverse. With ``p == 1`` and ``m > 1`` the recursion is one
+    inversion of ``gram[0]``, which does not detect an indefinite matrix.
 
     Any other ``gram.ndim`` raises ``ValueError``. The path taken is logged
     at DEBUG on the ``sepmetrics.linalg`` logger.
     """
-    if gram.ndim == 2:
-        return _solve_dense(gram, rhs)
     if gram.ndim != 3:
-        raise ValueError(f"gram must be a 2-D matrix or 3-D lag blocks, got {gram.ndim}-D")
+        raise ValueError(f"gram must be 3-D lag blocks, got {gram.ndim}-D")
     m = gram.shape[1]
     what, n = ("Levinson" if m == 1 else "block Levinson"), rhs.size
     try:
@@ -266,37 +264,22 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for i in range(m):
         for j in range(m):
             dense[i, :, j] = np.concatenate((gram[:0:-1, i, j], gram[:, j, i]))[lag]
-    return _solve_dense(dense.reshape(n, n), rhs.ravel()).reshape(rhs.shape)
-
-
-def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``gram^-1 rhs`` from the lower Cholesky factor; ``LinAlgError`` if it fails.
-
-    ``rhs`` is 1-D; the substitutions sum by :func:`_inner`.
-    """
-    low = np.linalg.cholesky(gram)
-    x = np.array(rhs, dtype=np.float64)
-    for k in range(x.shape[0]):  # L y = rhs
-        x[k] = (x[k] - _inner(low[k, :k], x[:k])) / low[k, k]
-    for k in range(x.shape[0] - 1, -1, -1):  # L^T x = y
-        x[k] = (x[k] - _inner(low[k + 1:, k], x[k + 1:])) / low[k, k]
-    return x
-
-
-def _solve_dense(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve with one jitter retry (see :func:`solve_spd`)."""
+    dense = dense.reshape(n, n)
     try:
-        x = _cholesky_solve(gram, rhs)
-        _log.debug("solve_spd: Cholesky (n=%d)", gram.shape[0])
-        return x
+        low = np.linalg.cholesky(dense)
+        _log.debug("solve_spd: Cholesky (n=%d)", n)
     except np.linalg.LinAlgError:
-        pass
-    n = gram.shape[0]
-    jitter = JITTER_SCALE * np.trace(gram) / n
-    _log.debug("solve_spd: Cholesky failed (n=%d); jitter retry with %.3g", n, jitter)
-    try:
-        return _cholesky_solve(gram + jitter * np.eye(n), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSourcesError(
-            f"source Gram matrix ({n}x{n}) is singular beyond jitter {jitter:g}"
-        ) from exc
+        jitter = JITTER_SCALE * np.trace(dense) / n
+        _log.debug("solve_spd: Cholesky failed (n=%d); jitter retry with %.3g", n, jitter)
+        try:
+            low = np.linalg.cholesky(dense + jitter * np.eye(n))
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateSourcesError(
+                f"source Gram matrix ({n}x{n}) is singular beyond jitter {jitter:g}"
+            ) from exc
+    x = np.array(rhs, dtype=np.float64).ravel()  # a copy; the substitutions sum by _inner
+    for k in range(n):  # L y = rhs
+        x[k] = (x[k] - _inner(low[k, :k], x[:k])) / low[k, k]
+    for k in range(n - 1, -1, -1):  # L^T x = y
+        x[k] = (x[k] - _inner(low[k + 1:, k], x[k + 1:])) / low[k, k]
+    return x.reshape(rhs.shape)

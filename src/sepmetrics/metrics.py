@@ -182,7 +182,10 @@ def decompose(reference, estimate, interferers=()) -> Decomposition:
 
     ``e_interf`` is the orthogonal projection of the residual
     ``estimate - alpha*reference`` onto the span of the reference and all
-    interferers, obtained by solving the sources' Gram system.
+    interferers. Its coefficients solve the sources' Gram system, passed to
+    :func:`~sepmetrics.linalg.solve_spd` as one lag block: block Levinson
+    recursion (one step, the inverse of the Gram matrix), its backward-error
+    check, and Cholesky plus one jitter retry if the check fails.
 
     Raises:
         ZeroReferenceError: all-zero reference.
@@ -199,9 +202,9 @@ def decompose(reference, estimate, interferers=()) -> Decomposition:
     if others:
         basis = np.stack([ref, *others])  # one row per source
         # numpy einsum, not BLAS products: the same bits at any BLAS thread count
-        coeffs = solve_spd(np.einsum("in,jn->ij", basis, basis),
-                           np.einsum("in,n->i", basis, e_res))
-        e_interf = np.einsum("i,in->n", coeffs, basis)
+        coeffs = solve_spd(np.einsum("in,jn->ij", basis, basis)[None],
+                           np.einsum("in,n->i", basis, e_res)[:, None])
+        e_interf = np.einsum("i,in->n", coeffs[:, 0], basis)
     else:
         # The residual is orthogonal to the reference by construction, so the
         # projection onto span{reference} vanishes identically.

@@ -21,6 +21,7 @@ from sepmetrics.dsp import (
     white_noise,
 )
 from sepmetrics.errors import (
+    ConfigError,
     LengthMismatchError,
     SampleRateMismatchError,
     SignalTooShortError,
@@ -304,6 +305,18 @@ class TestMixAtSnr:
     def test_sample_rate_mismatch(self):
         with pytest.raises(SampleRateMismatchError, match="16000 Hz vs 8000 Hz"):
             mix_at_snr(white_noise(100, 1), white_noise(100, 0, 8000), 0.0)
+
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+    def test_unreachable_snr_rejected(self, snr_db):
+        with pytest.raises(ConfigError, match="^snr_db: must be above -inf and not NaN") as info:
+            mix_at_snr(white_noise(100, 1), white_noise(100, 0), snr_db)
+        assert info.value.field == "snr_db"
+
+    def test_infinite_snr_adds_no_noise(self):
+        clean = white_noise(100, 1)
+        mixture, scaled = mix_at_snr(clean, white_noise(100, 0), math.inf)
+        assert not scaled.samples.any()
+        np.testing.assert_array_equal(mixture.samples, clean.samples)
 
 
 class TestBandCenter:

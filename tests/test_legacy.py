@@ -214,6 +214,20 @@ class TestValidation:
             fir_project(est, x, [a, b], FirProjectionConfig(taps=1400))
         assert isinstance(info.value, PreconditionError) and isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("taps", [800, 1000, 1365])
+    def test_more_delayed_copies_than_support_raises(self, taps):
+        # 3 * taps > 1600 + taps - 1: the Gram matrix is singular, the split arbitrary
+        x, a, b = np.random.default_rng(0).standard_normal((3, 1600))
+        with pytest.raises(DegenerateSourcesError, match=f"{3 * taps} exceeds the padded "
+                           f"support of L \\+ taps - 1 = {1599 + taps} samples"):
+            fir_project(x + a + b, x, [a, b], FirProjectionConfig(taps=taps))
+
+    def test_delayed_copies_within_support_score(self):
+        # 3 * 733 = 2199 <= 1600 + 733 - 1 = 2332
+        x, a, b = np.random.default_rng(0).standard_normal((3, 1600))
+        d = fir_project(0.8 * x + 0.2 * a + 0.1 * b, x, [a, b], FirProjectionConfig(taps=733))
+        assert d.taps == 733 and math.isfinite(legacy_sdr(d))
+
     def test_length_mismatch(self, rng):
         with pytest.raises(LengthMismatchError):
             fir_project(rng.standard_normal(100), rng.standard_normal(99))
@@ -368,6 +382,8 @@ def test_multi_source_scores_do_not_depend_on_blas_threads():
         outputs.append(subprocess.run([sys.executable, "-c", _MULTI_SOURCE_LEGACY], env=env,
                                       check=True, capture_output=True, text=True).stdout)
     assert outputs[0].count("solve_spd: block Levinson (n=768") == 4
+    # decompose's Gram matrix goes in as one lag block of 3 sources
+    assert outputs[0].count("solve_spd: block Levinson (n=3,") == 4
     assert outputs[0] == outputs[1]
 
 

@@ -18,7 +18,7 @@ def autocorrelation_column(rng, taps, length=400):
 
 
 def cholesky_answer(gram, rhs):
-    """The dense path's answer, bit for bit: the same numpy calls as ``linalg._cholesky_solve``."""
+    """The dense fallback's answer, bit for bit: the same numpy calls as ``solve_spd``'s."""
     low = np.linalg.cholesky(gram)
     x = np.array(rhs, dtype=np.float64)
     for k in range(x.size):
@@ -84,6 +84,8 @@ class TestToeplitzPath:
     def test_bare_column_rejected(self, rng):
         with pytest.raises(ValueError, match="got 1-D"):
             solve_spd(autocorrelation_column(rng, 8)[:, 0, 0], rng.standard_normal(8))
+        with pytest.raises(ValueError, match="got 2-D"):  # a plain matrix is gram[None]
+            solve_spd(np.eye(2), np.ones(2))
 
 
 def hard_signal(kind, length=4000):
@@ -232,15 +234,6 @@ class TestBlockToeplitzPath:
 
 
 class TestLogging:
-    def test_dense_cholesky_logged(self, debug_log):
-        solve_spd(np.array([[2.0, 1.0], [1.0, 2.0]]), np.ones(2))
-        assert messages(debug_log) == ["solve_spd: Cholesky (n=2)"]
-
-    def test_dense_jitter_retry_logged(self, debug_log):
-        solve_spd(np.ones((2, 2)), np.ones(2))
-        assert messages(debug_log) == [
-            "solve_spd: Cholesky failed (n=2); jitter retry with 1e-12"]
-
     def test_silent_by_default(self):
         handlers = logging.getLogger("sepmetrics").handlers
         assert any(isinstance(h, logging.NullHandler) for h in handlers)

@@ -314,9 +314,10 @@ class TestDecompose:
 
     def test_solver_raises_beyond_jitter(self):
         from sepmetrics.linalg import solve_spd
-        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        # [[1, 2], [2, 1]] as the Toeplitz column [1, 2], which Levinson-Durbin rejects
+        indefinite = np.array([1.0, 2.0])[:, None, None]
         with pytest.raises(DegenerateSourcesError):
-            solve_spd(indefinite, np.ones(2))
+            solve_spd(indefinite, np.ones((1, 2)))
 
     def test_zero_target_errors(self):
         d = decompose([1.0, 0.0], [0.0, 1.0])
