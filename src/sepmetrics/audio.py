@@ -195,17 +195,16 @@ def format_cell(value) -> str:
     return f"{x:.9g}"
 
 
-def rows_to_csv(rows, columns: list[str] | None = None) -> str:
+def rows_to_csv(rows) -> str:
     """Render records as CSV text (header + rows, '\\n' line endings).
 
-    Raises ValueError when rows disagree on their column set, or when the
-    columns cannot be inferred from an empty row set.
+    The header is the first row's key order. Raises ValueError when rows
+    disagree on their column set, or when there are no rows to take it from.
     """
     rows = list(rows)
-    if columns is None:
-        if not rows:
-            raise ValueError("cannot infer columns from an empty row set")
-        columns = list(rows[0].keys())
+    if not rows:
+        raise ValueError("cannot infer columns from an empty row set")
+    columns = list(rows[0].keys())
     lines = [",".join(columns)]
     for i, row in enumerate(rows):
         if set(row.keys()) != set(columns):
@@ -214,19 +213,19 @@ def rows_to_csv(rows, columns: list[str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(rows, path: str, columns: list[str] | None = None) -> None:
+def write_csv(rows, path: str) -> None:
     """Write records as UTF-8 comma-separated values with a header row.
 
     Args:
-        rows: sequence of mappings sharing one column set.
+        rows: non-empty sequence of mappings sharing one column set; the
+            header is the first row's key order.
         path: output file.
-        columns: explicit column order; defaults to the first row's key order.
 
     Raises:
         IoError: on I/O failure.
-        ValueError: when rows disagree on their column set.
+        ValueError: when rows are empty or disagree on their column set.
     """
-    text = rows_to_csv(rows, columns)
+    text = rows_to_csv(rows)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -60,9 +60,9 @@ class ZeroTargetError(PreconditionError):
 
 
 class DegenerateSourcesError(PreconditionError):
-    """The source set is (numerically) linearly dependent beyond the jitter safeguard,
-    or a legacy projection has more delayed copies (``taps*sources``) than its
-    padded support has samples (``L + taps - 1``), which makes them dependent."""
+    """A source Gram system misses Cholesky's backward-error bound even solved on
+    its numerical rank, or a legacy projection has more delayed copies
+    (``taps*sources``) than its padded support has samples (``L + taps - 1``)."""
 
 
 class CountMismatchError(PreconditionError):

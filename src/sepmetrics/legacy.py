@@ -18,13 +18,14 @@ Solvers: the normal equations are block Toeplitz and reach
 cross-correlations, whatever the number of sources. It solves them by
 Levinson recursion (scalar for the reference alone, block with interferers),
 O(taps^2 sources^3) time and O(taps sources^2) memory, checks the answer
-against Cholesky's backward-error bound, and forms and Cholesky-factors the
-Gram matrix only if the check fails. The scalar recursion factors the
-reference's autocorrelation once and solves each estimate by FFTs, reusing
-the factor while the autocorrelation stays exactly the same. The last
-reference's spectrum and autocorrelation are kept in a private one-entry
-plan, reused only for an exactly equal reference and ``taps`` (see
-:func:`fir_project`). Everything here runs on numpy alone.
+against Cholesky's backward-error bound, and forms the Gram matrix and solves
+it on its numerical rank by pivoted Cholesky only if the check fails, as for
+dependent sources. The scalar recursion factors the reference's
+autocorrelation once and solves each estimate by FFTs, reusing the factor
+while the autocorrelation stays exactly the same. The last reference's
+spectrum and autocorrelation are kept in a private one-entry plan, reused
+only for an exactly equal reference and ``taps`` (see :func:`fir_project`).
+Everything but that pivoted Cholesky runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -136,8 +137,9 @@ def fir_project(estimate, reference, interferers=(),
     nonzero finite sequences is nonzero (its last nonzero sample is the
     product of their last nonzero samples). If the recursion fails its
     backward-error check, the ``(taps*sources)^2`` matrix is built and solved
-    by Cholesky plus one jitter retry, so ``taps*sources`` is kept within
-    ``MAX_PROBLEM_SIZE``.
+    on its numerical rank by pivoted Cholesky, so ``taps*sources`` is kept
+    within ``MAX_PROBLEM_SIZE``. For dependent sources ``s_target + e_interf``
+    is unique, its split is not.
 
     The reference's spectrum and autocorrelation live in a private one-entry
     plan, reused only if ``taps`` matches and the prepared reference is
@@ -149,7 +151,7 @@ def fir_project(estimate, reference, interferers=(),
         SignalTooShortError: signals shorter than ``taps``.
         ProblemTooLargeError: a problem above the size cap (a ``ValueError``).
         DegenerateSourcesError: ``taps*sources`` above the padded support of
-            ``L + taps - 1`` samples, or a Gram matrix singular beyond jitter.
+            ``L + taps - 1`` samples, or a Gram matrix indefinite to working precision.
         ZeroReferenceError: all-zero reference.
     """
     est, *sources = prepare([estimate, reference, *interferers])

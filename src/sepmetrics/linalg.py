@@ -11,9 +11,6 @@ from .errors import DegenerateSourcesError
 
 _log = logging.getLogger(__name__)
 
-# Relative diagonal jitter applied once when a Gram matrix fails to factor.
-JITTER_SCALE = 1e-12
-
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
@@ -39,9 +36,9 @@ def _levinson_bound(n: int) -> float:
     the residual ``b - T x = dT x`` obeys
     ``||b - T x|| <= sqrt(n) gamma(3n+1) ||T||_F ||x||``, and the normwise
     backward error is at most ``sqrt(n) gamma(3n+1)``. This holds for any SPD
-    matrix, Toeplitz or block Toeplitz alike. A Levinson solution within that
-    bound is as backward stable as Cholesky guarantees to be; the rounding of
-    the FFT residual (``O(u log n)`` relative) is far below it.
+    matrix, (block) Toeplitz or symmetrically permuted by pivoting alike. An
+    answer within that bound is as backward stable as Cholesky guarantees to
+    be; the rounding of the FFT residual (``O(u log n)`` relative) is far below it.
     """
     m = (3 * n + 1) * _UNIT_ROUNDOFF
     return math.sqrt(n) * m / (1.0 - m)
@@ -199,8 +196,19 @@ def _block_matvec(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.fft.irfft(prod, n_fft)[:, :p]
 
 
+def _backward_error(gram: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> float:
+    """``||T x - b|| / (||T||_F ||x|| + ||b||)``, ``T x`` by FFTs; NaN for a non-finite operand."""
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all() and np.isfinite(x).all()):
+        return math.nan
+    residual = rhs - _block_matvec(gram, x)
+    norm_t = _toeplitz_norm(np.einsum("kij,kij->k", gram, gram))
+    scale = norm_t * math.sqrt(_inner(x.ravel())) + math.sqrt(_inner(rhs.ravel()))
+    # scale is 0 only for rhs = x = 0, which is solved exactly.
+    return math.sqrt(_inner(residual.ravel())) / scale if scale else 0.0
+
+
 def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``T x = rhs`` for a symmetric positive-definite block-Toeplitz Gram matrix ``T``.
+    """Solve ``T x = rhs`` for a positive-semidefinite block-Toeplitz Gram matrix ``T``.
 
     ``gram`` of shape ``(p, m, m)`` is the first block row of ``T``, given as
     lag blocks: for ``m`` signals and delays ``0..p-1``, ``gram[d][i, j]`` is
@@ -214,72 +222,63 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     recursion: :func:`_durbin` factors the column once (O(p^2) time, O(p)
     memory) and :func:`_levinson` solves by FFTs (O(p log p)), reusing the
     factor while the column stays exactly the same. Otherwise it is solved by
-    block Levinson recursion (Whittle; O(p^2 m^3) time, O(p m^2) memory).
+    block Levinson recursion (Whittle; O(p^2 m^3) time, O(p m^2) memory);
+    with ``p == 1`` that is one inversion of ``gram[0]``.
 
-    The recursion's answer is kept only if it is finite and its normwise
-    backward error ``||T x - b|| / (||T||_F ||x|| + ||b||)`` is within
-    Cholesky's worst-case bound (see :func:`_levinson_bound`); ``T x`` is
-    taken by circulant FFTs. Otherwise ``T`` is built and Cholesky-factored
-    (``numpy.linalg.cholesky`` and two triangular substitutions). If that
-    fails, it retries once with relative jitter ``JITTER_SCALE * trace/n``
-    added to the diagonal; failure beyond that raises
-    :class:`DegenerateSourcesError` rather than silently falling back to a
-    pseudo-inverse. With ``p == 1`` and ``m > 1`` the recursion is one
-    inversion of ``gram[0]``, which does not detect an indefinite matrix.
+    Every answer is held to one check: its normwise backward error
+    (:func:`_backward_error`) must be within Cholesky's worst-case bound
+    (:func:`_levinson_bound`). If the recursion breaks down or its answer
+    fails the check, ``T`` is built and factored in place by LAPACK
+    ``dpstrf``, Cholesky with diagonal pivoting, which stops at the first
+    pivot below its default tolerance ``n u max(diag T)``. The leading
+    ``rank`` pivots are solved by two triangular substitutions and the rest
+    get zero coefficients: for dependent signals, one of many exact answers
+    that differ only in the null space of ``T`` and so give one projection.
+    A dense answer that fails the check (an indefinite ``T``) raises
+    :class:`DegenerateSourcesError`. A non-finite input has a NaN backward
+    error and its answer is returned, for the metrics' ``NonFiniteError``.
 
     Any other ``gram.ndim`` raises ``ValueError``. The path taken is logged
     at DEBUG on the ``sepmetrics.linalg`` logger.
     """
     if gram.ndim != 3:
         raise ValueError(f"gram must be 3-D lag blocks, got {gram.ndim}-D")
-    m = gram.shape[1]
+    p, m, _ = gram.shape
     what, n = ("Levinson" if m == 1 else "block Levinson"), rhs.size
+    bound = _levinson_bound(n)
     try:
-        if m == 1:
-            x = _levinson(gram[:, 0, 0], rhs[0])[None]
-        else:
-            x = _block_levinson(gram, rhs)
+        x = _levinson(gram[:, 0, 0], rhs[0])[None] if m == 1 else _block_levinson(gram, rhs)
     except np.linalg.LinAlgError as exc:
         _log.debug("solve_spd: %s failed (n=%d: %s); using Cholesky", what, n, exc)
     else:
-        if np.all(np.isfinite(x)):
-            residual = rhs - _block_matvec(gram, x)
-            norm_t = _toeplitz_norm(np.einsum("kij,kij->k", gram, gram))
-            scale = norm_t * math.sqrt(_inner(x.ravel())) + math.sqrt(_inner(rhs.ravel()))
-            # scale is 0 only for rhs = x = 0, which is solved exactly.
-            error = math.sqrt(_inner(residual.ravel())) / scale if scale else 0.0
-            bound = _levinson_bound(n)
-            if error <= bound:
-                _log.debug("solve_spd: %s (n=%d, backward error %.3g)", what, n, error)
-                return x
-            _log.debug("solve_spd: %s rejected (n=%d, backward error %.3g > %.3g); "
-                       "using Cholesky", what, n, error, bound)
-        else:
-            _log.debug("solve_spd: %s gave non-finite values (n=%d); using Cholesky", what, n)
+        error = _backward_error(gram, rhs, x)
+        if error <= bound:
+            _log.debug("solve_spd: %s (n=%d, backward error %.3g)", what, n, error)
+            return x
+        _log.debug("solve_spd: %s rejected (n=%d, backward error %.3g > %.3g); "
+                   "using Cholesky", what, n, error, bound)
+    from scipy.linalg.lapack import dpstrf  # only this rare path loads scipy
+
     # Block (i, j) is Toeplitz with first column gram[:, j, i] and first row
     # gram[:, i, j]: entry (a, b) is [row reversed, column][p - 1 + a - b].
-    p = gram.shape[0]
     lag = np.subtract.outer(np.arange(p - 1, 2 * p - 1), np.arange(p))
     dense = np.empty((m, p, m, p))
     for i in range(m):
         for j in range(m):
             dense[i, :, j] = np.concatenate((gram[:0:-1, i, j], gram[:, j, i]))[lag]
-    dense = dense.reshape(n, n)
-    try:
-        low = np.linalg.cholesky(dense)
-        _log.debug("solve_spd: Cholesky (n=%d)", n)
-    except np.linalg.LinAlgError:
-        jitter = JITTER_SCALE * np.trace(dense) / n
-        _log.debug("solve_spd: Cholesky failed (n=%d); jitter retry with %.3g", n, jitter)
-        try:
-            low = np.linalg.cholesky(dense + jitter * np.eye(n))
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateSourcesError(
-                f"source Gram matrix ({n}x{n}) is singular beyond jitter {jitter:g}"
-            ) from exc
-    x = np.array(rhs, dtype=np.float64).ravel()  # a copy; the substitutions sum by _inner
-    for k in range(n):  # L y = rhs
-        x[k] = (x[k] - _inner(low[k, :k], x[:k])) / low[k, k]
-    for k in range(n - 1, -1, -1):  # L^T x = y
-        x[k] = (x[k] - _inner(low[k + 1:, k], x[k + 1:])) / low[k, k]
-    return x.reshape(rhs.shape)
+    # T is exactly symmetric: its transpose is T in the Fortran order LAPACK overwrites.
+    low, piv, rank, _ = dpstrf(dense.reshape(n, n).T, lower=1, overwrite_a=1)
+    order = piv[:rank] - 1
+    y = np.asarray(rhs, dtype=np.float64).ravel()[order]  # a copy; the substitutions sum by _inner
+    for k in range(rank):  # L z = P^T rhs
+        y[k] = (y[k] - _inner(low[k, :k], y[:k])) / low[k, k]
+    for k in range(rank - 1, -1, -1):  # L^T (P^T x) = z
+        y[k] = (y[k] - _inner(low[k + 1:rank, k], y[k + 1:])) / low[k, k]
+    x = np.zeros(rhs.shape)
+    x.flat[order] = y
+    error = _backward_error(gram, rhs, x)
+    _log.debug("solve_spd: Cholesky (n=%d, rank %d, backward error %.3g)", n, rank, error)
+    if error > bound:  # False for NaN: a non-finite input passes through
+        raise DegenerateSourcesError(f"source Gram matrix ({n}x{n}) solved at rank {rank} "
+                                     f"misses the backward-error bound: {error:.3g} > {bound:.3g}")
+    return x

@@ -185,11 +185,11 @@ def decompose(reference, estimate, interferers=()) -> Decomposition:
     interferers. Its coefficients solve the sources' Gram system, passed to
     :func:`~sepmetrics.linalg.solve_spd` as one lag block: block Levinson
     recursion (one step, the inverse of the Gram matrix), its backward-error
-    check, and Cholesky plus one jitter retry if the check fails.
+    check, and rank-revealing pivoted Cholesky if the check fails.
 
     Raises:
         ZeroReferenceError: all-zero reference.
-        DegenerateSourcesError: the source set is linearly dependent.
+        DegenerateSourcesError: a Gram matrix indefinite to working precision.
         LengthMismatchError: signals of unequal length.
     """
     ref, est, *others = prepare([reference, estimate, *interferers])

@@ -20,3 +20,21 @@ def short_speech():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+_DEPENDENT = {
+    "zero": lambda s, r: ([np.zeros_like(s)], []),
+    "duplicated": lambda s, r: ([s.copy()], []),
+    "scaled": lambda s, r: ([3.0 * s], []),
+    "duplicated_and_independent": lambda s, r: ([s.copy(), r], [r]),
+}
+
+
+@pytest.fixture(params=sorted(_DEPENDENT))
+def dependent(request):
+    """``(s, r) -> (interferers, independent)`` for interferers linearly dependent on ``s``.
+
+    ``[s] + interferers`` spans what ``[s] + independent`` spans, so every
+    projection onto the sources is the same for both lists.
+    """
+    return _DEPENDENT[request.param]

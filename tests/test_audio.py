@@ -245,11 +245,11 @@ class TestCsv:
         text = rows_to_csv([{"a": math.inf, "b": -math.inf, "c": math.nan}])
         assert text == "a,b,c\ninf,-inf,nan\n"
 
-    def test_header_only(self, tmp_path):
-        path = str(tmp_path / "h.csv")
-        write_csv([], path, columns=["x", "y"])
-        with open(path) as fh:
-            assert fh.read() == "x,y\n"
+    def test_empty_rows_rejected(self, tmp_path):
+        path = tmp_path / "h.csv"
+        with pytest.raises(ValueError, match="empty row set"):
+            write_csv([], str(path))
+        assert not path.exists()
 
     def test_nine_significant_digits(self):
         assert format_cell(math.pi) == "3.14159265"

@@ -326,20 +326,21 @@ class TestBlockLevinsonAgainstDense:
         for metric in (legacy_sdr, legacy_sir, legacy_sar):
             assert metric(fast) == pytest.approx(metric(dense), abs=1e-9)
 
-    def test_duplicated_interferer_goes_to_jitter_or_raises(self, caplog):
-        sources, est = speech_mix(1)
-        caplog.set_level(logging.DEBUG, logger="sepmetrics.linalg")
-        try:
-            d = fir_project(est, sources[0], [sources[0].copy()], FirProjectionConfig(taps=16))
-        except DegenerateSourcesError:
-            d = None
-        paths = solver_paths(caplog)
-        assert paths[0].startswith("solve_spd: block Levinson") and len(paths) == 2
-        assert paths[1] == "solve_spd: Cholesky failed"
-        if d is not None:  # span{s, s} = span{s}: the split may be arbitrary, the sum is not
-            lone = fir_project(est, sources[0], cfg=FirProjectionConfig(taps=16))
-            np.testing.assert_allclose(d.s_target + d.e_interf, lone.s_target,
-                                       atol=1e-6 * np.linalg.norm(lone.s_target))
+    @pytest.mark.parametrize("taps", [1, 16, 64])
+    def test_dependent_interferers_project_uniquely(self, dependent, taps):
+        # Only P_all(est) = s_target + e_interf and the SAR are unique; the
+        # split between dependent sources is not.
+        (s, r), est = speech_mix(1)
+        interferers, independent = dependent(s, r)
+        cfg = FirProjectionConfig(taps=taps)
+        d = fir_project(est, s, interferers, cfg)
+        lone = fir_project(est, s, independent, cfg)
+        want = lone.s_target + lone.e_interf
+        np.testing.assert_allclose(d.s_target + d.e_interf, want,
+                                   rtol=0, atol=1e-12 * np.abs(want).max())
+        assert legacy_sar(d) == pytest.approx(legacy_sar(lone), abs=1e-9)
+        if not independent:
+            assert legacy_sar(d) == pytest.approx(legacy_sdr(lone), abs=1e-9)
 
     def test_peak_memory_is_linear_in_taps(self):
         sources, est = speech_mix(2, seconds=2.0)

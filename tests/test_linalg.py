@@ -18,14 +18,17 @@ def autocorrelation_column(rng, taps, length=400):
 
 
 def cholesky_answer(gram, rhs):
-    """The dense fallback's answer, bit for bit: the same numpy calls as ``solve_spd``'s."""
-    low = np.linalg.cholesky(gram)
-    x = np.array(rhs, dtype=np.float64)
-    for k in range(x.size):
-        x[k] = (x[k] - np.einsum("i,i->", low[k, :k], x[:k])) / low[k, k]
-    for k in range(x.size - 1, -1, -1):
-        x[k] = (x[k] - np.einsum("i,i->", low[k + 1:, k], x[k + 1:])) / low[k, k]
-    return x
+    """The dense fallback's answer, bit for bit: ``solve_spd``'s calls, ``dpstrf`` on a copy."""
+    low, piv, rank, _ = scipy.linalg.lapack.dpstrf(gram, lower=1)
+    order = piv[:rank] - 1
+    y = np.asarray(rhs, dtype=np.float64).ravel()[order]
+    for k in range(rank):
+        y[k] = (y[k] - np.einsum("i,i->", low[k, :k], y[:k])) / low[k, k]
+    for k in range(rank - 1, -1, -1):
+        y[k] = (y[k] - np.einsum("i,i->", low[k + 1:rank, k], y[k + 1:])) / low[k, k]
+    x = np.zeros(np.size(rhs))
+    x[order] = y
+    return x.reshape(np.shape(rhs))
 
 
 def dense_answer(column, rhs):
@@ -63,23 +66,26 @@ class TestToeplitzPath:
         np.testing.assert_array_equal(x, dense_answer(column, rhs))
         rejected, cholesky = messages(debug_log)
         assert rejected.startswith("solve_spd: Levinson rejected (n=64, backward error")
-        assert cholesky == "solve_spd: Cholesky (n=64)"
+        assert cholesky.startswith("solve_spd: Cholesky (n=64, rank 64, backward error")
 
     def test_non_finite_levinson_falls_back(self, rng, monkeypatch, debug_log):
         column = autocorrelation_column(rng, 8)
         rhs = rng.standard_normal((1, 8))
         monkeypatch.setattr(linalg, "_levinson", lambda c, b: np.full(8, np.inf))
         np.testing.assert_array_equal(solve_spd(column, rhs), dense_answer(column, rhs))
-        assert "non-finite" in messages(debug_log)[0]
+        assert messages(debug_log)[0].startswith(
+            "solve_spd: Levinson rejected (n=8, backward error nan >")
 
-    def test_singular_minor_goes_to_jitter_retry(self, debug_log):
-        # [[1, 1], [1, 1]]: Levinson hits a zero pivot, Cholesky too, the
-        # jittered matrix factors.
-        x = solve_spd(np.ones((2, 1, 1)), np.ones((1, 2)))
-        assert np.all(np.isfinite(x))
-        failed, retry = messages(debug_log)
+    def test_singular_matrix_solves_at_rank_one(self, debug_log):
+        # [[1, 1], [1, 1]]: Levinson hits a zero pivot; pivoted Cholesky finds
+        # rank 1 and solves on one pivot.
+        gram, rhs = np.ones((2, 1, 1)), np.ones((1, 2))
+        x = solve_spd(gram, rhs)
+        np.testing.assert_array_equal(np.sort(x.ravel()), [0.0, 1.0])
+        assert linalg._backward_error(gram, rhs, x) <= linalg._levinson_bound(2)
+        failed, cholesky = messages(debug_log)
         assert failed.startswith("solve_spd: Levinson failed (n=2")
-        assert retry == "solve_spd: Cholesky failed (n=2); jitter retry with 1e-12"
+        assert cholesky.startswith("solve_spd: Cholesky (n=2, rank 1, backward error")
 
     def test_bare_column_rejected(self, rng):
         with pytest.raises(ValueError, match="got 1-D"):
@@ -213,11 +219,11 @@ class TestBlockToeplitzPath:
         np.testing.assert_array_equal(x, dense_block_answer(blocks, rhs))
         rejected, cholesky = messages(debug_log)
         assert rejected.startswith("solve_spd: block Levinson rejected (n=96, backward error")
-        assert cholesky == "solve_spd: Cholesky (n=96)"
+        assert cholesky.startswith("solve_spd: Cholesky (n=96, rank 96, backward error")
 
     @pytest.mark.parametrize("broken, logged", [
         (np.linalg.LinAlgError("disabled"), "solve_spd: block Levinson failed (n=40: disabled)"),
-        (np.full((2, 20), np.nan), "solve_spd: block Levinson gave non-finite values (n=40)"),
+        (np.full((2, 20), np.nan), "solve_spd: block Levinson rejected (n=40, backward error nan"),
     ])
     def test_failed_recursion_falls_back_to_dense(self, system, monkeypatch, debug_log,
                                                    broken, logged):

@@ -297,20 +297,20 @@ class TestDecompose:
         with pytest.raises(ValueError):
             _ = orth.beta
 
-    def test_duplicated_source_still_projects_or_raises(self, rng):
-        # An exactly collinear interferer makes the Gram singular. Whether the
-        # factorization fails before or after the jitter retry depends on the
-        # platform; the contract is: raise, or return the correct projection.
-        s = rng.standard_normal(32)
-        est = rng.standard_normal(32)
-        try:
-            d = decompose(s, est, [2.0 * s])
-        except DegenerateSourcesError:
-            return
-        span = decompose(s, est, [s + 0.5 * rng.standard_normal(32)])
-        del span  # independent-source case must also work
-        # span{s, 2s} = span{s} and e_res is orthogonal to s, so e_interf ~ 0
-        assert np.linalg.norm(d.e_interf) <= 1e-8 * np.linalg.norm(d.e_res)
+    @pytest.mark.parametrize("length", [32, 1000])
+    def test_dependent_sources_project_uniquely(self, rng, dependent, length):
+        # The Gram matrix is singular, but the projection onto the sources'
+        # span is unique: the scores equal those of the independent sources.
+        s, r, est = rng.standard_normal((3, length))
+        interferers, independent = dependent(s, r)
+        d = decompose(s, est, interferers)
+        if independent:
+            lone = decompose(s, est, independent)
+            assert si_sir(d) == pytest.approx(si_sir(lone), abs=1e-9)
+            assert si_sar(d) == pytest.approx(si_sar(lone), abs=1e-9)
+        else:  # the span adds nothing to span{s}, to which e_res is orthogonal
+            assert np.linalg.norm(d.e_interf) <= 1e-12 * np.linalg.norm(d.e_res)
+            assert si_sar(d) == pytest.approx(si_sdr(s, est), abs=1e-9)
 
     def test_solver_raises_beyond_jitter(self):
         from sepmetrics.linalg import solve_spd
