@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 
@@ -93,8 +94,13 @@ def _block_levinson(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+@functools.lru_cache
 def _next_fast_len(n: int) -> int:
-    """Smallest 5-smooth number (``2^a 3^b 5^c``) at least ``n``: a fast FFT length."""
+    """Smallest 5-smooth number (``2^a 3^b 5^c``) at least ``n``: a fast FFT length.
+
+    A pure-Python double loop that runs several times per projection with a
+    few distinct sizes, so the last 128 answers are kept.
+    """
     best = 1 << (n - 1).bit_length()
     p5 = 1
     while p5 < best:

@@ -11,7 +11,7 @@ import pytest
 import scipy.fft
 from scipy.signal import fftconvolve
 
-from sepmetrics import legacy, linalg
+from sepmetrics import legacy, linalg, metrics
 from sepmetrics.errors import (
     DegenerateSourcesError,
     LengthMismatchError,
@@ -266,6 +266,142 @@ class TestLstsqOracle:
 
         for got, want in ((d.s_target, target), (d.e_interf, interf), (d.e_artif, artif)):
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+_INTERFERERS = {
+    "none": lambda s, r: [],
+    "one": lambda s, r: [r[0]],
+    "two": lambda s, r: [r[0], r[1]],
+    "duplicated": lambda s, r: [s.copy()],
+    "scaled": lambda s, r: [3.0 * s],
+}
+
+
+def vector_energies(d):
+    """The five energies of the explicitly read vectors."""
+    t, i, a = d.s_target, d.e_interf, d.e_artif
+    return {"target": linalg._inner(t), "interf": linalg._inner(i), "artif": linalg._inner(a),
+            "distortion": linalg._inner(i + a), "projected": linalg._inner(t + i)}
+
+
+DOCUMENTED_CUTOFF = 1e4
+
+
+def ruled_to_vectors(d, est, sources, energies):
+    """Per energy, True if the documented cutoff rule sends it to the vectors, False
+    if it keeps the scalar form, None within a factor of 2 of the cutoff.
+
+    The rule from ``fir_project``'s docstring: with ``sigma^2`` the peak of the
+    sources' summed power spectra, each term is bounded by ``sqrt(E)`` and
+    ``sigma ||h||``, and an energy is kept while its bound is at most 1e4 times it.
+    """
+    taps = d.taps
+    n_fft = scipy.fft.next_fast_len(est.size + taps - 1, real=True)
+    power = np.cumsum([np.abs(np.fft.rfft(s, n_fft)) ** 2 for s in sources], axis=0)
+    h = d.projection_filters
+    ref_bound = math.sqrt(power[0].max() * np.sum(h[0] ** 2))
+    bound = math.sqrt(power[-1].max() * np.sum(np.concatenate(h) ** 2))
+    e = math.sqrt(np.sum(est ** 2))
+    bounds = {"target": ref_bound ** 2, "projected": bound ** 2, "artif": (e + bound) ** 2,
+              "distortion": (e + ref_bound) ** 2, "interf": (bound + ref_bound) ** 2}
+    out = {}
+    for part, value in energies.items():
+        if part == "interf" and len(sources) == 1:
+            out[part] = False  # exactly zero without interferers, never from the vectors
+        elif value <= 0.0 or bounds[part] > 2 * DOCUMENTED_CUTOFF * value:
+            out[part] = True
+        elif bounds[part] < DOCUMENTED_CUTOFF / 2 * value:
+            out[part] = False
+        else:
+            out[part] = None
+    return out
+
+
+class TestScoresFromNormalEquations:
+    """Scores from the normal equations against the energies of the explicit vectors."""
+
+    @pytest.mark.parametrize("interf", sorted(_INTERFERERS))
+    @pytest.mark.parametrize("taps", [1, 16, 512])
+    @pytest.mark.parametrize("level_db", [-10, 0, 20, 40, 60, 100])
+    def test_match_the_vectors(self, level_db, taps, interf, caplog):
+        rng = np.random.default_rng(1000 * (level_db + 10) + taps)
+        s, *others = (speech_like(0.5, 16000, seed).samples for seed in (30, 31, 32))
+        sources = [s] + _INTERFERERS[interf](s, others)
+        # A short filter lies in the span at every tap count; everything else
+        # is scaled to level_db below it, so the lone-reference SDR spans -10 to 100 dB.
+        target = fftconvolve(s, rng.standard_normal(min(taps, 8)))[:s.size]
+        rest = rng.standard_normal(s.size) + 0.5 * sum(others[:len(sources) - 1])
+        est = target + rest * math.sqrt(linalg._inner(target) / linalg._inner(rest)) \
+            * 10 ** (-level_db / 20)
+        caplog.set_level(logging.DEBUG, logger="sepmetrics.legacy")
+        d = fir_project(est, s, sources[1:], FirProjectionConfig(taps=taps))
+        scores = [legacy_sdr(d), legacy_sir(d), legacy_sar(d)]
+        read = {r.getMessage().split()[1] for r in caplog.records
+                if r.getMessage().endswith("energy read from the vectors")}
+
+        v = vector_energies(d)
+        want = [metrics.db_ratio(v["target"], v["distortion"]),
+                metrics.db_ratio(v["target"], v["interf"]),
+                metrics.db_ratio(v["projected"], v["artif"])]
+        assert scores == pytest.approx(want, abs=1e-9)
+        for part, to_vectors in ruled_to_vectors(d, est, sources, v).items():
+            if to_vectors is not None:
+                assert (part in read) == to_vectors, part
+
+    def test_both_sides_of_the_cutoff(self, speech, caplog):
+        ref = speech.samples
+        rng = np.random.default_rng(4)
+        target = fftconvolve(ref, rng.standard_normal(8))[:ref.size]
+        noise = rng.standard_normal(ref.size)
+        noise *= math.sqrt(linalg._inner(target) / linalg._inner(noise))
+        caplog.set_level(logging.DEBUG, logger="sepmetrics.legacy")
+        reads = []
+        for est in (target + noise, target + 1e-4 * noise, ref):
+            caplog.clear()
+            legacy_sdr(fir_project(est, ref, cfg=FirProjectionConfig(taps=64)))
+            reads.append([r.getMessage() for r in caplog.records if "vectors" in r.getMessage()])
+        # 0 dB: scalars; 80 dB and an exact copy (306 dB): past the cutoff.
+        assert reads == [[], ["fir_project: distortion energy read from the vectors"],
+                         ["fir_project: distortion energy read from the vectors"]]
+
+    def test_cutoff_rule(self):
+        cutoff = DOCUMENTED_CUTOFF
+        assert legacy._scalar_energy(2.0, 2.0 * cutoff) == 2.0
+        assert legacy._scalar_energy(2.0, 2.0 * cutoff * (1 + 1e-15)) is None
+        for value in (0.0, -1.0, math.nan):
+            assert legacy._scalar_energy(value, 1.0) is None
+
+    @pytest.mark.parametrize("taps", [1, 16])
+    def test_vectors_ignore_later_edits(self, rng, taps):
+        s, r, est = (rng.standard_normal(800) for _ in range(3))
+        copies = [x.copy() for x in (est, s, r)]
+        cfg = FirProjectionConfig(taps=taps)
+        d = fir_project(est, s, [r], cfg)
+        for x in (est, s, r):
+            x *= 2.0
+        assert_same(d, fir_project(copies[0], copies[1], [copies[2]], cfg))
+
+    def test_scoring_builds_no_vector(self, speech):
+        ref = speech.samples
+        rng = np.random.default_rng(6)
+        est = (fftconvolve(ref, rng.standard_normal(20) / 20)[:ref.size]
+               + 0.01 * rng.standard_normal(ref.size))
+        cfg = FirProjectionConfig(taps=512)
+        legacy_sdr(fir_project(est, ref, cfg=cfg))  # warm the plan, the factor and the FFT sizes
+        peaks = []
+        for read_vectors in (False, True):
+            tracemalloc.start()
+            try:
+                d = fir_project(est, ref, cfg=cfg)
+                if read_vectors:
+                    d.s_target
+                legacy_sdr(d)
+                del d
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Reading a vector builds all three; scoring alone must build none.
+        assert peaks[0] + 2 * (ref.size + 511) * 8 <= peaks[1]
 
 
 class TestLevinsonAgainstDense:
