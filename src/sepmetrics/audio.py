@@ -17,9 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptySignalError,
     FormatError,
     IoError,
+    _check_number,
 )
 
 _PCM = 1
@@ -31,27 +33,38 @@ _SUBFORMAT_TAIL = bytes.fromhex("000000001000800000AA00389B71")
 __all__ = ["Signal", "read_wav", "write_wav", "write_csv", "rows_to_csv", "format_cell"]
 
 
+def _float_samples(x) -> np.ndarray:
+    """``x`` as a 1-D float64 array; complex or other-dimensional input raises ``ValueError``."""
+    arr = np.asarray(x)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"expected a real signal, got dtype {arr.dtype}")
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a 1-D signal, got shape {arr.shape}")
+    return arr
+
+
 @dataclass(eq=False)
 class Signal:
     """A mono sample buffer plus its sample rate.
 
     Samples are 64-bit floats, full scale +-1.0 (values beyond full scale are
-    legal; float WAV does not clip). At least one sample, all finite.
+    legal; float WAV does not clip). At least one sample, all finite, none
+    complex. The sample rate is an ``int`` or numpy integer >= 1.
     """
 
     samples: np.ndarray
     sample_rate_hz: int = 16000
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1:
-            raise ValueError(f"samples must be one-dimensional, got shape {samples.shape}")
+        samples = _float_samples(self.samples)
         if samples.size < 1:
             raise EmptySignalError("a Signal needs at least one sample")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite (no NaN/Inf)")
-        if int(self.sample_rate_hz) <= 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        _check_number("sample_rate_hz", self.sample_rate_hz, integer=True)
+        if self.sample_rate_hz < 1:
+            raise ConfigError("sample_rate_hz", f"must be >= 1, got {self.sample_rate_hz}")
         self.samples = samples
         self.sample_rate_hz = int(self.sample_rate_hz)
 

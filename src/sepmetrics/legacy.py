@@ -28,8 +28,9 @@ only for an exactly equal reference and ``taps`` (see :func:`fir_project`).
 Everything but that pivoted Cholesky runs on numpy alone.
 
 Scores: SDR, SIR and SAR come from the normal equations' solution, as in
-fast_bss_eval (Scheibler, arXiv 2110.06440); the projected signals are built
-only when read, or where the cutoff rule of :func:`fir_project` asks for them.
+fast_bss_eval (Scheibler, arXiv 2110.06440). The projected signals are built
+only where the cutoff rule of :func:`fir_project` asks for them, and dropped
+before it returns: a result holds the filters and five energies, no vector.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -74,7 +74,8 @@ MAX_PROBLEM_SIZE = 4096
 _SCALAR_CUTOFF = 1e4
 
 # Each energy's vector: a sum of (s_target, e_interf, e_artif) picked by index.
-_PARTS = {"target": (0,), "interf": (1,), "artif": (2,), "distortion": (1, 2), "projected": (0, 1)}
+_PARTS = {"target": (0,), "interference": (1,), "artifacts": (2,), "distortion": (1, 2),
+          "projected": (0, 1)}
 
 
 # The last reference seen: (copy of its samples, taps, rfft spectrum,
@@ -118,72 +119,57 @@ class FirProjectionConfig:
             raise ConfigError("taps", f"must be >= 1, got {self.taps}")
 
 
+@dataclass(frozen=True, eq=False)
 class LegacyDecomposition:
     """Result of projecting an estimate onto the delayed-sources subspace.
 
-    Made by :func:`fir_project`. ``projection_filters[i]`` holds the ``taps``
-    filter coefficients applied to source ``i`` (the reference first). The
-    vectors live on the padded support of ``L + taps - 1`` samples:
-    ``s_target`` is the part of the projection built from the reference's
-    delayed copies, ``e_interf`` the part built from the interferers', and
-    ``e_artif`` the residual orthogonal to the whole subspace. They are built
-    when first read, from the spectra and the copy of the estimate that
-    :func:`fir_project` kept, so editing an input in place afterwards changes
-    nothing. The scores read the energies that :func:`fir_project` took from
-    the normal equations, and build the vectors only where its cutoff rule
-    sends an energy to them.
+    Made by :func:`fir_project`. The estimate, zero-padded to ``L + taps - 1``
+    samples, splits into ``s_target + e_interf + e_artif``: the projection's
+    part built from the reference's delayed copies, the part built from the
+    interferers', and the residual orthogonal to the whole subspace. The
+    result holds ``projection_filters`` (``taps`` coefficients per source,
+    the reference first) and five squared norms: ``target`` (``s_target``),
+    ``interference`` (``e_interf``), ``artifacts`` (``e_artif``),
+    ``distortion`` (``e_interf + e_artif``) and ``projected``
+    (``s_target + e_interf``). The vectors are rebuilt from the filters::
+
+        s_target = np.convolve(reference, d.projection_filters[0])
+        e_interf = sum(np.convolve(x, h) for x, h in zip(interferers, d.projection_filters[1:]))
+        e_artif = padded_estimate - s_target - e_interf
     """
 
-    def __init__(self, projection_filters: list[np.ndarray], taps: int,
-                 energies: dict[str, float | None], held: list[np.ndarray],
-                 est_padded: np.ndarray, n_fft: int):
-        self.projection_filters = projection_filters
-        self.taps = taps
-        self._energies = energies  # None where the vectors decide
-        self._held = held  # the sources' spectra, or the sources themselves at taps 1
-        self._est_padded = est_padded
-        self._n_fft = n_fft
+    projection_filters: list[np.ndarray]
+    taps: int
+    target: float
+    interference: float
+    artifacts: float
+    distortion: float
+    projected: float
 
-    @cached_property
-    def _vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        padded_len = self._est_padded.size
-        if self.taps == 1:
-            contribs = [h[0] * src for h, src in zip(self.projection_filters, self._held)]
-        else:
-            # fftconvolve(sources[i], h) from the spectra, bit for bit: the same
-            # n_fft and the same pocketfft code (scipy.fft's, numpy.fft's since
-            # numpy 2.0). h_spec needs a name: numpy may reuse a temporary right
-            # operand in place, operands swapped, which rounds differently.
-            contribs = []
-            for spec, h in zip(self._held, self.projection_filters):
-                h_spec = np.fft.rfft(h, self._n_fft)
-                contribs.append(np.fft.irfft(spec * h_spec, self._n_fft)[:padded_len])
-        s_target = contribs[0]
-        e_interf = np.sum(contribs[1:], axis=0) if len(contribs) > 1 else np.zeros(padded_len)
-        return s_target, e_interf, self._est_padded - s_target - e_interf
 
-    @property
-    def s_target(self) -> np.ndarray:
-        return self._vectors[0]
+def _vectors(est: np.ndarray, held: list[np.ndarray], coeffs: np.ndarray,
+             n_fft: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(s_target, e_interf, e_artif)`` on the padded support of ``est``.
 
-    @property
-    def e_interf(self) -> np.ndarray:
-        return self._vectors[1]
-
-    @property
-    def e_artif(self) -> np.ndarray:
-        return self._vectors[2]
-
-    def _energy(self, part: str) -> float:
-        """The energy of ``"target"`` (``s_target``), ``"interf"``, ``"artif"``,
-        ``"distortion"`` (``e_interf + e_artif``) or ``"projected"`` (``s_target + e_interf``).
-        """
-        value = self._energies[part]
-        if value is None:
-            _log.debug("fir_project: %s energy read from the vectors", part)
-            first, *rest = (self._vectors[k] for k in _PARTS[part])
-            value = self._energies[part] = _inner(first + rest[0] if rest else first)
-        return value
+    ``held`` is the sources' ``n_fft``-point spectra, or at taps 1 the sources
+    themselves; ``coeffs`` holds one row of filter coefficients per source.
+    """
+    taps = coeffs.shape[1]
+    padded_len = est.size + taps - 1
+    if taps == 1:
+        contribs = [h[0] * src for h, src in zip(coeffs, held)]
+    else:
+        # fftconvolve(sources[i], h) from the spectra, bit for bit: the same
+        # n_fft and the same pocketfft code (scipy.fft's, numpy.fft's since
+        # numpy 2.0). h_spec needs a name: numpy may reuse a temporary right
+        # operand in place, operands swapped, which rounds differently.
+        contribs = []
+        for spec, h in zip(held, coeffs):
+            h_spec = np.fft.rfft(h, n_fft)
+            contribs.append(np.fft.irfft(spec * h_spec, n_fft)[:padded_len])
+    s_target = contribs[0]
+    e_interf = np.sum(contribs[1:], axis=0) if len(contribs) > 1 else np.zeros(padded_len)
+    return s_target, e_interf, np.concatenate([est, np.zeros(taps - 1)]) - s_target - e_interf
 
 
 def _scalar_energy(value: float, size: float) -> float | None:
@@ -212,17 +198,18 @@ def _normal_energies(est: np.ndarray, spectra: list[np.ndarray], blocks: np.ndar
     t_target = t_h if single else _block_matvec(blocks[:, :1, :1], coeffs[:1])
     target = _inner(coeffs[0], t_target[0])
     projected = _inner(coeffs.ravel(), t_h.ravel())
-    artif = _scalar_energy(est_energy - 2.0 * _inner(coeffs.ravel(), rhs.ravel()) + projected,
-                           (est_norm + bound) ** 2)
+    artifacts = _scalar_energy(est_energy - 2.0 * _inner(coeffs.ravel(), rhs.ravel()) + projected,
+                               (est_norm + bound) ** 2)
     if single:
-        interf, distortion = 0.0, artif
+        interference, distortion = 0.0, artifacts
     else:
-        interf = _scalar_energy(projected - 2.0 * _inner(coeffs[0], t_h[0]) + target,
-                                (bound + ref_bound) ** 2)
+        interference = _scalar_energy(projected - 2.0 * _inner(coeffs[0], t_h[0]) + target,
+                                      (bound + ref_bound) ** 2)
         distortion = _scalar_energy(est_energy - 2.0 * _inner(coeffs[0], rhs[0]) + target,
                                     (est_norm + ref_bound) ** 2)
-    return {"target": _scalar_energy(target, ref_bound ** 2), "interf": interf, "artif": artif,
-            "distortion": distortion, "projected": _scalar_energy(projected, bound ** 2)}
+    return {"target": _scalar_energy(target, ref_bound ** 2), "interference": interference,
+            "artifacts": artifacts, "distortion": distortion,
+            "projected": _scalar_energy(projected, bound ** 2)}
 
 
 def fir_project(estimate, reference, interferers=(),
@@ -259,10 +246,10 @@ def fir_project(estimate, reference, interferers=(),
     the magnitudes of every term. An energy is used while that bound on its
     terms (e.g. ``(sqrt(E) + sigma ||h||)^2`` for the artifacts) is at most
     1e4 times it, a relative rounding error near 2e-12. Beyond that, or at a
-    value ``<= 0`` such as an exact copy's artifacts, it is read from the
-    vectors. Those are built on first read, from the spectra and a copy of
-    the estimate taken here, by the same FFT code as always, so they are
-    bit-identical to building them at once.
+    value ``<= 0`` such as an exact copy's artifacts, it is read from
+    ``s_target``, ``e_interf`` and ``e_artif``, which are then built once,
+    here, and dropped before the call returns. Each such read logs
+    ``fir_project: <energy> energy read from the vectors`` at DEBUG.
 
     The reference's spectrum and autocorrelation live in a private one-entry
     plan, reused only if ``taps`` matches and the prepared reference is
@@ -303,6 +290,7 @@ def fir_project(estimate, reference, interferers=(),
     rhs = np.empty((nsrc, taps))
     for i in range(nsrc):
         rhs[i] = _lags(np.fft.irfft(spectra[i] * np.conj(est_spec), n_fft), taps)
+    del est_spec  # freed before the vectors below may be built: a lower peak
 
     # Lag blocks[d][i, j] = <source_i, delay_d(source_j)> = cc_ij[d] and
     # blocks[d][j, i] = cc_ij[-d]. Diagonal blocks keep the negative lags,
@@ -315,24 +303,25 @@ def fir_project(estimate, reference, interferers=(),
             blocks[:, i, j] = cc[:taps]
             blocks[:, j, i] = _lags(cc, taps)
     coeffs = solve_spd(blocks, rhs)
-    return LegacyDecomposition(
-        projection_filters=[coeffs[i].copy() for i in range(nsrc)],
-        taps=taps,
-        energies=_normal_energies(est, spectra, blocks, rhs, coeffs),
-        held=[src.copy() for src in sources] if taps == 1 else spectra,
-        est_padded=np.concatenate([est, np.zeros(taps - 1)]),
-        n_fft=n_fft,
-    )
+    energies = _normal_energies(est, spectra, blocks, rhs, coeffs)
+    missing = [part for part, value in energies.items() if value is None]
+    if missing:
+        vectors = _vectors(est, spectra if taps > 1 else sources, coeffs, n_fft)
+        for part in missing:
+            _log.debug("fir_project: %s energy read from the vectors", part)
+            first, *rest = (vectors[k] for k in _PARTS[part])
+            energies[part] = _inner(first + rest[0] if rest else first)
+    return LegacyDecomposition(list(coeffs), taps, **energies)
 
 
 def legacy_sdr(decomp: LegacyDecomposition) -> float:
     """Target energy over the energy of everything else (interference + artifacts)."""
-    return db_ratio(decomp._energy("target"), decomp._energy("distortion"))
+    return db_ratio(decomp.target, decomp.distortion)
 
 
 def legacy_sir(decomp: LegacyDecomposition) -> float:
     """Target energy over interference energy."""
-    return db_ratio(decomp._energy("target"), decomp._energy("interf"))
+    return db_ratio(decomp.target, decomp.interference)
 
 
 def legacy_sar(decomp: LegacyDecomposition) -> float:
@@ -342,4 +331,4 @@ def legacy_sar(decomp: LegacyDecomposition) -> float:
     more interference through score a *higher* SAR, one of the documented
     quirks of the original definition.
     """
-    return db_ratio(decomp._energy("projected"), decomp._energy("artif"))
+    return db_ratio(decomp.projected, decomp.artifacts)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .audio import Signal
+from .audio import Signal, _float_samples
 from .errors import (
     CountMismatchError,
     LengthMismatchError,
@@ -53,15 +53,6 @@ __all__ = [
 ]
 
 
-def _samples(x) -> np.ndarray:
-    if isinstance(x, Signal):
-        return x.samples
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D signal, got shape {arr.shape}")
-    return arr
-
-
 def prepare(signals, *, truncate: bool = False, zero_mean: bool = False) -> list[np.ndarray]:
     """Coerce signals to 1-D float64 arrays of one common length.
 
@@ -69,14 +60,15 @@ def prepare(signals, *, truncate: bool = False, zero_mean: bool = False) -> list
     :class:`SampleRateMismatchError`; plain arrays carry no rate and are not
     checked. Unequal lengths raise :class:`LengthMismatchError` unless
     ``truncate``, which cuts every signal to the shortest; ``zero_mean`` then
-    subtracts each signal's mean.
+    subtracts each signal's mean. Complex or multi-dimensional input raises
+    ``ValueError``; it is never cast to its real part.
     """
     signals = list(signals)
     rates = list(dict.fromkeys(s.sample_rate_hz for s in signals if isinstance(s, Signal)))
     if len(rates) > 1:
         raise SampleRateMismatchError(
             "sample rates differ: " + " vs ".join(f"{r} Hz" for r in rates))
-    arrays = [_samples(s) for s in signals]
+    arrays = [s.samples if isinstance(s, Signal) else _float_samples(s) for s in signals]
     n = min(a.size for a in arrays)
     if any(a.size != n for a in arrays):
         if not truncate:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sepmetrics.audio import Signal, format_cell, read_wav, rows_to_csv, write_csv, write_wav
-from sepmetrics.errors import EmptySignalError, FormatError, IoError
+from sepmetrics.errors import ConfigError, EmptySignalError, FormatError, IoError
 
 
 def make_wav(path, payload: bytes, audio_format: int, channels: int, bits: int,
@@ -226,6 +226,20 @@ class TestSignal:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             Signal(np.array([0.1]), 0)
+
+    @pytest.mark.parametrize("rate", [16000.9, 16000.0, True, math.nan, "16000", None])
+    def test_rate_must_be_an_integer(self, rate):
+        with pytest.raises(ConfigError, match="^sample_rate_hz: must be an integer"):
+            Signal(np.array([0.1]), rate)
+
+    def test_numpy_integer_rate(self):
+        sig = Signal(np.array([0.1]), np.int32(8000))
+        assert sig.sample_rate_hz == 8000 and type(sig.sample_rate_hz) is int
+
+    @pytest.mark.filterwarnings("error")  # no ComplexWarning: refused before any cast
+    def test_rejects_complex(self):
+        with pytest.raises(ValueError, match="^expected a real signal, got dtype complex128"):
+            Signal(np.array([0.1, 1j]), 16000)
 
     def test_casts_to_float64(self):
         sig = Signal([1, 2, 3], 8000)

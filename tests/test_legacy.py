@@ -41,6 +41,26 @@ def tail_safe_pair(length, filter_taps, seed):
     return ref, est, h
 
 
+ENERGIES = ("target", "interference", "artifacts", "distortion", "projected")
+
+
+def rebuild_vectors(d, est, reference, interferers=()):
+    """``(s_target, e_interf, e_artif)`` from ``d.projection_filters`` by direct sums."""
+    est_padded = np.concatenate([est, np.zeros(d.taps - 1)])
+    s_target = np.convolve(reference, d.projection_filters[0])
+    e_interf = np.zeros(est_padded.size)
+    for src, h in zip(interferers, d.projection_filters[1:]):
+        e_interf += np.convolve(src, h)
+    return s_target, e_interf, est_padded - s_target - e_interf
+
+
+def vector_energies(t, i, a):
+    """The five energies of ``(s_target, e_interf, e_artif)``, by field name."""
+    return {"target": linalg._inner(t), "interference": linalg._inner(i),
+            "artifacts": linalg._inner(a), "distortion": linalg._inner(i + a),
+            "projected": linalg._inner(t + i)}
+
+
 class TestSingleSource:
     def test_one_tap_is_optimal_gain(self, rng):
         s = rng.standard_normal(4000)
@@ -49,7 +69,7 @@ class TestSingleSource:
         alpha = (est @ s) / (s @ s)
         assert d.projection_filters[0].shape == (1,)
         assert d.projection_filters[0][0] == pytest.approx(alpha, rel=1e-12)
-        assert np.allclose(d.s_target, alpha * s, rtol=1e-12)
+        assert np.allclose(rebuild_vectors(d, est, s)[0], alpha * s, rtol=1e-12)
         assert legacy_sdr(d) == pytest.approx(si_sdr(s, est), abs=1e-9)
 
     def test_one_tap_bridge_many_pairs(self, rng):
@@ -79,8 +99,7 @@ class TestSingleSource:
     def test_subspace_forgiveness_energy(self):
         ref, est, _ = tail_safe_pair(8000, 64, seed=1)
         d = fir_project(est, ref, cfg=FirProjectionConfig(taps=64))
-        resid = float(d.e_artif @ d.e_artif)
-        assert resid <= 1e-8 * float(est @ est)
+        assert d.artifacts <= 1e-8 * float(est @ est)
 
     def test_filter_recovered(self):
         ref, est, h = tail_safe_pair(8000, 16, seed=2)
@@ -102,20 +121,21 @@ class TestProjectionGeometry:
     def test_residual_orthogonal_to_delayed_sources(self, noisy_case):
         s, n, est, taps = noisy_case
         d = fir_project(est, s, [n], FirProjectionConfig(taps=taps))
+        e_artif = rebuild_vectors(d, est, s, [n])[2]
         padded_len = est.size + taps - 1
-        resid_norm = np.linalg.norm(d.e_artif)
+        resid_norm = np.linalg.norm(e_artif)
         for src in (s, n):
             for delay in (0, 1, taps // 2, taps - 1):
                 shifted = np.zeros(padded_len)
                 shifted[delay:delay + src.size] = src
-                rel = abs(d.e_artif @ shifted) / (resid_norm * np.linalg.norm(src))
+                rel = abs(e_artif @ shifted) / (resid_norm * np.linalg.norm(src))
                 assert rel < 1e-8
 
     def test_coefficient_perturbation_never_helps(self, noisy_case):
         s, n, est, taps = noisy_case
         d = fir_project(est, s, [n], FirProjectionConfig(taps=taps))
         est_padded = np.concatenate([est, np.zeros(taps - 1)])
-        base = float(d.e_artif @ d.e_artif)
+        base = d.artifacts
         coeffs = np.concatenate(d.projection_filters)
         for idx in (0, 3, taps - 1, taps, 2 * taps - 1):
             for eps in (1e-3, -1e-3):
@@ -131,20 +151,18 @@ class TestProjectionGeometry:
         previous = math.inf
         for taps in (1, 2, 8, 32, 96):
             d = fir_project(est, s, [n], FirProjectionConfig(taps=taps))
-            energy = float(d.e_artif @ d.e_artif)
+            energy = d.artifacts
             assert energy <= previous + 1e-9 * abs(previous)
             previous = energy
 
     def test_target_and_interference_split(self, noisy_case):
         s, n, est, taps = noisy_case
         d = fir_project(est, s, [n], FirProjectionConfig(taps=taps))
-        assert np.allclose(d.s_target,
-                           fftconvolve(s, d.projection_filters[0]), rtol=1e-10)
-        assert np.allclose(d.e_interf,
-                           fftconvolve(n, d.projection_filters[1]), rtol=1e-10)
-        recon = d.s_target + d.e_interf + d.e_artif
-        assert np.allclose(recon[:est.size], est, atol=1e-10)
-        assert np.allclose(recon[est.size:], 0.0, atol=1e-10)
+        want = vector_energies(*rebuild_vectors(d, est, s, [n]))
+        assert [getattr(d, part) for part in ENERGIES] == pytest.approx(
+            [want[part] for part in ENERGIES], rel=1e-10)
+        # e_artif is orthogonal to the projection: the parts add up to the estimate
+        assert d.projected + d.artifacts == pytest.approx(float(est @ est), rel=1e-10)
 
 
 class TestLegacyRatios:
@@ -264,8 +282,11 @@ class TestLstsqOracle:
         interf = np.hstack(blocks[1:]) @ coeffs[taps:] if n_interf else np.zeros_like(target)
         artif = est_padded - target - interf
 
-        for got, want in ((d.s_target, target), (d.e_interf, interf), (d.e_artif, artif)):
-            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+        got = rebuild_vectors(d, est, sources[0], sources[1:])
+        for g, want in zip(got, (target, interf, artif)):
+            assert np.linalg.norm(g - want) <= 1e-9 * np.linalg.norm(want)
+        for part, want in vector_energies(target, interf, artif).items():
+            assert getattr(d, part) == pytest.approx(want, rel=1e-9, abs=1e-18 * (est @ est))
 
 
 _INTERFERERS = {
@@ -275,13 +296,6 @@ _INTERFERERS = {
     "duplicated": lambda s, r: [s.copy()],
     "scaled": lambda s, r: [3.0 * s],
 }
-
-
-def vector_energies(d):
-    """The five energies of the explicitly read vectors."""
-    t, i, a = d.s_target, d.e_interf, d.e_artif
-    return {"target": linalg._inner(t), "interf": linalg._inner(i), "artif": linalg._inner(a),
-            "distortion": linalg._inner(i + a), "projected": linalg._inner(t + i)}
 
 
 DOCUMENTED_CUTOFF = 1e4
@@ -302,11 +316,11 @@ def ruled_to_vectors(d, est, sources, energies):
     ref_bound = math.sqrt(power[0].max() * np.sum(h[0] ** 2))
     bound = math.sqrt(power[-1].max() * np.sum(np.concatenate(h) ** 2))
     e = math.sqrt(np.sum(est ** 2))
-    bounds = {"target": ref_bound ** 2, "projected": bound ** 2, "artif": (e + bound) ** 2,
-              "distortion": (e + ref_bound) ** 2, "interf": (bound + ref_bound) ** 2}
+    bounds = {"target": ref_bound ** 2, "projected": bound ** 2, "artifacts": (e + bound) ** 2,
+              "distortion": (e + ref_bound) ** 2, "interference": (bound + ref_bound) ** 2}
     out = {}
     for part, value in energies.items():
-        if part == "interf" and len(sources) == 1:
+        if part == "interference" and len(sources) == 1:
             out[part] = False  # exactly zero without interferers, never from the vectors
         elif value <= 0.0 or bounds[part] > 2 * DOCUMENTED_CUTOFF * value:
             out[part] = True
@@ -339,10 +353,10 @@ class TestScoresFromNormalEquations:
         read = {r.getMessage().split()[1] for r in caplog.records
                 if r.getMessage().endswith("energy read from the vectors")}
 
-        v = vector_energies(d)
+        v = vector_energies(*rebuild_vectors(d, est, s, sources[1:]))
         want = [metrics.db_ratio(v["target"], v["distortion"]),
-                metrics.db_ratio(v["target"], v["interf"]),
-                metrics.db_ratio(v["projected"], v["artif"])]
+                metrics.db_ratio(v["target"], v["interference"]),
+                metrics.db_ratio(v["projected"], v["artifacts"])]
         assert scores == pytest.approx(want, abs=1e-9)
         for part, to_vectors in ruled_to_vectors(d, est, sources, v).items():
             if to_vectors is not None:
@@ -358,11 +372,16 @@ class TestScoresFromNormalEquations:
         reads = []
         for est in (target + noise, target + 1e-4 * noise, ref):
             caplog.clear()
-            legacy_sdr(fir_project(est, ref, cfg=FirProjectionConfig(taps=64)))
+            d = fir_project(est, ref, cfg=FirProjectionConfig(taps=64))
             reads.append([r.getMessage() for r in caplog.records if "vectors" in r.getMessage()])
-        # 0 dB: scalars; 80 dB and an exact copy (306 dB): past the cutoff.
-        assert reads == [[], ["fir_project: distortion energy read from the vectors"],
-                         ["fir_project: distortion energy read from the vectors"]]
+            if reads[-1]:  # read from the builder's vectors, bit for bit
+                _, i, a = built_vectors(d, est, [ref])
+                assert (d.artifacts, d.distortion) == (linalg._inner(a), linalg._inner(i + a))
+        # 0 dB: scalars; 80 dB and an exact copy (306 dB): past the cutoff. With
+        # the reference alone the artifacts are the distortion.
+        past = ["fir_project: artifacts energy read from the vectors",
+                "fir_project: distortion energy read from the vectors"]
+        assert reads == [[], past, past]
 
     def test_cutoff_rule(self):
         cutoff = DOCUMENTED_CUTOFF
@@ -371,37 +390,44 @@ class TestScoresFromNormalEquations:
         for value in (0.0, -1.0, math.nan):
             assert legacy._scalar_energy(value, 1.0) is None
 
-    @pytest.mark.parametrize("taps", [1, 16])
-    def test_vectors_ignore_later_edits(self, rng, taps):
-        s, r, est = (rng.standard_normal(800) for _ in range(3))
-        copies = [x.copy() for x in (est, s, r)]
-        cfg = FirProjectionConfig(taps=taps)
-        d = fir_project(est, s, [r], cfg)
-        for x in (est, s, r):
-            x *= 2.0
-        assert_same(d, fir_project(copies[0], copies[1], [copies[2]], cfg))
-
     def test_scoring_builds_no_vector(self, speech):
         ref = speech.samples
         rng = np.random.default_rng(6)
         est = (fftconvolve(ref, rng.standard_normal(20) / 20)[:ref.size]
                + 0.01 * rng.standard_normal(ref.size))
         cfg = FirProjectionConfig(taps=512)
-        legacy_sdr(fir_project(est, ref, cfg=cfg))  # warm the plan, the factor and the FFT sizes
+        for x in (est, ref):  # warm the plan, the factor and the FFT sizes
+            legacy_sdr(fir_project(x, ref, cfg=cfg))
         peaks = []
-        for read_vectors in (False, True):
+        for x in (est, ref):  # scalar energies; an exact copy, whose artifacts need the vectors
             tracemalloc.start()
             try:
-                d = fir_project(est, ref, cfg=cfg)
-                if read_vectors:
-                    d.s_target
-                legacy_sdr(d)
-                del d
+                legacy_sdr(fir_project(x, ref, cfg=cfg))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # Reading a vector builds all three; scoring alone must build none.
+        # A fallback builds all three vectors; scoring from the scalars must build none.
         assert peaks[0] + 2 * (ref.size + 511) * 8 <= peaks[1]
+
+    @pytest.mark.parametrize("copy", [False, True])
+    @pytest.mark.parametrize("n_interf", [0, 2])
+    def test_result_holds_no_input_sized_array(self, n_interf, copy, caplog):
+        sources, est = speech_mix(n_interf, seconds=2.0)
+        if copy:  # an exact copy's artifacts are read from the vectors
+            est = sources[0].copy()
+        cfg = FirProjectionConfig(taps=512)
+        with caplog.at_level(logging.DEBUG, logger="sepmetrics.legacy"):
+            legacy_sdr(fir_project(est, sources[0], sources[1:], cfg))  # warm the plan and factor
+        if copy:
+            assert any(m.endswith("read from the vectors") for m in caplog.messages)
+        tracemalloc.start()
+        try:
+            d = fir_project(est, sources[0], sources[1:], cfg)
+            legacy_sdr(d)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 512 * (1 + n_interf) * 8 + 4096, held  # the filters and a few objects
 
 
 class TestLevinsonAgainstDense:
@@ -471,9 +497,9 @@ class TestBlockLevinsonAgainstDense:
         cfg = FirProjectionConfig(taps=taps)
         d = fir_project(est, s, interferers, cfg)
         lone = fir_project(est, s, independent, cfg)
-        want = lone.s_target + lone.e_interf
-        np.testing.assert_allclose(d.s_target + d.e_interf, want,
-                                   rtol=0, atol=1e-12 * np.abs(want).max())
+        got = sum(rebuild_vectors(d, est, s, interferers)[:2])
+        want = sum(rebuild_vectors(lone, est, s, independent)[:2])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
         assert legacy_sar(d) == pytest.approx(legacy_sar(lone), abs=1e-9)
         if not independent:
             assert legacy_sar(d) == pytest.approx(legacy_sdr(lone), abs=1e-9)
@@ -530,9 +556,17 @@ def cold_project(est, ref, interferers=(), taps=32):
     return fir_project(est, ref, interferers, FirProjectionConfig(taps=taps))
 
 
+def built_vectors(d, est, sources):
+    """``legacy._vectors`` on ``d``'s filters and the spectra ``fir_project`` took."""
+    n_fft = linalg._next_fast_len(est.size + d.taps - 1)
+    held = [legacy._plan[2]] + [np.fft.rfft(x, n_fft) for x in sources[1:]]
+    return legacy._vectors(est, sources if d.taps == 1 else held,
+                           np.array(d.projection_filters), n_fft)
+
+
 def assert_same(got, want):
-    for name in ("s_target", "e_interf", "e_artif"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ENERGIES:
+        assert getattr(got, name) == getattr(want, name), name
     assert len(got.projection_filters) == len(want.projection_filters)
     for g, w in zip(got.projection_filters, want.projection_filters):
         assert np.array_equal(g, w)
@@ -581,7 +615,7 @@ class TestReferencePlan:
         first = fir_project(ests[0], a, cfg=FirProjectionConfig(taps=32))
         a[700] += 1.0  # prepare() hands fir_project this very array
         edited = fir_project(ests[0], a, cfg=FirProjectionConfig(taps=32))
-        assert not np.array_equal(edited.s_target, first.s_target)
+        assert not np.array_equal(edited.projection_filters[0], first.projection_filters[0])
         assert_same(edited, cold_project(ests[0], a))
 
     def test_multi_source_between_single_source_calls(self, signals):
@@ -597,16 +631,19 @@ class TestReferencePlan:
         for taps in (2, 17, 512):
             for _ in range(2):  # cold, then from the plan
                 d = fir_project(est, ref, cfg=FirProjectionConfig(taps=taps))
-                assert np.array_equal(d.s_target, fftconvolve(ref, d.projection_filters[0]))
+                s_target = built_vectors(d, est, [ref])[0]
+                assert np.array_equal(s_target, fftconvolve(ref, d.projection_filters[0]))
 
     def test_contributions_are_fftconvolve(self, signals):
         a, b, ests = signals
         interf = [b, np.roll(b, 3) + 0.1 * a]
         for _ in range(2):  # cold, then from the plan
-            d = fir_project(ests[0] + 0.5 * b, a, interf, FirProjectionConfig(taps=32))
+            est = ests[0] + 0.5 * b
+            d = fir_project(est, a, interf, FirProjectionConfig(taps=32))
+            s_target, e_interf, _ = built_vectors(d, est, [a, *interf])
             f = d.projection_filters
-            assert np.array_equal(d.s_target, fftconvolve(a, f[0]))
-            assert np.array_equal(d.e_interf, np.sum(
+            assert np.array_equal(s_target, fftconvolve(a, f[0]))
+            assert np.array_equal(e_interf, np.sum(
                 [fftconvolve(s, h) for s, h in zip(interf, f[1:])], axis=0))
 
     def test_holds_one_private_reference(self, signals):
@@ -647,7 +684,9 @@ class TestReferencePlan:
                 k = (i + offset) % len(cases)
                 est, ref, _, taps = cases[k]
                 got = fir_project(est, ref, cfg=FirProjectionConfig(taps=taps))
-                if not np.array_equal(got.s_target, want[k].s_target):
+                try:
+                    assert_same(got, want[k])
+                except AssertionError:
                     failures.append(k)
 
         interval = sys.getswitchinterval()

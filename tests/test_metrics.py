@@ -78,6 +78,14 @@ class TestPrepare:
         with pytest.raises(ValueError):
             prepare([np.ones((2, 2)), np.ones(4)])
 
+    @pytest.mark.filterwarnings("error")  # no ComplexWarning: refused before any cast
+    @pytest.mark.parametrize("x", [[1 + 1j, 2, 3], np.array([1, 2, 3], dtype=np.complex64)])
+    def test_rejects_complex(self, x):
+        with pytest.raises(ValueError, match="^expected a real signal, got dtype complex"):
+            si_sdr(x, [1, 2, 3.1])
+        with pytest.raises(ValueError, match="^expected a real signal"):
+            prepare([[1.0, 2.0, 3.0], x])
+
     def test_mixed_sample_rates_rejected(self):
         x = np.array(S34)
         with pytest.raises(sepmetrics.SampleRateMismatchError, match="16000 Hz vs 8000 Hz"):
