@@ -34,10 +34,15 @@ __all__ = ["Signal", "read_wav", "write_wav", "write_csv", "rows_to_csv", "forma
 
 
 def _float_samples(x) -> np.ndarray:
-    """``x`` as a 1-D float64 array; complex or other-dimensional input raises ``ValueError``."""
+    """``x`` as a 1-D float64 array.
+
+    Only integer and floating dtypes are cast; complex, boolean, string,
+    bytes or object input, or other than 1-D, raises ``ValueError``.
+    """
     arr = np.asarray(x)
-    if np.iscomplexobj(arr):
-        raise ValueError(f"expected a real signal, got dtype {arr.dtype}")
+    if arr.dtype.kind not in "iuf":
+        what = "real signal" if arr.dtype.kind == "c" else "signal of integer or float samples"
+        raise ValueError(f"expected a {what}, got dtype {arr.dtype}")
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D signal, got shape {arr.shape}")
@@ -49,8 +54,9 @@ class Signal:
     """A mono sample buffer plus its sample rate.
 
     Samples are 64-bit floats, full scale +-1.0 (values beyond full scale are
-    legal; float WAV does not clip). At least one sample, all finite, none
-    complex. The sample rate is an ``int`` or numpy integer >= 1.
+    legal; float WAV does not clip). At least one sample, all finite, given
+    with an integer or floating dtype. The sample rate is an ``int`` or
+    numpy integer >= 1.
     """
 
     samples: np.ndarray

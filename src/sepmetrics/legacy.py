@@ -22,10 +22,14 @@ against Cholesky's backward-error bound, and forms the Gram matrix and solves
 it on its numerical rank by pivoted Cholesky only if the check fails, as for
 dependent sources. The scalar recursion factors the reference's
 autocorrelation once and solves each estimate by FFTs, reusing the factor
-while the autocorrelation stays exactly the same. The last reference's
-spectrum and autocorrelation are kept in a private one-entry plan, reused
-only for an exactly equal reference and ``taps`` (see :func:`fir_project`).
-Everything but that pivoted Cholesky runs on numpy alone.
+while the autocorrelation stays exactly the same.
+
+Right-hand sides: the ``taps`` correlation lags of the estimate with each
+source come from overlap-save blocks of N points (see :func:`fir_project`
+for N's rule), not from full-length transforms of the estimate. The last
+reference's autocorrelation, segment spectra and peak power are kept in a
+private one-entry plan, reused only for an exactly equal reference and
+``taps``. Everything but that pivoted Cholesky runs on numpy alone.
 
 Scores: SDR, SIR and SAR come from the normal equations' solution, as in
 fast_bss_eval (Scheibler, arXiv 2110.06440). The projected signals are built
@@ -40,6 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigError,
@@ -78,8 +83,8 @@ _PARTS = {"target": (0,), "interference": (1,), "artifacts": (2,), "distortion":
           "projected": (0, 1)}
 
 
-# The last reference seen: (copy of its samples, taps, rfft spectrum,
-# autocorrelation), replaced whole and never modified.
+# The last reference seen: (copy of its samples, taps, autocorrelation, its
+# segments' spectra, peak power), replaced whole and never modified.
 _plan: tuple | None = None
 
 
@@ -88,23 +93,39 @@ def _lags(cc: np.ndarray, taps: int) -> np.ndarray:
     return np.concatenate(([cc[0]], cc[-1:-taps:-1]))
 
 
-def _reference_plan(ref: np.ndarray, taps: int, n_fft: int) -> tuple:
-    """``ref``'s spectrum and autocorrelation: the last plan's if ``ref`` and ``taps`` match."""
+def _segment_spectra(src: np.ndarray, taps: int, n_block: int) -> np.ndarray:
+    """Spectra of ``src[kB - taps + 1 : kB + B]``, ``B = n_block - taps + 1``, one row per block.
+
+    Zero outside ``[0, L)``; ``n_block`` points each, so segment ``k`` holds
+    every sample that block ``k`` of the estimate meets at lags 0..taps-1.
+    """
+    step = n_block - taps + 1
+    count = -(-src.size // step)
+    padded = np.zeros((count - 1) * step + n_block)
+    padded[taps - 1:taps - 1 + src.size] = src
+    return np.fft.rfft(sliding_window_view(padded, n_block)[::step], n_block)
+
+
+def _reference_plan(ref: np.ndarray, taps: int, n_fft: int, n_block: int) -> tuple:
+    """``ref``'s autocorrelation, segment spectra and peak power: the last plan's if they match."""
     global _plan
     plan = _plan  # read once, so a concurrent replacement cannot mix two plans
     if plan is not None and plan[1] == taps and np.array_equal(plan[0], ref):
         _log.debug("fir_project: reusing the reference plan (L=%d, taps=%d)", ref.size, taps)
         return plan[2:]
     spec = np.fft.rfft(ref, n_fft)
+    peak = float((np.abs(spec) ** 2).max())
     cc = np.fft.irfft(spec * np.conj(spec), n_fft)
     # Lags 0..taps-1, then -(taps-1)..-1: cc[:taps] and _lags read it as cc.
     acf = np.concatenate((cc[:taps], cc[n_fft - taps + 1:]))
+    del spec, cc  # the full spectrum is not kept
+    segments = _segment_spectra(ref, taps, n_block)
     ref = ref.copy()
-    for a in (ref, spec, acf):
+    for a in (ref, acf, segments):
         a.flags.writeable = False
-    _plan = (ref, taps, spec, acf)
+    _plan = plan = (ref, taps, acf, segments, peak)
     _log.debug("fir_project: new reference plan (L=%d, taps=%d)", ref.size, taps)
-    return spec, acf
+    return plan[2:]
 
 
 @dataclass(frozen=True)
@@ -147,26 +168,27 @@ class LegacyDecomposition:
     projected: float
 
 
-def _vectors(est: np.ndarray, held: list[np.ndarray], coeffs: np.ndarray,
+def _vectors(est: np.ndarray, sources: list[np.ndarray], coeffs: np.ndarray,
              n_fft: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(s_target, e_interf, e_artif)`` on the padded support of ``est``.
 
-    ``held`` is the sources' ``n_fft``-point spectra, or at taps 1 the sources
-    themselves; ``coeffs`` holds one row of filter coefficients per source.
+    ``coeffs`` holds one row of filter coefficients per source. Each source's
+    ``n_fft``-point spectrum is built here and dropped with its contribution.
     """
     taps = coeffs.shape[1]
     padded_len = est.size + taps - 1
     if taps == 1:
-        contribs = [h[0] * src for h, src in zip(coeffs, held)]
+        contribs = [h[0] * src for h, src in zip(coeffs, sources)]
     else:
-        # fftconvolve(sources[i], h) from the spectra, bit for bit: the same
-        # n_fft and the same pocketfft code (scipy.fft's, numpy.fft's since
-        # numpy 2.0). h_spec needs a name: numpy may reuse a temporary right
-        # operand in place, operands swapped, which rounds differently.
+        # fftconvolve(sources[i], h), bit for bit: the same n_fft, the same
+        # pocketfft code (scipy.fft's, numpy.fft's since numpy 2.0) and the
+        # same operand order, the source's spectrum on the left.
         contribs = []
-        for spec, h in zip(held, coeffs):
-            h_spec = np.fft.rfft(h, n_fft)
-            contribs.append(np.fft.irfft(spec * h_spec, n_fft)[:padded_len])
+        for src, h in zip(sources, coeffs):
+            prod = np.fft.rfft(src, n_fft)
+            prod *= np.fft.rfft(h, n_fft)
+            contribs.append(np.fft.irfft(prod, n_fft)[:padded_len])
+            del prod
     s_target = contribs[0]
     e_interf = np.sum(contribs[1:], axis=0) if len(contribs) > 1 else np.zeros(padded_len)
     return s_target, e_interf, np.concatenate([est, np.zeros(taps - 1)]) - s_target - e_interf
@@ -177,24 +199,22 @@ def _scalar_energy(value: float, size: float) -> float | None:
     return value if 0.0 < value and size <= _SCALAR_CUTOFF * value else None
 
 
-def _normal_energies(est: np.ndarray, spectra: list[np.ndarray], blocks: np.ndarray,
+def _normal_energies(est: np.ndarray, ref_peak: float, peak: float, blocks: np.ndarray,
                      rhs: np.ndarray, coeffs: np.ndarray) -> dict[str, float | None]:
     """The energies of :func:`fir_project`'s scoring; None where its cutoff rule says vectors.
 
-    ``ref_bound`` and ``bound`` are ``sigma ||h||`` over the reference alone
-    and over all sources; non-finite inputs leave every energy to the vectors.
+    ``ref_peak`` and ``peak`` are ``sigma^2`` over the reference alone and
+    over all sources, so ``ref_bound`` and ``bound`` are ``sigma ||h||``;
+    non-finite inputs leave every energy to the vectors.
     """
-    power = np.abs(spectra[0]) ** 2
-    ref_bound = math.sqrt(float(power.max()) * _inner(coeffs[0]))
-    for spec in spectra[1:]:
-        power += np.abs(spec) ** 2
-    bound = math.sqrt(float(power.max()) * _inner(coeffs.ravel()))
+    ref_bound = math.sqrt(ref_peak * _inner(coeffs[0]))
+    bound = math.sqrt(peak * _inner(coeffs.ravel()))
     est_energy = _inner(est)
     est_norm = math.sqrt(est_energy)
     if not math.isfinite(est_norm + bound):  # NaN or inf inputs: the vectors raise
         return dict.fromkeys(_PARTS)
     t_h = _block_matvec(blocks, coeffs)
-    single = len(spectra) == 1
+    single = coeffs.shape[0] == 1
     t_target = t_h if single else _block_matvec(blocks[:, :1, :1], coeffs[:1])
     target = _inner(coeffs[0], t_target[0])
     projected = _inner(coeffs.ravel(), t_h.ravel())
@@ -217,8 +237,9 @@ def fir_project(estimate, reference, interferers=(),
     """Least-squares projection of the estimate onto delayed source copies.
 
     The normal equations are assembled from FFT auto/cross-correlations of
-    the sources. Their Gram matrix is block Toeplitz for any number of
-    sources; :func:`~sepmetrics.linalg.solve_spd` gets its first block row,
+    the sources and, block by block, of the estimate with them. Their Gram
+    matrix is block Toeplitz for any number of sources;
+    :func:`~sepmetrics.linalg.solve_spd` gets its first block row,
     ``taps`` lag blocks of ``sources x sources``, and solves by Levinson
     recursion (scalar for the reference alone, block otherwise) in
     O(taps^2 sources^3) time and O(taps sources^2) memory, the matrix never
@@ -251,10 +272,24 @@ def fir_project(estimate, reference, interferers=(),
     here, and dropped before the call returns. Each such read logs
     ``fir_project: <energy> energy read from the vectors`` at DEBUG.
 
-    The reference's spectrum and autocorrelation live in a private one-entry
-    plan, reused only if ``taps`` matches and the prepared reference is
-    ``np.array_equal`` to the plan's copy, else replaced. Reuse gives the same
-    bits as a rebuild, so no caller can observe the plan; both log at DEBUG.
+    Right-hand sides by overlap-save: ``b_i[d] = sum_t est[t] s_i[t - d]``
+    for ``d < taps``. With ``B = N - taps + 1``, the estimate is cut into
+    ``K = ceil(L / B)`` blocks of ``B`` samples, each zero-padded to ``N``
+    and transformed in one batched ``rfft``. Block ``k`` meets the source
+    segment ``s_i[kB - taps + 1 : kB + B]`` (zero outside ``[0, L)``), and
+    ``b_i = irfft(sum_k S_ik conj(E_k), N)[taps-1::-1]``; no lag wraps
+    around. ``N`` is the smallest fast length ``>= max(4 taps, 1024)``,
+    capped at the fast length of ``L + taps - 1``, where ``K = 1``.
+
+    The reference's plan holds a read-only copy of it, ``taps``, its
+    autocorrelation at lags below ``taps``, its ``K`` segment spectra and
+    its peak power ``sigma^2``, taken once from the full spectrum, which is
+    not kept. That spectrum is rebuilt within a call only where it is still
+    needed: the cross-correlations and ``sigma^2`` with interferers, and the
+    vectors of the cutoff rule. The plan is reused only if ``taps`` matches
+    and the prepared reference is ``np.array_equal`` to its copy, else
+    replaced whole. Reuse gives the same bits as a rebuild, so no caller can
+    observe the plan; both log at DEBUG.
 
     Raises:
         LengthMismatchError: signals of unequal length.
@@ -281,16 +316,36 @@ def fir_project(estimate, reference, interferers=(),
                                      f"support of L + taps - 1 = {L + taps - 1} samples")
 
     # Correlations are alias-free for lags < taps once the FFT length covers
-    # the padded support.
+    # the padded support, and within a block once it covers block plus lags.
     n_fft = _next_fast_len(L + taps - 1)
-    ref_spec, ref_acf = _reference_plan(ref, taps, n_fft)
-    spectra = [ref_spec] + [np.fft.rfft(src, n_fft) for src in sources[1:]]
-    est_spec = np.fft.rfft(est, n_fft)
+    n_block = min(_next_fast_len(max(4 * taps, 1024)), n_fft)
+    ref_acf, ref_segments, ref_peak = _reference_plan(ref, taps, n_fft, n_block)
 
+    # Overlap-save: est in blocks of B samples, each against the source segment
+    # it meets; the circular lags taps-1..0 of every block pair never wrap.
+    step = n_block - taps + 1
+    whole = L // step
+    est_blocks = np.empty((-(-L // step), n_block // 2 + 1), dtype=complex)
+    np.fft.rfft(est[:whole * step].reshape(whole, step), n_block, out=est_blocks[:whole])
+    if whole < len(est_blocks):  # a last, partial block
+        np.fft.rfft(est[whole * step:], n_block, out=est_blocks[whole])
+    np.conjugate(est_blocks, out=est_blocks)
     rhs = np.empty((nsrc, taps))
-    for i in range(nsrc):
-        rhs[i] = _lags(np.fft.irfft(spectra[i] * np.conj(est_spec), n_fft), taps)
-    del est_spec  # freed before the vectors below may be built: a lower peak
+    for i, src in enumerate(sources):
+        segments = ref_segments if i == 0 else _segment_spectra(src, taps, n_block)
+        cc = np.fft.irfft(np.einsum("kf,kf->f", segments, est_blocks), n_block)
+        rhs[i] = cc[taps - 1::-1]
+    del est_blocks, segments  # freed before the spectra and vectors below: a lower peak
+
+    # With interferers: the sources' full spectra, for the cross blocks and sigma^2.
+    peak, spectra = ref_peak, None
+    if nsrc > 1:
+        spectra = [np.fft.rfft(src, n_fft) for src in sources]
+        power = np.abs(spectra[0]) ** 2
+        for spec in spectra[1:]:
+            power += np.abs(spec) ** 2
+        peak = float(power.max())
+        del power
 
     # Lag blocks[d][i, j] = <source_i, delay_d(source_j)> = cc_ij[d] and
     # blocks[d][j, i] = cc_ij[-d]. Diagonal blocks keep the negative lags,
@@ -302,11 +357,12 @@ def fir_project(estimate, reference, interferers=(),
                 np.fft.irfft(spectra[i] * np.conj(spectra[j]), n_fft))
             blocks[:, i, j] = cc[:taps]
             blocks[:, j, i] = _lags(cc, taps)
+    del cc, spectra  # freed before the solve and the vectors: a lower peak
     coeffs = solve_spd(blocks, rhs)
-    energies = _normal_energies(est, spectra, blocks, rhs, coeffs)
+    energies = _normal_energies(est, ref_peak, peak, blocks, rhs, coeffs)
     missing = [part for part, value in energies.items() if value is None]
     if missing:
-        vectors = _vectors(est, spectra if taps > 1 else sources, coeffs, n_fft)
+        vectors = _vectors(est, sources, coeffs, n_fft)
         for part in missing:
             _log.debug("fir_project: %s energy read from the vectors", part)
             first, *rest = (vectors[k] for k in _PARTS[part])

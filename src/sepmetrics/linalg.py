@@ -114,8 +114,8 @@ def _next_fast_len(n: int) -> int:
 
 
 # The last Toeplitz column factored by _levinson: (copy of the column, FFT
-# length, spectra of x = T^-1 e_1 and of w = [0, x_{p-1}, ..., x_1], x_0),
-# replaced whole and never modified.
+# length, stacked spectra of x = T^-1 e_1 and of w = [0, x_{p-1}, ..., x_1],
+# x_0), replaced whole and never modified.
 _factor: tuple | None = None
 
 
@@ -145,19 +145,19 @@ def _durbin(column: np.ndarray) -> np.ndarray:
 
 
 def _gohberg_semencul(factor: tuple, b: np.ndarray) -> np.ndarray:
-    """``T^-1 b = (L(x) L(x)^T b - L(w) L(w)^T b) / x_0``: six FFTs.
+    """``T^-1 b = (L(x) L(x)^T b - L(w) L(w)^T b) / x_0``: four FFTs.
 
     ``L(v)`` is the lower-triangular Toeplitz matrix with first column ``v``.
     Each product is a truncated convolution, and ``L(v)^T = J L(v) J`` with
-    ``J`` the reversal.
+    ``J`` the reversal. The ``x`` and ``w`` halves go through each transform
+    as one stacked pair of rows, which pocketfft transforms independently.
     """
-    _, n_fft, x_spec, w_spec, x0 = factor
+    _, n_fft, xw_spec, x0 = factor
     p = b.size
     b_spec = np.fft.rfft(b[::-1], n_fft)
-    u = np.fft.irfft(x_spec * b_spec, n_fft)[p - 1::-1]
-    v = np.fft.irfft(w_spec * b_spec, n_fft)[p - 1::-1]
-    return np.fft.irfft(x_spec * np.fft.rfft(u, n_fft) - w_spec * np.fft.rfft(v, n_fft),
-                        n_fft)[:p] / x0
+    uv = np.fft.irfft(xw_spec * b_spec, n_fft)[:, p - 1::-1]
+    prod = xw_spec * np.fft.rfft(uv, n_fft)
+    return np.fft.irfft(prod[0] - prod[1], n_fft)[:p] / x0
 
 
 def _levinson(column: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -179,11 +179,10 @@ def _levinson(column: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         x = _durbin(column)
         n_fft = _next_fast_len(2 * p - 1)
         key = column.copy()
-        x_spec = np.fft.rfft(x, n_fft)
-        w_spec = np.fft.rfft(np.concatenate(([0.0], x[:0:-1])), n_fft)
-        for a in (key, x_spec, w_spec):
+        xw_spec = np.fft.rfft(np.stack((x, np.concatenate(([0.0], x[:0:-1])))), n_fft)
+        for a in (key, xw_spec):
             a.flags.writeable = False
-        factor = _factor = (key, n_fft, x_spec, w_spec, float(x[0]))
+        factor = _factor = (key, n_fft, xw_spec, float(x[0]))
     x = _gohberg_semencul(factor, rhs)
     residual = rhs - _block_matvec(column[:, None, None], x[None])[0]
     return x + _gohberg_semencul(factor, residual)

@@ -60,8 +60,9 @@ def prepare(signals, *, truncate: bool = False, zero_mean: bool = False) -> list
     :class:`SampleRateMismatchError`; plain arrays carry no rate and are not
     checked. Unequal lengths raise :class:`LengthMismatchError` unless
     ``truncate``, which cuts every signal to the shortest; ``zero_mean`` then
-    subtracts each signal's mean. Complex or multi-dimensional input raises
-    ``ValueError``; it is never cast to its real part.
+    subtracts each signal's mean. Input that is not 1-D or has no integer
+    or floating dtype (complex, boolean, string, bytes, object) raises
+    ``ValueError``; it is never cast.
     """
     signals = list(signals)
     rates = list(dict.fromkeys(s.sample_rate_hz for s in signals if isinstance(s, Signal)))

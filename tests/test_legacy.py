@@ -466,6 +466,68 @@ def speech_mix(n_interf, seconds=0.5, seed=20):
     return sources, est + 0.02 * rng.standard_normal(est.size)
 
 
+def overlap_save_step(length, taps):
+    """Block length B of the documented rule: N the smallest fast length >= max(4 taps,
+    1024), capped at the fast length of ``length + taps - 1``; B = N - taps + 1."""
+    n = min(scipy.fft.next_fast_len(max(4 * taps, 1024), real=True),
+            scipy.fft.next_fast_len(length + taps - 1, real=True))
+    return n - taps + 1
+
+
+# (taps, length): one block (L < B), L a multiple of B, L one past a multiple of B.
+_BLOCKED_CASES = [(taps, length) for taps, step, short in ((1, 1024, 700), (16, 1009, 700),
+                                                           (512, 1537, 1200))
+                  for length in (short, 3 * step, 2 * step + 1)]
+
+
+class TestBlockedRightHandSides:
+    """The right-hand sides ``fir_project`` hands the solver, against direct sums."""
+
+    def captured_rhs(self, monkeypatch, est, sources, taps):
+        seen = []
+
+        def spy(blocks, rhs):
+            seen.append(rhs.copy())
+            return linalg.solve_spd(blocks, rhs)
+
+        monkeypatch.setattr(legacy, "solve_spd", spy)
+        fir_project(est, sources[0], sources[1:], FirProjectionConfig(taps=taps))
+        (rhs,) = seen
+        return rhs
+
+    def check(self, monkeypatch, sources, taps, rng):
+        """Cold, then on the plan the first call left: each lag within 8 u ||s_i|| ||est||."""
+        legacy._plan = None
+        length = sources[0].size
+        for warm in (False, True):
+            est = (np.convolve(sources[0], rng.standard_normal(5))[:length]
+                   + 0.5 * np.sum(sources[1:], axis=0) + 0.1 * rng.standard_normal(length))
+            plan = legacy._plan
+            rhs = self.captured_rhs(monkeypatch, est, sources, taps)
+            assert (legacy._plan is plan) == warm
+            step = overlap_save_step(length, taps)  # K blocks of N points: the documented rule
+            assert legacy._plan[3].shape == (-(-length // step), (step + taps - 1) // 2 + 1)
+            u = np.finfo(np.float64).eps / 2
+            for got, src in zip(rhs, sources):
+                want = [math.fsum(est[d:] * src[:length - d]) for d in range(taps)]
+                scale = math.sqrt(linalg._inner(src) * linalg._inner(est))
+                assert np.abs(got - want).max() <= 8 * u * scale
+
+    @pytest.mark.parametrize("n_interf", [0, 1, 2])
+    @pytest.mark.parametrize("taps, length", _BLOCKED_CASES)
+    def test_match_direct_sums(self, monkeypatch, rng, taps, length, n_interf):
+        step = overlap_save_step(length, taps)
+        assert (length < step) == (length in (700, 1200))
+        gains = np.array([1.0, 3.0, 0.01])[:1 + n_interf, None]
+        self.check(monkeypatch, list(gains * rng.standard_normal((1 + n_interf, length))),
+                   taps, rng)
+
+    def test_taps_equal_to_length(self, monkeypatch, rng):
+        # The cap: N = 600 covers the padded support of 599 samples in one block.
+        assert overlap_save_step(300, 300) == 301
+        self.check(monkeypatch, [rng.standard_normal(300)], 300, rng)
+
+
 def no_block_levinson(blocks, rhs):
     raise np.linalg.LinAlgError("disabled")
 
@@ -557,11 +619,9 @@ def cold_project(est, ref, interferers=(), taps=32):
 
 
 def built_vectors(d, est, sources):
-    """``legacy._vectors`` on ``d``'s filters and the spectra ``fir_project`` took."""
+    """``legacy._vectors`` on ``d``'s filters, as ``fir_project`` calls it."""
     n_fft = linalg._next_fast_len(est.size + d.taps - 1)
-    held = [legacy._plan[2]] + [np.fft.rfft(x, n_fft) for x in sources[1:]]
-    return legacy._vectors(est, sources if d.taps == 1 else held,
-                           np.array(d.projection_filters), n_fft)
+    return legacy._vectors(est, sources, np.array(d.projection_filters), n_fft)
 
 
 def assert_same(got, want):
@@ -650,13 +710,18 @@ class TestReferencePlan:
         a, b, ests = signals
         fir_project(ests[0], a, cfg=FirProjectionConfig(taps=32))
         fir_project(ests[1], b, cfg=FirProjectionConfig(taps=16))
-        ref, taps, spec, acf = legacy._plan
+        ref, taps, acf, segments, peak = legacy._plan
         assert taps == 16 and np.array_equal(ref, b) and ref is not b
-        assert not any(x.flags.writeable for x in (ref, spec, acf))
+        assert not any(x.flags.writeable for x in (ref, acf, segments))
         # Only 2*taps-1 lags are kept, read exactly as the full autocorrelation.
-        cc = scipy.fft.irfft(spec * np.conj(spec), scipy.fft.next_fast_len(1515, real=True))
+        n_fft = scipy.fft.next_fast_len(1515, real=True)
+        spec = np.fft.rfft(b, n_fft)
+        cc = scipy.fft.irfft(spec * np.conj(spec), n_fft)
         assert acf.size == 31 and np.array_equal(acf[:16], cc[:16])
         assert np.array_equal(legacy._lags(acf, 16), legacy._lags(cc, 16))
+        # sigma^2 is the full spectrum's peak power; 1500 samples in 2 blocks of 1009.
+        assert peak == float((np.abs(spec) ** 2).max())
+        assert segments.shape == (2, 513)
 
     def test_reuse_and_rebuild_logged(self, signals, caplog):
         a, b, ests = signals

@@ -163,6 +163,33 @@ class TestToeplitzOracle:
         assert np.array_equal(linalg._factor[0], column[:, 0, 0])
 
 
+def six_fft_gohberg_semencul(x, b, n_fft):
+    """``T^-1 b`` by the unstacked Gohberg-Semencul formula: six FFTs, one signal each."""
+    p = b.size
+    x_spec = np.fft.rfft(x, n_fft)
+    w_spec = np.fft.rfft(np.concatenate(([0.0], x[:0:-1])), n_fft)
+    b_spec = np.fft.rfft(b[::-1], n_fft)
+    u = np.fft.irfft(x_spec * b_spec, n_fft)[p - 1::-1]
+    v = np.fft.irfft(w_spec * b_spec, n_fft)[p - 1::-1]
+    return np.fft.irfft(x_spec * np.fft.rfft(u, n_fft) - w_spec * np.fft.rfft(v, n_fft),
+                        n_fft)[:p] / x[0]
+
+
+@pytest.mark.parametrize("taps", [1, 2, 17, 512, 4096])
+def test_stacked_gohberg_semencul_matches_six_ffts(rng, taps):
+    column = autocorrelation_column(rng, taps, length=5000)
+    rhs = rng.standard_normal((1, taps))
+    linalg._factor = None
+    solve_spd(column, rhs)
+    factor = linalg._factor
+    _, n_fft, xw_spec, x0 = factor
+    assert xw_spec.shape == (2, n_fft // 2 + 1) and not xw_spec.flags.writeable
+    x = linalg._durbin(column[:, 0, 0])
+    for b in (rhs[0], rng.standard_normal(taps)):
+        assert np.array_equal(linalg._gohberg_semencul(factor, b),
+                              six_fft_gohberg_semencul(x, b, n_fft))
+
+
 def test_next_fast_len_matches_scipy():
     got = [linalg._next_fast_len(n) for n in range(1, 100001)]
     assert got == [scipy.fft.next_fast_len(n, real=True) for n in range(1, 100001)]

@@ -86,6 +86,28 @@ class TestPrepare:
         with pytest.raises(ValueError, match="^expected a real signal"):
             prepare([[1.0, 2.0, 3.0], x])
 
+    @pytest.mark.filterwarnings("error")  # refused before any cast
+    @pytest.mark.parametrize("x", [["1", "2", "3"], [True, False, True],
+                                   np.array([1.0, 2.0, 3.0], dtype=object), [b"1", b"2", b"3"]],
+                             ids=["str", "bool", "object", "bytes"])
+    def test_rejects_non_numeric(self, x):
+        with pytest.raises(ValueError, match="^expected a signal of integer or float samples"):
+            si_sdr(x, [1, 2, 3.1])
+        with pytest.raises(ValueError, match="^expected a signal of integer or float samples"):
+            prepare([[1.0, 2.0, 3.0], x])
+        with pytest.raises(ValueError, match="^expected a signal of integer or float samples"):
+            Signal(x, 16000)
+
+    @pytest.mark.parametrize("x", [np.array([1, 2, 3], dtype=np.int16),
+                                   np.array([1, 2, 3], dtype=np.int64),
+                                   np.array([1, 2, 3], dtype=np.float32), [1, 2, 3], [1, 2.0, 3]],
+                             ids=["int16", "int64", "float32", "int list", "mixed list"])
+    def test_accepts_numbers(self, x):
+        assert si_sdr(x, [1, 2, 3.1]) == si_sdr([1.0, 2.0, 3.0], [1, 2, 3.1])
+        (got,) = prepare([x])
+        assert got.dtype == np.float64 and got.tolist() == [1.0, 2.0, 3.0]
+        assert Signal(x, 16000).samples.tolist() == [1.0, 2.0, 3.0]
+
     def test_mixed_sample_rates_rejected(self):
         x = np.array(S34)
         with pytest.raises(sepmetrics.SampleRateMismatchError, match="16000 Hz vs 8000 Hz"):
