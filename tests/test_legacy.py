@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import os
@@ -298,46 +299,13 @@ _INTERFERERS = {
 }
 
 
-DOCUMENTED_CUTOFF = 1e4
-
-
-def ruled_to_vectors(d, est, sources, energies):
-    """Per energy, True if the documented cutoff rule sends it to the vectors, False
-    if it keeps the scalar form, None within a factor of 2 of the cutoff.
-
-    The rule from ``fir_project``'s docstring: with ``sigma^2`` the peak of the
-    sources' summed power spectra, each term is bounded by ``sqrt(E)`` and
-    ``sigma ||h||``, and an energy is kept while its bound is at most 1e4 times it.
-    """
-    taps = d.taps
-    n_fft = scipy.fft.next_fast_len(est.size + taps - 1, real=True)
-    power = np.cumsum([np.abs(np.fft.rfft(s, n_fft)) ** 2 for s in sources], axis=0)
-    h = d.projection_filters
-    ref_bound = math.sqrt(power[0].max() * np.sum(h[0] ** 2))
-    bound = math.sqrt(power[-1].max() * np.sum(np.concatenate(h) ** 2))
-    e = math.sqrt(np.sum(est ** 2))
-    bounds = {"target": ref_bound ** 2, "projected": bound ** 2, "artifacts": (e + bound) ** 2,
-              "distortion": (e + ref_bound) ** 2, "interference": (bound + ref_bound) ** 2}
-    out = {}
-    for part, value in energies.items():
-        if part == "interference" and len(sources) == 1:
-            out[part] = False  # exactly zero without interferers, never from the vectors
-        elif value <= 0.0 or bounds[part] > 2 * DOCUMENTED_CUTOFF * value:
-            out[part] = True
-        elif bounds[part] < DOCUMENTED_CUTOFF / 2 * value:
-            out[part] = False
-        else:
-            out[part] = None
-    return out
-
-
-class TestScoresFromNormalEquations:
-    """Scores from the normal equations against the energies of the explicit vectors."""
+class TestScores:
+    """Scores against the energies of the explicit vectors."""
 
     @pytest.mark.parametrize("interf", sorted(_INTERFERERS))
     @pytest.mark.parametrize("taps", [1, 16, 512])
     @pytest.mark.parametrize("level_db", [-10, 0, 20, 40, 60, 100])
-    def test_match_the_vectors(self, level_db, taps, interf, caplog):
+    def test_match_the_vectors(self, level_db, taps, interf):
         rng = np.random.default_rng(1000 * (level_db + 10) + taps)
         s, *others = (speech_like(0.5, 16000, seed).samples for seed in (30, 31, 32))
         sources = [s] + _INTERFERERS[interf](s, others)
@@ -347,79 +315,46 @@ class TestScoresFromNormalEquations:
         rest = rng.standard_normal(s.size) + 0.5 * sum(others[:len(sources) - 1])
         est = target + rest * math.sqrt(linalg._inner(target) / linalg._inner(rest)) \
             * 10 ** (-level_db / 20)
-        caplog.set_level(logging.DEBUG, logger="sepmetrics.legacy")
         d = fir_project(est, s, sources[1:], FirProjectionConfig(taps=taps))
         scores = [legacy_sdr(d), legacy_sir(d), legacy_sar(d)]
-        read = {r.getMessage().split()[1] for r in caplog.records
-                if r.getMessage().endswith("energy read from the vectors")}
 
         v = vector_energies(*rebuild_vectors(d, est, s, sources[1:]))
         want = [metrics.db_ratio(v["target"], v["distortion"]),
                 metrics.db_ratio(v["target"], v["interference"]),
                 metrics.db_ratio(v["projected"], v["artifacts"])]
         assert scores == pytest.approx(want, abs=1e-9)
-        for part, to_vectors in ruled_to_vectors(d, est, sources, v).items():
-            if to_vectors is not None:
-                assert (part in read) == to_vectors, part
 
-    def test_both_sides_of_the_cutoff(self, speech, caplog):
-        ref = speech.samples
-        rng = np.random.default_rng(4)
-        target = fftconvolve(ref, rng.standard_normal(8))[:ref.size]
-        noise = rng.standard_normal(ref.size)
-        noise *= math.sqrt(linalg._inner(target) / linalg._inner(noise))
-        caplog.set_level(logging.DEBUG, logger="sepmetrics.legacy")
-        reads = []
-        for est in (target + noise, target + 1e-4 * noise, ref):
-            caplog.clear()
-            d = fir_project(est, ref, cfg=FirProjectionConfig(taps=64))
-            reads.append([r.getMessage() for r in caplog.records if "vectors" in r.getMessage()])
-            if reads[-1]:  # read from the builder's vectors, bit for bit
-                _, i, a = built_vectors(d, est, [ref])
-                assert (d.artifacts, d.distortion) == (linalg._inner(a), linalg._inner(i + a))
-        # 0 dB: scalars; 80 dB and an exact copy (306 dB): past the cutoff. With
-        # the reference alone the artifacts are the distortion.
-        past = ["fir_project: artifacts energy read from the vectors",
-                "fir_project: distortion energy read from the vectors"]
-        assert reads == [[], past, past]
-
-    def test_cutoff_rule(self):
-        cutoff = DOCUMENTED_CUTOFF
-        assert legacy._scalar_energy(2.0, 2.0 * cutoff) == 2.0
-        assert legacy._scalar_energy(2.0, 2.0 * cutoff * (1 + 1e-15)) is None
-        for value in (0.0, -1.0, math.nan):
-            assert legacy._scalar_energy(value, 1.0) is None
-
-    def test_scoring_builds_no_vector(self, speech):
-        ref = speech.samples
+    @pytest.mark.parametrize("seconds, rate", [(2.0, 16000), (30.0, 44100)])
+    def test_one_path_one_memory_peak(self, seconds, rate):
+        # A noisy estimate (about -13 dB) and an exact copy, whose residual is
+        # rounding noise, take the same blocked path: their peaks differ by
+        # less than a chunk.
         rng = np.random.default_rng(6)
+        ref = rng.standard_normal(int(seconds * rate))
         est = (fftconvolve(ref, rng.standard_normal(20) / 20)[:ref.size]
-               + 0.01 * rng.standard_normal(ref.size))
+               + rng.standard_normal(ref.size))
         cfg = FirProjectionConfig(taps=512)
         for x in (est, ref):  # warm the plan, the factor and the FFT sizes
             legacy_sdr(fir_project(x, ref, cfg=cfg))
         peaks = []
-        for x in (est, ref):  # scalar energies; an exact copy, whose artifacts need the vectors
+        for x in (est, ref):
             tracemalloc.start()
             try:
                 legacy_sdr(fir_project(x, ref, cfg=cfg))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # A fallback builds all three vectors; scoring from the scalars must build none.
-        assert peaks[0] + 2 * (ref.size + 511) * 8 <= peaks[1]
+        chunk = legacy._CHUNK * (2048 // 2 + 1) * 16  # one chunk of N = 2048-point spectra
+        assert abs(peaks[0] - peaks[1]) <= chunk, peaks
 
     @pytest.mark.parametrize("copy", [False, True])
     @pytest.mark.parametrize("n_interf", [0, 2])
-    def test_result_holds_no_input_sized_array(self, n_interf, copy, caplog):
+    def test_result_holds_no_input_sized_array(self, n_interf, copy):
         sources, est = speech_mix(n_interf, seconds=2.0)
-        if copy:  # an exact copy's artifacts are read from the vectors
+        if copy:
             est = sources[0].copy()
         cfg = FirProjectionConfig(taps=512)
-        with caplog.at_level(logging.DEBUG, logger="sepmetrics.legacy"):
-            legacy_sdr(fir_project(est, sources[0], sources[1:], cfg))  # warm the plan and factor
-        if copy:
-            assert any(m.endswith("read from the vectors") for m in caplog.messages)
+        legacy_sdr(fir_project(est, sources[0], sources[1:], cfg))  # warm the plan and factor
         tracemalloc.start()
         try:
             d = fir_project(est, sources[0], sources[1:], cfg)
@@ -480,38 +415,68 @@ _BLOCKED_CASES = [(taps, length) for taps, step, short in ((1, 1024, 700), (16, 
                   for length in (short, 3 * step, 2 * step + 1)]
 
 
-class TestBlockedRightHandSides:
-    """The right-hand sides ``fir_project`` hands the solver, against direct sums."""
+def assert_direct_energies(d, est, sources):
+    """``d``'s five energies against ``np.convolve`` vectors summed by ``math.fsum``.
 
-    def captured_rhs(self, monkeypatch, est, sources, taps):
+    Each energy is within ``eps (2 sqrt(want) + eps)`` of the direct one, ``eps``
+    being 64 u times ``||est|| + sum_i ||h_i||_1 ||s_i||``, which bounds every vector.
+    """
+    pairs = list(zip(sources, d.projection_filters))
+    target, *others = (np.convolve(s, h) for s, h in pairs)
+    interf = sum(others, np.zeros(target.size))
+    e = np.concatenate([est, np.zeros(d.taps - 1)])
+    want = {"target": target, "interference": interf, "artifacts": e - target - interf,
+            "distortion": e - target, "projected": target + interf}
+    size = math.sqrt(linalg._inner(est)) + sum(
+        np.abs(h).sum() * math.sqrt(linalg._inner(s)) for s, h in pairs)
+    eps = 64 * np.finfo(np.float64).eps / 2 * size
+    for part, vector in want.items():
+        energy = math.fsum(vector ** 2)
+        assert abs(getattr(d, part) - energy) <= eps * (2 * math.sqrt(energy) + eps), part
+
+
+class TestBlockedRightHandSides:
+    """The right-hand sides, lag blocks and energies of ``fir_project``, against direct sums."""
+
+    def project(self, monkeypatch, est, sources, taps):
+        """``fir_project``'s result and the lag blocks and right-hand sides it solved."""
         seen = []
 
         def spy(blocks, rhs):
-            seen.append(rhs.copy())
+            seen.append((blocks.copy(), rhs.copy()))
             return linalg.solve_spd(blocks, rhs)
 
         monkeypatch.setattr(legacy, "solve_spd", spy)
-        fir_project(est, sources[0], sources[1:], FirProjectionConfig(taps=taps))
-        (rhs,) = seen
-        return rhs
+        d = fir_project(est, sources[0], sources[1:], FirProjectionConfig(taps=taps))
+        ((blocks, rhs),) = seen
+        return d, blocks, rhs
 
     def check(self, monkeypatch, sources, taps, rng):
-        """Cold, then on the plan the first call left: each lag within 8 u ||s_i|| ||est||."""
+        """Cold, then on the plan the first call left: each lag within 8 u of its norms."""
         legacy._plan = None
         length = sources[0].size
+        u = np.finfo(np.float64).eps / 2
         for warm in (False, True):
             est = (np.convolve(sources[0], rng.standard_normal(5))[:length]
                    + 0.5 * np.sum(sources[1:], axis=0) + 0.1 * rng.standard_normal(length))
             plan = legacy._plan
-            rhs = self.captured_rhs(monkeypatch, est, sources, taps)
+            d, blocks, rhs = self.project(monkeypatch, est, sources, taps)
             assert (legacy._plan is plan) == warm
-            step = overlap_save_step(length, taps)  # K blocks of N points: the documented rule
-            assert legacy._plan[3].shape == (-(-length // step), (step + taps - 1) // 2 + 1)
-            u = np.finfo(np.float64).eps / 2
+            step = overlap_save_step(length, taps)  # K segments of N points over L + taps - 1
+            assert legacy._plan[3].shape == (-(-(length + taps - 1) // step),
+                                             (step + taps - 1) // 2 + 1)
             for got, src in zip(rhs, sources):
-                want = [math.fsum(est[d:] * src[:length - d]) for d in range(taps)]
+                want = [math.fsum(est[lag:] * src[:length - lag]) for lag in range(taps)]
                 scale = math.sqrt(linalg._inner(src) * linalg._inner(est))
                 assert np.abs(got - want).max() <= 8 * u * scale
+            # blocks[d][i, j] = <s_i, delay_d(s_j)>, by the lag sums checked above
+            # at every lag; every 8th lag and the last show each block's wiring.
+            lags = [*range(0, taps, 8), taps - 1]
+            for (i, x), (j, src) in itertools.product(enumerate(sources), repeat=2):
+                want = [math.fsum(x[lag:] * src[:length - lag]) for lag in lags]
+                scale = math.sqrt(linalg._inner(src) * linalg._inner(x))
+                assert np.abs(blocks[lags, i, j] - want).max() <= 8 * u * scale
+            assert_direct_energies(d, est, sources)
 
     @pytest.mark.parametrize("n_interf", [0, 1, 2])
     @pytest.mark.parametrize("taps, length", _BLOCKED_CASES)
@@ -523,9 +488,25 @@ class TestBlockedRightHandSides:
                    taps, rng)
 
     def test_taps_equal_to_length(self, monkeypatch, rng):
-        # The cap: N = 600 covers the padded support of 599 samples in one block.
+        # The cap: N = 600, so B = 301 holds the 300 samples in one block and
+        # the padded support of 599 samples in two.
         assert overlap_save_step(300, 300) == 301
         self.check(monkeypatch, [rng.standard_normal(300)], 300, rng)
+
+    @pytest.mark.parametrize("level_db", [-10, 0, 20, 60, 100, None], ids=lambda v: f"{v}dB"
+                             if v is not None else "copy")
+    @pytest.mark.parametrize("taps, length, n_interf", [
+        (taps, length, n) for taps, length in _BLOCKED_CASES for n in (0, 1, 2)] + [(300, 300, 0)])
+    def test_energies_up_to_an_exact_copy(self, rng, taps, length, n_interf, level_db):
+        sources = list(rng.standard_normal((1 + n_interf, length)))
+        est = sources[0].copy()
+        if level_db is not None:  # a filtered reference, the rest level_db below it
+            target = np.convolve(sources[0], rng.standard_normal(5))[:length]
+            rest = rng.standard_normal(length) + 0.5 * np.sum(sources[1:], axis=0)
+            est = target + rest * math.sqrt(linalg._inner(target) / linalg._inner(rest)) \
+                * 10 ** (-level_db / 20)
+        assert_direct_energies(fir_project(est, sources[0], sources[1:],
+                                           FirProjectionConfig(taps=taps)), est, sources)
 
 
 def no_block_levinson(blocks, rhs):
@@ -618,12 +599,6 @@ def cold_project(est, ref, interferers=(), taps=32):
     return fir_project(est, ref, interferers, FirProjectionConfig(taps=taps))
 
 
-def built_vectors(d, est, sources):
-    """``legacy._vectors`` on ``d``'s filters, as ``fir_project`` calls it."""
-    n_fft = linalg._next_fast_len(est.size + d.taps - 1)
-    return legacy._vectors(est, sources, np.array(d.projection_filters), n_fft)
-
-
 def assert_same(got, want):
     for name in ENERGIES:
         assert getattr(got, name) == getattr(want, name), name
@@ -691,8 +666,8 @@ class TestReferencePlan:
         for taps in (2, 17, 512):
             for _ in range(2):  # cold, then from the plan
                 d = fir_project(est, ref, cfg=FirProjectionConfig(taps=taps))
-                s_target = built_vectors(d, est, [ref])[0]
-                assert np.array_equal(s_target, fftconvolve(ref, d.projection_filters[0]))
+                s_target = fftconvolve(ref, d.projection_filters[0])
+                assert d.target == pytest.approx(linalg._inner(s_target), rel=1e-13)
 
     def test_contributions_are_fftconvolve(self, signals):
         a, b, ests = signals
@@ -700,27 +675,25 @@ class TestReferencePlan:
         for _ in range(2):  # cold, then from the plan
             est = ests[0] + 0.5 * b
             d = fir_project(est, a, interf, FirProjectionConfig(taps=32))
-            s_target, e_interf, _ = built_vectors(d, est, [a, *interf])
             f = d.projection_filters
-            assert np.array_equal(s_target, fftconvolve(a, f[0]))
-            assert np.array_equal(e_interf, np.sum(
-                [fftconvolve(s, h) for s, h in zip(interf, f[1:])], axis=0))
+            s_target = fftconvolve(a, f[0])
+            e_interf = np.sum([fftconvolve(s, h) for s, h in zip(interf, f[1:])], axis=0)
+            assert d.target == pytest.approx(linalg._inner(s_target), rel=1e-13)
+            assert d.interference == pytest.approx(linalg._inner(e_interf), rel=1e-13)
+            assert d.projected == pytest.approx(linalg._inner(s_target + e_interf), rel=1e-13)
 
     def test_holds_one_private_reference(self, signals):
         a, b, ests = signals
         fir_project(ests[0], a, cfg=FirProjectionConfig(taps=32))
         fir_project(ests[1], b, cfg=FirProjectionConfig(taps=16))
-        ref, taps, acf, segments, peak = legacy._plan
+        ref, taps, acf, segments = legacy._plan
         assert taps == 16 and np.array_equal(ref, b) and ref is not b
         assert not any(x.flags.writeable for x in (ref, acf, segments))
-        # Only 2*taps-1 lags are kept, read exactly as the full autocorrelation.
-        n_fft = scipy.fft.next_fast_len(1515, real=True)
-        spec = np.fft.rfft(b, n_fft)
-        cc = scipy.fft.irfft(spec * np.conj(spec), n_fft)
-        assert acf.size == 31 and np.array_equal(acf[:16], cc[:16])
-        assert np.array_equal(legacy._lags(acf, 16), legacy._lags(cc, 16))
-        # sigma^2 is the full spectrum's peak power; 1500 samples in 2 blocks of 1009.
-        assert peak == float((np.abs(spec) ** 2).max())
+        # Only the lags below taps are kept; the negative ones are the same numbers.
+        want = [math.fsum(b[lag:] * b[:b.size - lag]) for lag in range(16)]
+        assert acf.size == 16
+        assert np.abs(acf - want).max() <= 8 * np.finfo(np.float64).eps / 2 * linalg._inner(b)
+        # N = 1024, B = 1009: the padded support of 1515 samples in 2 segments.
         assert segments.shape == (2, 513)
 
     def test_reuse_and_rebuild_logged(self, signals, caplog):

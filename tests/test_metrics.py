@@ -630,13 +630,24 @@ def _poisoned(x, value):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("where", ["reference", "estimate", "interferer", "fir_project"])
+@pytest.mark.parametrize("where", ["reference", "estimate", "interferer", "fir_project",
+                                   "fir_project_blocks"])
 def test_nonfinite_input_raises(rng, where, value):
     ref, est, noise = (rng.standard_normal(256) for _ in range(3))
     if where == "fir_project":
-        for args in ((_poisoned(est, value), ref, ()), (est, _poisoned(ref, value), ()),
-                     (est, ref, [_poisoned(noise, value)])):
-            decomp = fir_project(*args, cfg=FirProjectionConfig(taps=8))
+        cases, taps = [(_poisoned(est, value), ref, ()), (est, _poisoned(ref, value), ()),
+                       (est, ref, [_poisoned(noise, value)])], 8
+    if where == "fir_project_blocks":
+        # L = 3B + 1 at 512 taps (B = 1537): the one poisoned sample, in the
+        # estimate, the reference or either interferer, misses most blocks.
+        cases, taps = [], 512
+        for k in range(4):
+            signals = list(rng.standard_normal((4, 3 * 1537 + 1)))
+            signals[k] = _poisoned(signals[k], value)
+            cases.append((signals[0], signals[1], signals[2:]))
+    if where.startswith("fir_project"):
+        for args in cases:
+            decomp = fir_project(*args, cfg=FirProjectionConfig(taps=taps))
             for metric in (legacy_sdr, legacy_sir, legacy_sar):
                 with pytest.raises(NonFiniteError):
                     metric(decomp)
