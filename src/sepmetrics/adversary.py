@@ -32,7 +32,8 @@ import numpy as np
 
 from . import legacy
 from .audio import Signal
-from .dsp import MaskVector, Spectrogram, StftConfig, _analyze, apply_mask, istft, stft
+from .dsp import (MaskVector, Spectrogram, StftConfig, _analyze, _bin_weights, apply_mask,
+                  istft, stft)
 from .errors import ConfigError, _check_number
 from .metrics import db_ratio
 
@@ -51,38 +52,32 @@ _log = logging.getLogger(__name__)
 # the residual energy, stays below this (SI-SDR below about 60 dB); see optimize.
 _GRAM_CUTOFF = 1e6
 
+# Descent step and momentum of the velocity update in optimize.
+STEP_SIZE = 0.5
+MOMENTUM = 0.9
+# Bound on the gradient's l2 norm per step. This matters for the all-ones
+# starting mask, where reconstruction is near-exact and the dB-domain gradient
+# norm blows up like 1/(residual energy); without the bound the first step
+# saturates every logistic weight at once.
+GRAD_CLIP = 5.0
+
 
 @dataclass(frozen=True)
 class AdversaryConfig:
-    """Optimization loop settings.
-
-    ``grad_clip`` bounds the gradient's l2 norm per step. This matters for
-    the all-ones starting mask, where reconstruction is near-exact and the
-    dB-domain gradient norm blows up like 1/(residual energy); without the
-    bound the first step saturates every logistic weight at once.
-    """
+    """Optimization loop settings: iteration count, STFT, legacy scoring taps."""
 
     iterations: int = 500
-    step_size: float = 0.5
-    momentum: float = 0.9
     stft: StftConfig = field(default_factory=StftConfig)
-    grad_clip: float = 5.0
     legacy_taps: int = legacy.FirProjectionConfig.taps
 
     def __post_init__(self):
         if not isinstance(self.stft, StftConfig):
             raise ConfigError("stft", f"must be a StftConfig, got {self.stft!r}")
-        for name in ("iterations", "legacy_taps", "step_size", "momentum", "grad_clip"):
-            _check_number(name, getattr(self, name), integer=name in ("iterations", "legacy_taps"))
-        for name, ok, rule in (
-            ("iterations", self.iterations >= 0, ">= 0"),
-            ("legacy_taps", self.legacy_taps >= 1, ">= 1"),
-            ("step_size", self.step_size > 0.0, "positive"),
-            ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
-            ("grad_clip", self.grad_clip > 0.0, "positive"),
-        ):
-            if not ok:
-                raise ConfigError(name, f"must be {rule}, got {getattr(self, name)!r}")
+        for name, lo in (("iterations", 0), ("legacy_taps", 1)):
+            value = getattr(self, name)
+            _check_number(name, value, integer=True)
+            if value < lo:
+                raise ConfigError(name, f"must be >= {lo}, got {value!r}")
 
 
 @dataclass(eq=False)
@@ -137,8 +132,7 @@ def _istft_adjoint(spec: Spectrogram, upstream: np.ndarray) -> np.ndarray:
     """
     cfg = spec.cfg
     grad_spec = _analyze(upstream / cfg.ola_gain, cfg, spec.frames.shape[0])
-    scale = np.full(cfg.n_bins, 2.0 / cfg.window_len)
-    scale[0] = scale[-1] = 1.0 / cfg.window_len
+    scale = _bin_weights(cfg.n_bins) / cfg.window_len
     return (np.real(np.conj(spec.frames) * grad_spec) * scale).sum(axis=0)
 
 
@@ -168,8 +162,7 @@ def _synthesis_gram(spec: Spectrogram) -> np.ndarray:
     n, h, f = cfg.window_len, cfg.hop, cfg.n_bins
     r = n // h
     full, tail = divmod(spec.original_len, h)
-    scale = np.full(f, 2.0 / n)
-    scale[0] = scale[-1] = 1.0 / n
+    scale = _bin_weights(f) / n
 
     def tables(i):
         col = (cfg.window[i * h:(i + 1) * h] / cfg.ola_gain)[:, None] * scale
@@ -252,8 +245,8 @@ def gradient(weights, clean: Signal, cfg: StftConfig = StftConfig()) -> np.ndarr
 def optimize(clean: Signal, cfg: AdversaryConfig = AdversaryConfig()) -> AdversaryResult:
     """Run the descent from all-zero weights and score the resulting mask.
 
-    The loop is deterministic: velocity update ``v <- momentum*v - step*g``
-    on the (norm-clipped) gradient, recording the objective after every
+    The loop is deterministic: velocity update ``v <- MOMENTUM*v - STEP_SIZE*g``
+    on the gradient clipped to norm ``GRAD_CLIP``, recording the objective after every
     iteration. A non-finite gradient stops the loop early. The final masked
     signal is also scored with the legacy FIR-projection SDR at
     ``cfg.legacy_taps`` taps.
@@ -294,9 +287,9 @@ def optimize(clean: Signal, cfg: AdversaryConfig = AdversaryConfig()) -> Adversa
                        iteration, cfg.iterations)
             break
         norm = float(np.linalg.norm(grad))
-        if norm > cfg.grad_clip:
-            grad = grad * (cfg.grad_clip / norm)
-        velocity = cfg.momentum * velocity - cfg.step_size * grad
+        if norm > GRAD_CLIP:
+            grad = grad * (GRAD_CLIP / norm)
+        velocity = MOMENTUM * velocity - STEP_SIZE * grad
         weights = weights + velocity
         grad, value = _gradient_cached(spec, ref, weights, gram)
         trajectory.append(value)

@@ -47,6 +47,11 @@ __all__ = [
 
 KINDS = ("rescale-sweep", "progressive-deletion", "bandstop-sweep", "adversarial")
 
+# progressive-deletion: SNR of the white noise added to the speech
+NOISE_SNR_DB = 15.0
+# bandstop-sweep: width of the noise-corrupted band
+BAND_WIDTH_HZ = 1600.0
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -56,8 +61,8 @@ class ExperimentSpec:
     spec comes from Python or from :meth:`from_json_dict`: the integer fields
     (``seed``, ``sample_rate_hz``, ``legacy_taps``, ``length``,
     ``iterations``) must be integers, every other number finite. ``stft``,
-    ``legacy_taps`` and the optimizer settings are checked, for every kind,
-    by ``AdversaryConfig``'s rules under the same field names. Grids are
+    ``legacy_taps`` and ``iterations`` are checked, for every kind, by
+    ``AdversaryConfig``'s rules under the same field names. Grids are
     stored as tuples of floats; ``mu = 0`` writes ``-inf`` cells, the
     closed-form one included.
     """
@@ -71,18 +76,13 @@ class ExperimentSpec:
     legacy_taps: int = legacy.FirProjectionConfig.taps
     # progressive-deletion
     proportions: tuple[float, ...] = tuple(round(0.05 * i, 10) for i in range(21))
-    noise_snr_db: float = 15.0
     # bandstop-sweep
     gains: tuple[float, ...] = tuple(round(0.025 * i, 10) for i in range(41))
-    band_width_hz: float = 1600.0
     # rescale-sweep
     mu_grid: tuple[float, ...] = tuple(round(0.1 * i, 10) for i in range(1, 51))
     length: int = 16000
     # adversarial
     iterations: int = adversary.AdversaryConfig.iterations
-    step_size: float = adversary.AdversaryConfig.step_size
-    momentum: float = adversary.AdversaryConfig.momentum
-    grad_clip: float = adversary.AdversaryConfig.grad_clip
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -91,10 +91,10 @@ class ExperimentSpec:
             # open() would take an integer as a file descriptor
             raise SpecValidationError("input", f"must be a path or None, got {self.input_path!r}")
         try:
-            _adversary_config(self)
+            adversary.AdversaryConfig(self.iterations, self.stft, self.legacy_taps)
         except ConfigError as exc:
             raise SpecValidationError(exc.field, exc.reason) from exc
-        for name in self._INT_FIELDS + self._REAL_FIELDS:
+        for name in self._INT_FIELDS + ("duration_s",):
             _check_number(name, getattr(self, name), integer=name in self._INT_FIELDS,
                           error=SpecValidationError)
         for name, lo, hi in (("proportions", 0.0, 1.0), ("gains", 0.0, 1.0),
@@ -114,21 +114,19 @@ class ExperimentSpec:
             ("sample_rate_hz", self.sample_rate_hz >= 1),
             ("duration_s", self.duration_s > 0),
             ("length", self.length >= 1),
-            ("band_width_hz", self.band_width_hz > 0),
         ):
             if not ok:
                 raise SpecValidationError(name, f"invalid value {getattr(self, name)!r}")
 
     _GRID_FIELDS = ("proportions", "gains", "mu_grid")
     _INT_FIELDS = ("seed", "sample_rate_hz", "length")
-    _REAL_FIELDS = ("duration_s", "noise_snr_db", "band_width_hz")
     _COMMON_KEYS = ("kind", "input", "seed", "stft", "sample_rate_hz", "duration_s",
                     "legacy_taps")
     _KIND_KEYS = {
         "rescale-sweep": ("mu_grid", "length"),
-        "progressive-deletion": ("proportions", "noise_snr_db"),
-        "bandstop-sweep": ("gains", "band_width_hz"),
-        "adversarial": ("iterations", "step_size", "momentum", "grad_clip"),
+        "progressive-deletion": ("proportions",),
+        "bandstop-sweep": ("gains",),
+        "adversarial": ("iterations",),
     }
 
     @classmethod
@@ -138,8 +136,9 @@ class ExperimentSpec:
         Schema: ``kind`` (required), plus optional ``input`` (WAV path),
         ``seed``, ``stft: {window_len, hop}``, ``sample_rate_hz``,
         ``duration_s``, ``legacy_taps``, and the kind-specific parameters
-        (``mu_grid``/``length``, ``proportions``/``noise_snr_db``,
-        ``gains``/``band_width_hz``, or the optimizer settings).
+        (``mu_grid``/``length``, ``proportions``, ``gains``, or ``iterations``).
+        Any other key, such as ``noise_snr_db`` (fixed at :data:`NOISE_SNR_DB`),
+        is refused as an unknown field.
         ``seed``, ``sample_rate_hz``, ``legacy_taps``, ``length``,
         ``iterations`` and the ``stft`` fields must be JSON integers (not
         ``true``/``false`` or ``2.0``); every number must be finite, since
@@ -174,14 +173,6 @@ class ExperimentSpec:
             else:
                 kwargs[key] = value
         return cls(**kwargs)
-
-
-def _adversary_config(spec: ExperimentSpec) -> adversary.AdversaryConfig:
-    """The spec's optimizer settings; constructing it runs their checks."""
-    return adversary.AdversaryConfig(
-        iterations=spec.iterations, step_size=spec.step_size, momentum=spec.momentum,
-        stft=spec.stft, grad_clip=spec.grad_clip, legacy_taps=spec.legacy_taps,
-    )
 
 
 @dataclass(eq=False)
@@ -263,7 +254,7 @@ def run_progressive_deletion(spec: ExperimentSpec) -> list[CurveRow]:
     """
     clean = load_input(spec)
     noise = dsp.white_noise(len(clean), spec.seed + 1, clean.sample_rate_hz)
-    mixture, _ = dsp.mix_at_snr(clean, noise, spec.noise_snr_db)
+    mixture, _ = dsp.mix_at_snr(clean, noise, NOISE_SNR_DB)
     center = dsp.band_center(dsp.stft(clean, spec.stft), "median-energy")
     mix_spec = dsp.stft(mixture, spec.stft)
     n_bins = spec.stft.n_bins
@@ -286,7 +277,7 @@ def run_bandstop_sweep(spec: ExperimentSpec) -> list[CurveRow]:
     clean_spec = dsp.stft(clean, spec.stft)
     n_bins = spec.stft.n_bins
     center = dsp.band_center(clean_spec, "max-magnitude")
-    width = dsp.hz_to_bins(spec.band_width_hz, clean.sample_rate_hz, spec.stft.fft_size)
+    width = dsp.hz_to_bins(BAND_WIDTH_HZ, clean.sample_rate_hz, spec.stft.fft_size)
     band = dsp.band_edges(center, width, n_bins, preserve_width=True)
 
     raw = dsp.white_noise(len(clean), spec.seed + 1, clean.sample_rate_hz)
@@ -309,7 +300,8 @@ def run_bandstop_sweep(spec: ExperimentSpec) -> list[CurveRow]:
 def run_adversarial(spec: ExperimentSpec) -> tuple[adversary.AdversaryResult, list[CurveRow]]:
     """Run the mask optimizer; the curve is its per-iteration SI-SDR trajectory."""
     clean = load_input(spec)
-    result = adversary.optimize(clean, _adversary_config(spec))
+    cfg = adversary.AdversaryConfig(spec.iterations, spec.stft, spec.legacy_taps)
+    result = adversary.optimize(clean, cfg)
     trajectory = [
         CurveRow(float(i), math.nan, math.nan, si, math.nan)
         for i, si in enumerate(result.trajectory)

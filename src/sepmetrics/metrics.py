@@ -99,20 +99,26 @@ def db_ratio(num: float, den: float) -> float:
     return 10.0 * math.log10(num / den)
 
 
+def _reference_energy(ref: np.ndarray) -> float:
+    """``||ref||^2``; zero (all-zero samples, or squares that all underflow) raises."""
+    energy = _inner(ref)
+    if energy == 0.0:
+        raise ZeroReferenceError("reference signal has zero energy")
+    return energy
+
+
 def snr(reference, estimate) -> float:
     """Classical SNR: reference energy over energy of ``reference - estimate``.
 
     Returns +inf when the estimate equals the reference exactly.
     """
     ref, est = prepare([reference, estimate])
-    if not ref.any():
-        raise ZeroReferenceError("reference signal is all zeros")
-    return db_ratio(_inner(ref), _inner(ref - est))
+    return db_ratio(_reference_energy(ref), _inner(ref - est))
 
 
 def _gain(ref: np.ndarray, est: np.ndarray) -> tuple[float, float]:
     """Optimal gain ``alpha = <est, ref>/||ref||^2`` and target energy ``||alpha*ref||^2``."""
-    energy = _inner(ref)
+    energy = _reference_energy(ref)
     a = _inner(est, ref) / energy
     return a, a * a * energy
 
@@ -125,11 +131,9 @@ def si_sdr(reference, estimate) -> float:
     collinear with the reference, -inf for nonzero estimates orthogonal to it.
     """
     ref, est = prepare([reference, estimate])
-    if not ref.any():
-        raise ZeroReferenceError("reference signal is all zeros")
+    a, num = _gain(ref, est)
     if not est.any():
         raise ZeroEstimateError("estimate signal is all zeros")
-    a, num = _gain(ref, est)
     return db_ratio(num, _inner(a * ref - est))
 
 
@@ -139,11 +143,9 @@ def sd_sdr(reference, estimate) -> float:
     Equal to ``snr + 10*log10(alpha^2)``; -inf when the optimal gain is zero.
     """
     ref, est = prepare([reference, estimate])
-    if not ref.any():
-        raise ZeroReferenceError("reference signal is all zeros")
+    _, num = _gain(ref, est)
     if not est.any():
         raise ZeroEstimateError("estimate signal is all zeros")
-    _, num = _gain(ref, est)
     return db_ratio(num, _inner(ref - est))
 
 
@@ -181,14 +183,11 @@ def decompose(reference, estimate, interferers=()) -> Decomposition:
     check, and rank-revealing pivoted Cholesky if the check fails.
 
     Raises:
-        ZeroReferenceError: all-zero reference.
+        ZeroReferenceError: reference of zero energy.
         DegenerateSourcesError: a Gram matrix indefinite to working precision.
         LengthMismatchError: signals of unequal length.
     """
     ref, est, *others = prepare([reference, estimate, *interferers])
-    if not ref.any():
-        raise ZeroReferenceError("reference signal is all zeros")
-
     a, _ = _gain(ref, est)
     e_target = a * ref
     e_res = est - e_target

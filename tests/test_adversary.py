@@ -284,23 +284,13 @@ class TestOptimize:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            AdversaryConfig(step_size=0.0)
-        with pytest.raises(ValueError):
-            AdversaryConfig(momentum=1.0)
-        with pytest.raises(ValueError):
             AdversaryConfig(iterations=-1)
-        with pytest.raises(ValueError):
-            AdversaryConfig(grad_clip=0.0)
 
     @pytest.mark.parametrize("kwargs, field", [
         (dict(iterations=2.5), "iterations"),
         (dict(iterations=True), "iterations"),
         (dict(legacy_taps=3.7), "legacy_taps"),
         (dict(legacy_taps=0), "legacy_taps"),
-        (dict(step_size=math.nan), "step_size"),
-        (dict(step_size=math.inf), "step_size"),
-        (dict(grad_clip=math.inf), "grad_clip"),
-        (dict(momentum=None), "momentum"),
         (dict(stft={"window_len": 512, "hop": 128}), "stft"),
     ])
     def test_config_rejects_at_construction(self, kwargs, field):
@@ -309,6 +299,5 @@ class TestOptimize:
             AdversaryConfig(**kwargs)
 
     def test_config_accepts_numpy_scalars(self):
-        cfg = AdversaryConfig(iterations=np.int64(3), legacy_taps=np.int32(8),
-                              step_size=np.float32(0.25))
+        cfg = AdversaryConfig(iterations=np.int64(3), legacy_taps=np.int32(8))
         assert cfg.iterations == 3 and cfg.legacy_taps == 8

@@ -74,6 +74,31 @@ class TestReadWav:
         with pytest.raises(FormatError, match="sample rate 0"):
             read_wav(path)
 
+    @pytest.mark.parametrize("drop", [b"fmt ", b"data"])
+    def test_missing_chunk(self, tmp_path, drop):
+        fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+        chunks = {b"fmt ": fmt, b"data": struct.pack("<2h", 1, 2)}
+        body = b"WAVE" + b"".join(cid + struct.pack("<I", len(data)) + data
+                                  for cid, data in chunks.items() if cid != drop)
+        path = tmp_path / "m.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(FormatError, match="missing fmt/data chunk"):
+            read_wav(str(path))
+
+    def test_truncated_fmt_chunk(self, tmp_path):
+        fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)[:14]
+        body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                + b"data" + struct.pack("<I", 4) + struct.pack("<2h", 1, 2))
+        path = tmp_path / "t.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(FormatError, match="truncated fmt chunk"):
+            read_wav(str(path))
+
+    def test_zero_channels(self, tmp_path):
+        path = make_wav(tmp_path / "z.wav", struct.pack("<2h", 1, 2), 1, 0, 16)
+        with pytest.raises(FormatError, match="invalid channel count 0"):
+            read_wav(path)
+
     def test_channel_out_of_range(self, tmp_path):
         payload = struct.pack("<2h", 1, 2)
         path = make_wav(tmp_path / "e.wav", payload, 1, 1, 16)

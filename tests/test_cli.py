@@ -262,6 +262,12 @@ class TestEvalSet:
         write_wav(Signal(rng.standard_normal(800), 16000), str(tmp_path / "ests" / "2.wav"))
         assert main(["eval-set", "--refs", refs, "--ests", ests]) == 3
 
+    def test_no_matching_files_exit_3(self, tmp_path, capsys):
+        (tmp_path / "refs").mkdir()
+        assert main(["eval-set", "--refs", str(tmp_path / "refs"),
+                     "--ests", str(tmp_path / "*.wav")]) == 3
+        assert "no input files matched" in capsys.readouterr().err
+
     def test_glob_patterns(self, file_sets, capsys):
         refs, ests = file_sets
         assert main(["eval-set", "--refs", refs + "/*.wav",
@@ -436,6 +442,23 @@ class TestExperimentCmd:
                      "--out-dir", str(tmp_path / "x")]) == 2
         assert "stft.window_len: must be an integer" in capsys.readouterr().err
 
+    def test_unreadable_spec_exit_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "none.json"
+        assert main(["experiment", "--spec", str(spec_path),
+                     "--out-dir", str(tmp_path / "x")]) == 2
+        assert f"error: cannot read {spec_path}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_fixed_setting_in_spec_exit_2(self, tmp_path, capsys):
+        # momentum is a module constant, not a spec field: refused, never ignored
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"kind": "adversarial", "iterations": 3,
+                                         "momentum": 0.5}))
+        assert main(["experiment", "--spec", str(spec_path),
+                     "--out-dir", str(tmp_path / "x")]) == 2
+        assert "error: momentum: unknown field for kind 'adversarial'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_bad_json_exit_2(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text("{nope")
@@ -520,6 +543,19 @@ class TestCompare:
         assert info.value.code == 2
         assert "--threshold: must be a number" in capsys.readouterr().err
 
+    def test_threshold_sets_the_flag(self, tmp_path, capsys):
+        clean = speech_like(duration_s=0.3, seed=6)
+        lowpassed = np.convolve(clean.samples, np.ones(8) / 8)[:len(clean)]
+        ref_path, est_path = str(tmp_path / "ref.wav"), str(tmp_path / "est.wav")
+        write_wav(clean, ref_path)
+        write_wav(Signal(lowpassed, 16000), est_path)
+        flags = {}
+        for threshold in ("-1000", "1000"):
+            assert main(["compare", "--ref", ref_path, "--est", est_path,
+                         "--legacy-taps", "64", "--threshold", threshold]) == 0
+            flags[threshold] = capsys.readouterr().out.strip().split("\n")[1].split()[-1]
+        assert flags == {"-1000": "WARN", "1000": "ok"}
+
     def test_gap_rules(self):
         assert gap_db(math.inf, math.inf) == 0.0
         assert gap_db(math.inf, 10.0) == math.inf
@@ -554,3 +590,11 @@ class TestExitCategories:
             expected = 1
         assert main(["compare", "--ref", "r.wav", "--est", "e.wav"]) == expected
         assert capsys.readouterr().err.endswith("reason\n")
+
+    def test_unexpected_error_exit_1(self, monkeypatch, capsys):
+        def fail(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_compare", fail)
+        assert main(["compare", "--ref", "r.wav", "--est", "e.wav"]) == 1
+        assert capsys.readouterr().err == "unexpected error: boom\n"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sepmetrics import dsp
 from sepmetrics.audio import Signal
 from sepmetrics.dsp import (
     MaskVector,
@@ -23,10 +24,12 @@ from sepmetrics.dsp import (
 from sepmetrics.errors import (
     ConfigError,
     LengthMismatchError,
+    NonFiniteError,
     SampleRateMismatchError,
     SignalTooShortError,
     ZeroReferenceError,
 )
+from sepmetrics.linalg import _inner
 
 CFG = StftConfig()
 
@@ -69,6 +72,31 @@ class TestStftConfig:
         for window_len, hop in ((256, 64), (512, 256), (1024, 128), (64, 32)):
             cfg = StftConfig(window_len, hop)
             assert cfg.n_bins == window_len // 2 + 1
+
+    @pytest.mark.parametrize("window_len", [511, 1, 0])
+    def test_window_len_must_be_even(self, window_len):
+        with pytest.raises(ConfigError, match="^window_len: must be even") as info:
+            StftConfig(window_len, 1)
+        assert info.value.field == "window_len"
+
+    def test_construction_builds_no_window(self, monkeypatch):
+        def no_window(n):
+            raise AssertionError("StftConfig built a window")
+
+        monkeypatch.setattr(dsp, "_sqrt_hann", no_window)
+        for window_len, hop in ((512, 128), (256, 64), (1024, 512), (2, 1)):
+            assert StftConfig(window_len, hop).hop == hop
+
+    def test_every_valid_hop_has_constant_overlap_add(self):
+        # The identity StftConfig relies on instead of a check: sin^2 summed
+        # over R = N/H >= 2 phases spaced pi/R apart is R/2 = ola_gain.
+        for n in range(2, 257, 2):
+            window = dsp._sqrt_hann(n)
+            for h in range(1, n // 2 + 1):
+                if n % h == 0:
+                    sums = (window.reshape(n // h, h) ** 2).sum(axis=0)
+                    gain = StftConfig(n, h).ola_gain
+                    assert np.max(np.abs(sums - gain)) <= 1e-13 * gain, (n, h)
 
 
 class TestRoundTrip:
@@ -226,6 +254,16 @@ class TestApplyMask:
         assert (out.cfg, out.original_len, out.sample_rate_hz) == (CFG, 2000, 8000)
         assert np.array_equal(spec.frames, before)
 
+    def test_spectrogram_shape_must_match_the_bins(self):
+        with pytest.raises(ValueError, match=f"frames must be T x {CFG.n_bins}"):
+            Spectrogram(np.zeros((3, CFG.n_bins - 1), dtype=complex), CFG, 600, 16000)
+        with pytest.raises(ValueError, match="frames must be T x"):
+            Spectrogram(np.zeros(CFG.n_bins, dtype=complex), CFG, 600, 16000)
+
+    def test_mask_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            MaskVector(np.ones((2, CFG.n_bins)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_direct_construction_still_validates(self, bad):
         frames = np.zeros((3, CFG.n_bins), dtype=complex)
@@ -264,6 +302,11 @@ class TestWhiteNoise:
         b = white_noise(10 ** 5, seed=2).samples
         corr = (a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
         assert abs(corr) < 0.01
+
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_length_must_be_positive(self, length):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            white_noise(length, seed=0)
 
 
 class TestMixAtSnr:
@@ -318,6 +361,48 @@ class TestMixAtSnr:
         assert not scaled.samples.any()
         np.testing.assert_array_equal(mixture.samples, clean.samples)
 
+    def test_silent_noise_rejected(self):
+        with pytest.raises(ValueError, match="noise has no energy"):
+            mix_at_snr(white_noise(100, 1), Signal(np.zeros(100), 16000), 0.0)
+
+    @pytest.mark.parametrize("snr_db", [-300.0, -20.0, 0.0, 15.0, 300.0])
+    def test_gain_keeps_the_power_ratio_form(self, snr_db):
+        clean, noise = white_noise(100, 1), white_noise(100, 0)
+        _, scaled = mix_at_snr(clean, noise, snr_db)
+        ce, ne = _inner(clean.samples), _inner(noise.samples)
+        gain = math.sqrt(ce / (10.0 ** (snr_db / 10.0) * ne))
+        np.testing.assert_array_equal(scaled.samples, noise.samples * gain)
+
+    @pytest.mark.parametrize("snr_db", [3100.0, -3100.0, -3300.0])
+    def test_snr_beyond_the_power_range(self, snr_db):
+        # 10^(snr/10) overflows or underflows float64; 10^(-snr/20) does not
+        clean, noise = white_noise(100, 1), white_noise(100, 0)
+        mixture, scaled = mix_at_snr(clean, noise, snr_db)
+        ce, ne = _inner(clean.samples), _inner(noise.samples)
+        gain = math.sqrt(ce / ne) * 10.0 ** (-snr_db / 20.0)
+        assert 0.0 < gain < math.inf
+        np.testing.assert_array_equal(scaled.samples, noise.samples * gain)
+        np.testing.assert_array_equal(mixture.samples, clean.samples + scaled.samples)
+
+    def test_gain_underflow_adds_no_noise(self):
+        clean = white_noise(100, 1)
+        mixture, scaled = mix_at_snr(clean, white_noise(100, 0), 1e308)
+        assert not scaled.samples.any()
+        np.testing.assert_array_equal(mixture.samples, clean.samples)
+
+    @pytest.mark.parametrize("which", ["clean", "noise"])
+    def test_energy_overflow_rejected(self, which):
+        # finite samples whose squares overflow: no gain can be formed from them
+        loud, quiet = Signal(np.full(100, 1e160), 16000), white_noise(100, 0)
+        signals = (loud, quiet) if which == "clean" else (quiet, loud)
+        with pytest.raises(NonFiniteError, match="beyond the float64 range"):
+            mix_at_snr(*signals, 15.0)
+
+    def test_gain_overflow_rejected(self):
+        with pytest.raises(ConfigError, match="^snr_db: noise gain beyond") as info:
+            mix_at_snr(white_noise(100, 1), white_noise(100, 0), -1e308)
+        assert info.value.field == "snr_db"
+
 
 class TestBandCenter:
     def test_flat_spectrum_median(self):
@@ -352,6 +437,11 @@ class TestBandCenter:
         with pytest.raises(ZeroReferenceError):
             band_center(Spectrogram(frames, CFG, 1000, 16000), "median-energy")
 
+    def test_unknown_mode(self):
+        spec = Spectrogram(np.ones((4, CFG.n_bins), dtype=complex), CFG, 1000, 16000)
+        with pytest.raises(ValueError, match="unknown mode 'mean'"):
+            band_center(spec, "mean")
+
 
 class TestBandMask:
     def test_stop_gain_one_is_identity(self):
@@ -378,6 +468,20 @@ class TestBandMask:
         assert band_edges(1, 5, 257, preserve_width=True) == (0, 4)
         assert band_edges(256, 5, 257, preserve_width=True) == (252, 256)
         assert band_edges(128, 5, 257) == (126, 130)
+
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_band_edges_need_a_bin(self, width):
+        with pytest.raises(ValueError, match="width_bins must be >= 1"):
+            band_edges(100, width, CFG.n_bins)
+
+    @pytest.mark.parametrize("stop_gain", [-0.1, 1.5, math.nan])
+    def test_stop_gain_must_lie_in_unit_interval(self, stop_gain):
+        with pytest.raises(ValueError, match="stop_gain must lie in"):
+            band_mask(100, 5, "bandstop", CFG.n_bins, stop_gain=stop_gain)
+
+    def test_unknown_mask_kind(self):
+        with pytest.raises(ValueError, match="unknown band mask kind 'notch'"):
+            band_mask(100, 5, "notch", CFG.n_bins)
 
     def test_hz_to_bins_paper_band(self):
         # 1600 Hz at 16 kHz with a 512-point transform: 51.2 -> 51 bins

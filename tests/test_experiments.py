@@ -11,6 +11,7 @@ from sepmetrics.adversary import AdversaryConfig
 from sepmetrics.audio import write_wav
 from sepmetrics.errors import ConfigError, SignalTooShortError, SpecValidationError
 from sepmetrics.experiments import (
+    BAND_WIDTH_HZ,
     ExperimentSpec,
     load_input,
     orthogonal_equal_power_pair,
@@ -48,14 +49,41 @@ class TestSpecValidation:
             ExperimentSpec(kind="bandstop-sweep", gains=(0.0, 1.5))
 
     def test_scalar_bounds(self):
-        with pytest.raises(SpecValidationError, match="step_size"):
-            ExperimentSpec(kind="adversarial", step_size=0.0)
         with pytest.raises(SpecValidationError, match="legacy_taps"):
             ExperimentSpec(kind="rescale-sweep", legacy_taps=0)
 
     def test_from_json_unknown_field(self):
         with pytest.raises(SpecValidationError, match="bogus"):
             ExperimentSpec.from_json_dict({"kind": "rescale-sweep", "bogus": 1})
+
+    @pytest.mark.parametrize("kind, key", [
+        ("progressive-deletion", "noise_snr_db"),
+        ("bandstop-sweep", "band_width_hz"),
+        ("adversarial", "step_size"),
+        ("adversarial", "momentum"),
+        ("adversarial", "grad_clip"),
+    ])
+    def test_from_json_refuses_fixed_settings(self, kind, key):
+        # module constants, not spec fields: a spec that sets one is never ignored
+        with pytest.raises(SpecValidationError) as info:
+            ExperimentSpec.from_json_dict({"kind": kind, key: 1.0})
+        assert info.value.field == key
+        assert info.value.reason == f"unknown field for kind {kind!r}"
+
+    @pytest.mark.parametrize("data, field", [
+        ([{"kind": "rescale-sweep"}], "$"),
+        ("rescale-sweep", "$"),
+        ({"kind": "mystery"}, "kind"),
+        ({}, "kind"),
+        ({"kind": "rescale-sweep", "stft": [512, 128]}, "stft"),
+        ({"kind": "rescale-sweep", "stft": {"window_len": 512, "size": 128}}, "stft"),
+        ({"kind": "rescale-sweep", "mu_grid": 1.0}, "mu_grid"),
+        ({"kind": "bandstop-sweep", "gains": {"0": 0.5}}, "gains"),
+    ])
+    def test_from_json_rejects_malformed_structure(self, data, field):
+        with pytest.raises(SpecValidationError) as info:
+            ExperimentSpec.from_json_dict(data)
+        assert info.value.field == field
 
     def test_from_json_kind_mismatched_field(self):
         with pytest.raises(SpecValidationError, match="gains"):
@@ -76,9 +104,7 @@ class TestSpecValidation:
         ("rescale-sweep", '"sample_rate_hz": 16000.5', "sample_rate_hz"),
         ("rescale-sweep", '"stft": {"window_len": 512.0, "hop": 128}', "stft.window_len"),
         ("rescale-sweep", '"stft": {"window_len": 512, "hop": 128.5}', "stft.hop"),
-        ("bandstop-sweep", '"band_width_hz": Infinity', "band_width_hz"),
         ("rescale-sweep", '"duration_s": Infinity', "duration_s"),
-        ("adversarial", '"step_size": Infinity', "step_size"),
         ("rescale-sweep", '"mu_grid": [NaN]', "mu_grid"),
         ("progressive-deletion", '"proportions": [0.0, NaN]', "proportions"),
         ("rescale-sweep", '"seed": "3"', "seed"),
@@ -102,11 +128,8 @@ class TestSpecValidation:
         ("rescale-sweep", dict(mu_grid=(0.5, math.inf)), "mu_grid"),
         ("rescale-sweep", dict(stft={"window_len": 512, "hop": 128}), "stft"),
         ("progressive-deletion", dict(input_path=5), "input"),
-        ("progressive-deletion", dict(noise_snr_db=math.nan), "noise_snr_db"),
         ("progressive-deletion", dict(proportions=(0.0, "0.5")), "proportions"),
-        ("bandstop-sweep", dict(band_width_hz=math.inf), "band_width_hz"),
         ("adversarial", dict(iterations=2.5), "iterations"),
-        ("adversarial", dict(step_size=math.nan), "step_size"),
     ])
     def test_python_construction_runs_the_json_checks(self, kind, kwargs, field):
         with pytest.raises(SpecValidationError) as info:
@@ -117,9 +140,6 @@ class TestSpecValidation:
                                       "bandstop-sweep", "adversarial"])
     @pytest.mark.parametrize("name, value", [
         ("iterations", -1), ("iterations", 2.5),
-        ("step_size", 0.0), ("step_size", math.nan),
-        ("momentum", 1.0), ("momentum", -0.1),
-        ("grad_clip", 0.0), ("grad_clip", "5"),
         ("legacy_taps", 0), ("legacy_taps", 3.7),
         ("stft", {"window_len": 512, "hop": 128}),
     ])
@@ -220,7 +240,7 @@ class TestRowConsistency:
         clean = load_input(spec)
         clean_spec = dsp.stft(clean, spec.stft)
         center = dsp.band_center(clean_spec, "max-magnitude")
-        width = dsp.hz_to_bins(spec.band_width_hz, clean.sample_rate_hz,
+        width = dsp.hz_to_bins(BAND_WIDTH_HZ, clean.sample_rate_hz,
                                spec.stft.fft_size)
         band = dsp.band_edges(center, width, spec.stft.n_bins, preserve_width=True)
         raw = dsp.white_noise(len(clean), spec.seed + 1, clean.sample_rate_hz)

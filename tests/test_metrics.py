@@ -357,6 +357,17 @@ class TestDecompose:
             si_sar(d)
 
 
+@pytest.mark.parametrize("fn", [snr, si_sdr, sd_sdr, decompose, evaluate])
+@pytest.mark.parametrize("estimate", [np.ones(64), np.zeros(64)], ids=["nonzero", "zero"])
+def test_reference_whose_energy_underflows(fn, estimate):
+    # nonzero samples whose squares all underflow: ||ref||^2 is 0, as for an
+    # all-zero reference, and that is reported before any zero estimate
+    ref = np.full(64, 1e-170)
+    assert ref.any() and float(np.einsum("i,i->", ref, ref)) == 0.0
+    with pytest.raises(ZeroReferenceError):
+        fn(ref, estimate)
+
+
 class TestEnergyIdentity:
     def test_thousand_random_triples(self, rng):
         # Acceptance-grade identity check at smaller scale; the dedicated
@@ -573,6 +584,10 @@ class TestEvaluatePermuted:
     def test_count_mismatch(self, rng):
         with pytest.raises(CountMismatchError):
             evaluate_permuted([rng.standard_normal(10)], [])
+
+    def test_no_pairs(self):
+        with pytest.raises(CountMismatchError, match="at least one"):
+            evaluate_permuted([], [])
 
     def test_recovers_planted_permutation_beyond_eight_sources(self, rng):
         k = 12
