@@ -28,7 +28,6 @@ from .dsp import (
     apply_mask,
     band_center,
     band_edges,
-    band_mask,
     hz_to_bins,
     istft,
     mix_at_snr,

@@ -37,7 +37,6 @@ __all__ = [
     "white_noise",
     "mix_at_snr",
     "band_center",
-    "band_mask",
     "band_edges",
     "hz_to_bins",
 ]
@@ -66,10 +65,6 @@ class StftConfig:
             raise ConfigError("hop", f"must divide window_len ({n}), got {h}")
         if n // h < 2:
             raise ConfigError("hop", "need at least 2x overlap for reconstruction")
-
-    @property
-    def fft_size(self) -> int:
-        return self.window_len
 
     @property
     def n_bins(self) -> int:
@@ -122,10 +117,6 @@ class Spectrogram:
     @property
     def n_bins(self) -> int:
         return self.frames.shape[1]
-
-    @property
-    def bin_hz(self) -> float:
-        return self.sample_rate_hz / self.cfg.fft_size
 
 
 @dataclass(eq=False)
@@ -301,44 +292,21 @@ def band_center(spec: Spectrogram, mode: str = "median-energy") -> int:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def band_edges(center: int, width_bins: int, n_bins: int,
-               preserve_width: bool = False) -> tuple[int, int]:
-    """Inclusive bin range of width ``width_bins`` around ``center``.
+def band_edges(center: int, width_bins: int, n_bins: int) -> tuple[int, int]:
+    """Inclusive range of ``min(width_bins, n_bins)`` bins around ``center``.
 
-    Clips at the spectrum edges; with ``preserve_width`` the band is shifted
-    inward instead so the bin count is kept whenever it fits.
+    Centred on ``center`` (one bin lower for an even width) and shifted inward
+    where it would cross a spectrum edge, so the band keeps its width and
+    always contains ``center``. A width below 1 or a ``center`` outside
+    ``[0, n_bins)`` raises ``ValueError``.
     """
     if width_bins < 1:
         raise ValueError("width_bins must be >= 1")
+    if not 0 <= center < n_bins:
+        raise ValueError(f"center must lie in [0, {n_bins}), got {center}")
     width = min(width_bins, n_bins)
-    lo = center - (width - 1) // 2
-    hi = lo + width - 1
-    if preserve_width:
-        if lo < 0:
-            lo, hi = 0, width - 1
-        elif hi > n_bins - 1:
-            hi, lo = n_bins - 1, n_bins - width
-    else:
-        lo, hi = max(lo, 0), min(hi, n_bins - 1)
-    return lo, hi
-
-
-def band_mask(center: int, width_bins: int, kind: str, n_bins: int,
-              stop_gain: float = 0.0) -> MaskVector:
-    """Build a bandpass (1 inside, 0 outside) or bandstop (``stop_gain``
-    inside, 1 outside) mask, clipped at the spectrum edges."""
-    if not 0.0 <= stop_gain <= 1.0:
-        raise ValueError("stop_gain must lie in [0, 1]")
-    lo, hi = band_edges(center, width_bins, n_bins)
-    if kind == "bandpass":
-        gains = np.zeros(n_bins)
-        gains[lo:hi + 1] = 1.0
-    elif kind == "bandstop":
-        gains = np.ones(n_bins)
-        gains[lo:hi + 1] = stop_gain
-    else:
-        raise ValueError(f"unknown band mask kind {kind!r}")
-    return MaskVector(gains)
+    lo = min(max(center - (width - 1) // 2, 0), n_bins - width)
+    return lo, lo + width - 1
 
 
 def hz_to_bins(width_hz: float, sample_rate_hz: int, fft_size: int) -> int:

@@ -264,7 +264,7 @@ def run_progressive_deletion(spec: ExperimentSpec) -> list[CurveRow]:
         keep = int(round((1.0 - p) * n_bins))
         gains = np.zeros(n_bins)
         if keep > 0:
-            lo, hi = dsp.band_edges(center, keep, n_bins, preserve_width=True)
+            lo, hi = dsp.band_edges(center, keep, n_bins)
             gains[lo:hi + 1] = 1.0
         masked = dsp.istft(dsp.apply_mask(mix_spec, dsp.MaskVector(gains)))
         rows.append(_curve_row(p, clean, masked, spec.legacy_taps))
@@ -277,8 +277,8 @@ def run_bandstop_sweep(spec: ExperimentSpec) -> list[CurveRow]:
     clean_spec = dsp.stft(clean, spec.stft)
     n_bins = spec.stft.n_bins
     center = dsp.band_center(clean_spec, "max-magnitude")
-    width = dsp.hz_to_bins(BAND_WIDTH_HZ, clean.sample_rate_hz, spec.stft.fft_size)
-    band = dsp.band_edges(center, width, n_bins, preserve_width=True)
+    width = dsp.hz_to_bins(BAND_WIDTH_HZ, clean.sample_rate_hz, spec.stft.window_len)
+    band = dsp.band_edges(center, width, n_bins)
 
     raw = dsp.white_noise(len(clean), spec.seed + 1, clean.sample_rate_hz)
     pass_gains = np.zeros(n_bins)

@@ -26,14 +26,14 @@ autocorrelation once and solves each estimate by FFTs, reusing the factor
 while the autocorrelation stays exactly the same.
 
 Blocks: every correlation and every energy comes from overlap-save blocks of
-N points (Oppenheim & Schafer; see :func:`fir_project` for N's rule), never
-from a transform of a whole signal. The correlation lags sum one signal's
-blocks against another's segments, and the projected signals are rebuilt
-block by block, so each of the five energies is a direct sum of squares in
-which nothing cancels. The last reference's autocorrelation and segment
-spectra are kept in a private one-entry plan, reused only for an exactly
-equal reference and ``taps``. Everything but that pivoted Cholesky runs on
-numpy alone.
+N points, N a power of two (Oppenheim & Schafer; see :func:`fir_project` for
+N's rule), never from a transform of a whole signal. The correlation lags sum
+one signal's blocks against another's segments, and the projected signals are
+rebuilt block by block, so each of the five energies is a direct sum of
+squares in which nothing cancels. The last reference's autocorrelation and
+segment spectra are kept in a private one-entry plan, reused only for an
+exactly equal reference and ``taps``. Everything but that pivoted Cholesky
+runs on numpy alone.
 
 Scores: SDR, SIR and SAR are ratios of the five energies. A result holds the
 filters and those energies, no vector.
@@ -52,11 +52,10 @@ from .errors import (
     DegenerateSourcesError,
     ProblemTooLargeError,
     SignalTooShortError,
-    ZeroReferenceError,
     _check_number,
 )
-from .linalg import _next_fast_len, solve_spd
-from .metrics import db_ratio, prepare
+from .linalg import solve_spd
+from .metrics import _reference_energy, db_ratio, prepare
 
 __all__ = [
     "FirProjectionConfig",
@@ -255,9 +254,8 @@ def fir_project(estimate, reference, interferers=(),
     ``s_i`` is ``s_i[kB - taps + 1 : kB + B]`` (zero outside ``[0, L)``) at
     ``N`` points, ``K = ceil((L + taps - 1) / B)`` of them, and ``x``'s
     blocks are ``x[kB : kB + B]``, zero-padded to ``N`` and transformed in one
-    batched ``rfft``. ``N`` is the smallest fast length ``>= max(4 taps,
-    1024)``, capped at the fast length of ``L + taps - 1``. No lag and no
-    projected sample wraps around:
+    batched ``rfft``. ``N`` is the smallest power of two ``>= min(max(4 taps,
+    1024), L + taps - 1)``. No lag and no projected sample wraps around:
 
     - right-hand sides ``b_i[d] = sum_t est[t] s_i[t - d]``, ``d < taps``, are
       ``irfft(sum_k S_ik conj(E_k), N)[taps-1::-1]``, ``E_k`` the estimate's blocks;
@@ -288,12 +286,12 @@ def fir_project(estimate, reference, interferers=(),
         ProblemTooLargeError: a problem above the size cap (a ``ValueError``).
         DegenerateSourcesError: ``taps*sources`` above the padded support of
             ``L + taps - 1`` samples, or a Gram matrix indefinite to working precision.
-        ZeroReferenceError: all-zero reference.
+        ZeroReferenceError: reference of zero energy (all-zero samples, or
+            squares that all underflow).
     """
     est, *sources = prepare([estimate, reference, *interferers])
     ref, L = sources[0], est.size
-    if not ref.any():
-        raise ZeroReferenceError("reference signal is all zeros")
+    _reference_energy(ref)
     taps = int(cfg.taps)
     if taps > L:
         raise SignalTooShortError(f"taps ({taps}) exceeds the signal length ({L})")
@@ -307,7 +305,7 @@ def fir_project(estimate, reference, interferers=(),
                                      f"support of L + taps - 1 = {L + taps - 1} samples")
 
     # A block and its lags, or a block of h * s, fit in N points without aliasing.
-    n_block = min(_next_fast_len(max(4 * taps, 1024)), _next_fast_len(L + taps - 1))
+    n_block = 1 << (min(max(4 * taps, 1024), L + taps - 1) - 1).bit_length()
     ref_acf, ref_segments = _reference_plan(ref, taps, n_block)
     segments = [ref_segments] + [_segment_spectra(src, taps, n_block) for src in sources[1:]]
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 
@@ -94,25 +93,6 @@ def _block_levinson(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-@functools.lru_cache
-def _next_fast_len(n: int) -> int:
-    """Smallest 5-smooth number (``2^a 3^b 5^c``) at least ``n``: a fast FFT length.
-
-    A pure-Python double loop that runs several times per projection with a
-    few distinct sizes, so the last 128 answers are kept.
-    """
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # The smallest p35 * 2^k >= n.
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 # The last Toeplitz column factored by _levinson: (copy of the column, FFT
 # length, stacked spectra of x = T^-1 e_1 and of w = [0, x_{p-1}, ..., x_1],
 # x_0), replaced whole and never modified.
@@ -177,7 +157,7 @@ def _levinson(column: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     factor = _factor  # read once, so a concurrent replacement cannot mix two factors
     if factor is None or not np.array_equal(factor[0], column):
         x = _durbin(column)
-        n_fft = _next_fast_len(2 * p - 1)
+        n_fft = 1 << (2 * p - 2).bit_length()  # the smallest power of two >= 2p - 1
         key = column.copy()
         xw_spec = np.fft.rfft(np.stack((x, np.concatenate(([0.0], x[:0:-1])))), n_fft)
         for a in (key, xw_spec):
@@ -191,7 +171,7 @@ def _levinson(column: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _block_matvec(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``T x`` for :func:`solve_spd`'s lag blocks, each block embedded in a circulant."""
     p = blocks.shape[0]
-    n_fft = _next_fast_len(2 * p - 1)
+    n_fft = 1 << (2 * p - 2).bit_length()  # the smallest power of two >= 2p - 1
     # Block (i, j) has first column blocks[:, j, i] and first row blocks[:, i, j];
     # its circulant's first column is that column, zeros, then the row reversed.
     circ = np.zeros(blocks.shape[1:] + (n_fft,))

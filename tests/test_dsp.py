@@ -13,7 +13,6 @@ from sepmetrics.dsp import (
     apply_mask,
     band_center,
     band_edges,
-    band_mask,
     band_spectral_energy,
     hz_to_bins,
     istft,
@@ -443,45 +442,30 @@ class TestBandCenter:
             band_center(spec, "mean")
 
 
-class TestBandMask:
-    def test_stop_gain_one_is_identity(self):
-        mask = band_mask(100, 51, "bandstop", CFG.n_bins, stop_gain=1.0)
-        assert np.array_equal(mask.gains, np.ones(CFG.n_bins))
+class TestBands:
+    @pytest.mark.parametrize("n_bins", [1, 2, 5, 257])
+    def test_band_edges_keep_width_and_center(self, n_bins):
+        for center in range(n_bins):
+            for width in range(1, n_bins + 3):
+                lo, hi = band_edges(center, width, n_bins)
+                assert hi - lo + 1 == min(width, n_bins)
+                assert 0 <= lo <= center <= hi <= n_bins - 1
 
-    def test_full_width_bandpass_all_ones(self):
-        mask = band_mask(128, 2 * CFG.n_bins, "bandpass", CFG.n_bins)
-        assert np.array_equal(mask.gains, np.ones(CFG.n_bins))
-
-    def test_bandpass_window(self):
-        mask = band_mask(100, 5, "bandpass", CFG.n_bins)
-        expect = np.zeros(CFG.n_bins)
-        expect[98:103] = 1.0
-        assert np.array_equal(mask.gains, expect)
-
-    def test_clipped_at_edge(self):
-        mask = band_mask(1, 5, "bandpass", CFG.n_bins)
-        assert mask.gains[:4].tolist() == [1, 1, 1, 1]
-        assert not mask.gains[4:].any()
-
-    def test_band_edges_preserve_width(self):
-        assert band_edges(1, 5, 257) == (0, 3)
-        assert band_edges(1, 5, 257, preserve_width=True) == (0, 4)
-        assert band_edges(256, 5, 257, preserve_width=True) == (252, 256)
+    def test_band_edges_centred_or_shifted_inward(self):
         assert band_edges(128, 5, 257) == (126, 130)
+        assert band_edges(128, 4, 257) == (127, 130)
+        assert band_edges(1, 5, 257) == (0, 4)
+        assert band_edges(256, 5, 257) == (252, 256)
 
     @pytest.mark.parametrize("width", [0, -3])
     def test_band_edges_need_a_bin(self, width):
         with pytest.raises(ValueError, match="width_bins must be >= 1"):
             band_edges(100, width, CFG.n_bins)
 
-    @pytest.mark.parametrize("stop_gain", [-0.1, 1.5, math.nan])
-    def test_stop_gain_must_lie_in_unit_interval(self, stop_gain):
-        with pytest.raises(ValueError, match="stop_gain must lie in"):
-            band_mask(100, 5, "bandstop", CFG.n_bins, stop_gain=stop_gain)
-
-    def test_unknown_mask_kind(self):
-        with pytest.raises(ValueError, match="unknown band mask kind 'notch'"):
-            band_mask(100, 5, "notch", CFG.n_bins)
+    @pytest.mark.parametrize("center", [-1, 257, 1000])
+    def test_band_edges_need_a_center_in_the_spectrum(self, center):
+        with pytest.raises(ValueError, match=r"center must lie in \[0, 257\)"):
+            band_edges(center, 3, 257)
 
     def test_hz_to_bins_paper_band(self):
         # 1600 Hz at 16 kHz with a 512-point transform: 51.2 -> 51 bins

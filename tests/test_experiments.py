@@ -241,8 +241,8 @@ class TestRowConsistency:
         clean_spec = dsp.stft(clean, spec.stft)
         center = dsp.band_center(clean_spec, "max-magnitude")
         width = dsp.hz_to_bins(BAND_WIDTH_HZ, clean.sample_rate_hz,
-                               spec.stft.fft_size)
-        band = dsp.band_edges(center, width, spec.stft.n_bins, preserve_width=True)
+                               spec.stft.window_len)
+        band = dsp.band_edges(center, width, spec.stft.n_bins)
         raw = dsp.white_noise(len(clean), spec.seed + 1, clean.sample_rate_hz)
         pass_gains = np.zeros(spec.stft.n_bins)
         pass_gains[band[0]:band[1] + 1] = 1.0

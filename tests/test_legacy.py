@@ -9,7 +9,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.fft
 from scipy.signal import fftconvolve
 
 from sepmetrics import legacy, linalg, metrics
@@ -251,9 +250,13 @@ class TestValidation:
         with pytest.raises(LengthMismatchError):
             fir_project(rng.standard_normal(100), rng.standard_normal(99))
 
-    def test_zero_reference(self):
+    @pytest.mark.parametrize("taps", [1, 16])
+    @pytest.mark.parametrize("reference", [np.zeros(1024), np.full(1024, 1e-170)],
+                             ids=["zeros", "underflow"])
+    def test_zero_reference(self, reference, taps):
+        # 1e-170 squared underflows: the reference has zero energy, as in si_sdr
         with pytest.raises(ZeroReferenceError):
-            fir_project(np.ones(100), np.zeros(100))
+            fir_project(np.ones(1024), reference, cfg=FirProjectionConfig(taps=taps))
 
 
 def delay_matrix(src, taps):
@@ -402,10 +405,11 @@ def speech_mix(n_interf, seconds=0.5, seed=20):
 
 
 def overlap_save_step(length, taps):
-    """Block length B of the documented rule: N the smallest fast length >= max(4 taps,
-    1024), capped at the fast length of ``length + taps - 1``; B = N - taps + 1."""
-    n = min(scipy.fft.next_fast_len(max(4 * taps, 1024), real=True),
-            scipy.fft.next_fast_len(length + taps - 1, real=True))
+    """Block length B of the documented rule: N the smallest power of two >= min(max(4 taps,
+    1024), length + taps - 1); B = N - taps + 1."""
+    n = 1
+    while n < min(max(4 * taps, 1024), length + taps - 1):
+        n *= 2
     return n - taps + 1
 
 
@@ -488,15 +492,15 @@ class TestBlockedRightHandSides:
                    taps, rng)
 
     def test_taps_equal_to_length(self, monkeypatch, rng):
-        # The cap: N = 600, so B = 301 holds the 300 samples in one block and
-        # the padded support of 599 samples in two.
-        assert overlap_save_step(300, 300) == 301
-        self.check(monkeypatch, [rng.standard_normal(300)], 300, rng)
+        # The cap: N = 1024, so B = 525 holds the 500 samples in one block and
+        # the padded support of 999 samples in two.
+        assert overlap_save_step(500, 500) == 525
+        self.check(monkeypatch, [rng.standard_normal(500)], 500, rng)
 
     @pytest.mark.parametrize("level_db", [-10, 0, 20, 60, 100, None], ids=lambda v: f"{v}dB"
                              if v is not None else "copy")
     @pytest.mark.parametrize("taps, length, n_interf", [
-        (taps, length, n) for taps, length in _BLOCKED_CASES for n in (0, 1, 2)] + [(300, 300, 0)])
+        (taps, length, n) for taps, length in _BLOCKED_CASES for n in (0, 1, 2)] + [(500, 500, 0)])
     def test_energies_up_to_an_exact_copy(self, rng, taps, length, n_interf, level_db):
         sources = list(rng.standard_normal((1 + n_interf, length)))
         est = sources[0].copy()

@@ -2,7 +2,6 @@ import logging
 
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.linalg
 
 from sepmetrics import linalg
@@ -184,15 +183,11 @@ def test_stacked_gohberg_semencul_matches_six_ffts(rng, taps):
     factor = linalg._factor
     _, n_fft, xw_spec, x0 = factor
     assert xw_spec.shape == (2, n_fft // 2 + 1) and not xw_spec.flags.writeable
+    assert n_fft & (n_fft - 1) == 0 and n_fft // 2 < 2 * taps - 1 <= n_fft  # smallest 2^k
     x = linalg._durbin(column[:, 0, 0])
     for b in (rhs[0], rng.standard_normal(taps)):
         assert np.array_equal(linalg._gohberg_semencul(factor, b),
                               six_fft_gohberg_semencul(x, b, n_fft))
-
-
-def test_next_fast_len_matches_scipy():
-    got = [linalg._next_fast_len(n) for n in range(1, 100001)]
-    assert got == [scipy.fft.next_fast_len(n, real=True) for n in range(1, 100001)]
 
 
 def delay_gram(sources, taps):
