@@ -217,8 +217,19 @@ def _bin_weights(n_bins: int) -> np.ndarray:
 
 
 def band_spectral_energy(spec: Spectrogram, band: tuple[int, int]) -> float:
-    """Total spectral energy inside an inclusive bin range."""
-    lo, hi = band
+    """Total spectral energy inside the inclusive bin range ``band = (lo, hi)``.
+
+    ``band`` must be a pair of integers with ``0 <= lo <= hi < spec.n_bins``;
+    anything else raises :class:`ConfigError` rather than being clipped.
+    """
+    try:
+        lo, hi = band
+    except (TypeError, ValueError):
+        raise ConfigError("band", f"must be a (lo, hi) pair, got {band!r}") from None
+    if not (isinstance(lo, (int, np.integer)) and isinstance(hi, (int, np.integer))
+            and 0 <= lo <= hi < spec.n_bins):
+        raise ConfigError("band", f"must be integer bins with 0 <= lo <= hi < {spec.n_bins}, "
+                                  f"got {band!r}")
     power = np.abs(spec.frames[:, lo:hi + 1]) ** 2
     return float((power * _bin_weights(spec.n_bins)[lo:hi + 1]).sum())
 
@@ -229,7 +240,9 @@ def mix_at_snr(clean: Signal, noise: Signal, snr_db: float,
     """Rescale ``noise`` for a target clean-to-noise ratio, then add it.
 
     Energies are measured over the whole signal or, when ``band`` is given as
-    an inclusive STFT bin range, inside that band only (the "local" SNR).
+    an inclusive STFT bin range, inside that band only (the "local" SNR); a
+    band outside the spectrum raises :class:`ConfigError`
+    (:func:`band_spectral_energy`).
     Returns ``(mixture, scaled_noise)``. The noise gain is
     ``sqrt(clean_e / (10^(snr_db/10) noise_e))``; where that overflows or
     divides by zero it is taken as ``sqrt(clean_e/noise_e) 10^(-snr_db/20)``.

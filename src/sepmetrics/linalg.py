@@ -54,19 +54,25 @@ def _toeplitz_norm(sq_lags: np.ndarray) -> float:
     return math.sqrt(2.0 * _inner(weights, sq_lags) - p * float(sq_lags[0]))
 
 
-def _block_levinson(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Block (Whittle / Wiggins-Robinson) Levinson solve of ``T x = rhs``.
+def _block_durbin(blocks: np.ndarray) -> tuple:
+    """Block Gohberg-Semencul factor of the block-Toeplitz ``T`` of :func:`solve_spd`'s lag blocks.
 
-    ``T`` is the block-Toeplitz matrix of :func:`solve_spd`'s lag blocks, taken
-    delay-major: block ``(a, b)`` is ``blocks[b - a]`` for ``b >= a`` and its
-    transpose below. Order ``n`` keeps the forward predictor ``A``
+    ``T`` is taken delay-major: block ``(a, b)`` is ``blocks[b - a]`` for
+    ``b >= a`` and its transpose below. The block (Whittle / Wiggins-Robinson)
+    Levinson recursion raises the order of the forward predictor ``A``
     (``A T_n = [Pf, 0, ..., 0]``, ``A_0 = I``) and the backward one ``B``
-    (``B T_n = [0, ..., 0, Pb]``, ``B_n = I``), the latter stored reversed so
-    that raising the order appends a zero block. Every array keeps the delay
-    axis last, so each contraction runs its inner loop over delays. O(p^2 m^3)
-    time, O(p m^2) memory. Contractions are numpy ``einsum`` (not BLAS, so the
-    bits do not depend on the thread count); only the m x m error covariances
-    are inverted, by ``numpy.linalg``.
+    (``B T_n = [0, ..., 0, Pb]``, ``B_{n-1} = I``), the latter stored reversed
+    so that raising the order appends a zero block; no solution is carried
+    along. Every array keeps the delay axis last, so each contraction runs its
+    inner loop over delays. O(p^2 m^3) time, O(p m^2) memory. Contractions are
+    numpy ``einsum`` (not BLAS, so the bits do not depend on the thread
+    count); only the m x m error covariances are inverted, by ``numpy.linalg``,
+    which raises ``LinAlgError`` for an exactly singular one.
+
+    Returns ``(n_fft, g_spec, h_spec)`` for :func:`_block_gohberg_semencul`:
+    the spectra of the generators ``[A, B shifted by one block]`` and of the
+    transposed generators times ``Pf^-1`` and ``-Pb^-1``, each of shape
+    ``(2, m, m, n_fft // 2 + 1)``.
     """
     p, m, _ = blocks.shape
     lags = np.ascontiguousarray(blocks.transpose(1, 2, 0))  # lags[i, j, d]
@@ -74,22 +80,60 @@ def _block_levinson(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     pred[:, :, :, 0] = np.eye(m)
     err = np.stack((blocks[0], blocks[0]))  # Pf, Pb
     inv = np.linalg.inv(err)
-    x = np.zeros((m, p))
-    x[:, 0] = np.einsum("ij,j->i", inv[1], rhs[:, 0])
+    deltas = np.empty((2, m, m))
     for n in range(1, p):
-        lagged = lags[:, :, n:0:-1]
         # [A, 0] T_{n+1} ends in delta; [0, B] T_{n+1} starts with delta^T.
-        delta = np.einsum("ija,jka->ik", pred[0, :, :, :n], lagged)
-        deltas = np.stack((delta, delta.T))
+        np.einsum("ija,jka->ik", pred[0, :, :, :n], lags[:, :, n:0:-1], out=deltas[0])
+        deltas[1] = deltas[0].T
         gains = np.einsum("sij,sjk->sik", deltas, inv[::-1])  # delta Pb^-1, delta^T Pf^-1
         # A -= gains[0] [0, B] and B -= gains[1] [A, 0], both from the old predictors.
         pred[:, :, :, :n + 1] -= np.einsum("sij,sjka->sika", gains, pred[::-1, :, :, n::-1])
         err -= np.einsum("sij,sjk->sik", gains, deltas[::-1])
         inv = np.linalg.inv(err)
-        # T_{n+1} [x; 0] = [rhs up to n-1; e], and T_{n+1} B^T = [0; ...; Pb].
-        e = np.einsum("jia,ja->i", lagged, x[:, :n])
-        g = np.einsum("ij,j->i", inv[1], rhs[:, n] - e)
-        x[:, :n + 1] += np.einsum("jia,j->ia", pred[1, :, :, n::-1], g)
+    n_fft = 1 << (2 * p - 2).bit_length()  # the smallest power of two >= 2p - 1
+    gen = np.zeros((2, m, m, p))  # alpha_k = A_k^T and beta_k = B_{k-1}^T, untransposed
+    gen[0] = pred[0]
+    gen[1, :, :, 1:] = pred[1, :, :, p - 1:0:-1]
+    g_spec = np.fft.rfft(gen, n_fft)
+    h_spec = np.einsum("sjif,sjk->sikf", g_spec, inv * np.array([1.0, -1.0])[:, None, None])
+    return n_fft, g_spec, h_spec
+
+
+def _block_gohberg_semencul(factor: tuple, b: np.ndarray) -> np.ndarray:
+    """``T^-1 b = L(alpha) (I x Pf^-1) L(alpha)^T b - L(beta) (I x Pb^-1) L(beta)^T b``: four FFTs.
+
+    The block Gohberg-Semencul (Gohberg-Heinig) formula for :func:`_block_durbin`'s
+    factor: ``alpha_k = A_k^T``, ``beta = [0, B_0^T, ..., B_{p-2}^T]``, and
+    ``L(v)`` is the lower block-triangular Toeplitz matrix with first block
+    column ``v``. Each product is a truncated block convolution, and
+    ``L(v)^T`` is one in reverse. ``b`` and the result have shape ``(m, p)``.
+    The two halves go through each transform stacked; ``Pf^-1``, ``Pb^-1``
+    and the minus sign are folded into the second stage's spectra.
+    """
+    n_fft, g_spec, h_spec = factor
+    p = b.shape[1]
+    b_spec = np.fft.rfft(b[:, ::-1], n_fft)
+    u = np.fft.irfft(np.einsum("sijf,jf->sif", g_spec, b_spec), n_fft)[:, :, p - 1::-1]
+    return np.fft.irfft(np.einsum("sijf,sjf->if", h_spec, np.fft.rfft(u, n_fft)), n_fft)[:, :p]
+
+
+def _block_levinson(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Block Levinson solve of ``T x = rhs``, ``T`` given by :func:`solve_spd`'s lag blocks.
+
+    :func:`_block_durbin` factors ``T`` (O(p^2 m^3)) and
+    :func:`_block_gohberg_semencul` applies ``T^-1`` by FFTs (O(m^2 p log p)).
+    Like the scalar path it is only weakly stable: the predictors are off by
+    up to a relative ``cond(T) u`` and every answer inherits that. Two steps
+    of iterative refinement, ``x += T^-1 (rhs - T x)`` with ``T x`` by
+    :func:`_block_matvec`, bring it back to about ``u``. One is not enough:
+    on ill-conditioned sources (condition numbers up to 3e15) one step leaves
+    backward errors up to 1.5e-10, beyond :func:`solve_spd`'s bound (2.0e-11
+    at 3 sources x 512 taps), where two leave at most 4.2e-13.
+    """
+    factor = _block_durbin(blocks)
+    x = _block_gohberg_semencul(factor, rhs)
+    for _ in range(2):
+        x = x + _block_gohberg_semencul(factor, rhs - _block_matvec(blocks, x))
     return x
 
 
@@ -206,9 +250,13 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     Toeplitz with first column ``gram[:, 0, 0]`` and is solved by Levinson
     recursion: :func:`_durbin` factors the column once (O(p^2) time, O(p)
     memory) and :func:`_levinson` solves by FFTs (O(p log p)), reusing the
-    factor while the column stays exactly the same. Otherwise it is solved by
-    block Levinson recursion (Whittle; O(p^2 m^3) time, O(p m^2) memory);
-    with ``p == 1`` that is one inversion of ``gram[0]``.
+    factor while the column stays exactly the same. Otherwise it is solved the
+    same way by blocks (:func:`_block_levinson`): the block Levinson recursion
+    (Whittle) keeps only the predictors (O(p^2 m^3) time, O(p m^2) memory),
+    the block Gohberg-Semencul formula applies ``T^-1`` by FFTs
+    (O(m^2 p log p)), and two refinement steps follow, since one leaves
+    ill-conditioned sources beyond the check below. With ``p == 1`` the
+    factor is the inverse of ``gram[0]``.
 
     Every answer is held to one check: its normwise backward error
     (:func:`_backward_error`) must be within Cholesky's worst-case bound

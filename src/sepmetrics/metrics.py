@@ -179,8 +179,8 @@ def decompose(reference, estimate, interferers=()) -> Decomposition:
     ``estimate - alpha*reference`` onto the span of the reference and all
     interferers. Its coefficients solve the sources' Gram system, passed to
     :func:`~sepmetrics.linalg.solve_spd` as one lag block: block Levinson
-    recursion (one step, the inverse of the Gram matrix), its backward-error
-    check, and rank-revealing pivoted Cholesky if the check fails.
+    (the inverse of the Gram matrix, then two refinement steps), its
+    backward-error check, and rank-revealing pivoted Cholesky if the check fails.
 
     Raises:
         ZeroReferenceError: reference of zero energy.
@@ -251,9 +251,14 @@ def evaluate(reference, estimate, interferers=(), *,
     ref, est, *others = prepare([reference, estimate, *interferers],
                                 truncate=truncate, zero_mean=zero_mean)
 
-    snr_db = snr(ref, est)
+    # snr's and sd_sdr's formulas, each energy computed once, in the order the
+    # three public functions run: the same error is raised first.
+    energy = _reference_energy(ref)
+    residual = _inner(ref - est)
+    snr_db = db_ratio(energy, residual)
     si_sdr_db = si_sdr(ref, est)
-    sd_sdr_db = sd_sdr(ref, est)
+    a = _inner(est, ref) / energy
+    sd_sdr_db = db_ratio(a * a * energy, residual)
     sir_sar = ()
     if others:
         d = decompose(ref, est, others)

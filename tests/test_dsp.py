@@ -344,6 +344,24 @@ class TestMixAtSnr:
         with pytest.raises(LengthMismatchError):
             mix_at_snr(white_noise(100, 0), white_noise(101, 0), 0.0)
 
+    @pytest.mark.parametrize("band", [(250, 400), (-3, 5), (10, 5), (2.5, 10), (5,),
+                                      (np.float64(1.0), 5)])
+    def test_band_outside_the_spectrum_refused(self, band):
+        # Such bands were clipped to (250, 256), or measured nothing and blamed the clean signal.
+        clean, noise = white_noise(4000, seed=5), white_noise(4000, seed=6)
+        with pytest.raises(ConfigError, match="^band: "):
+            band_spectral_energy(stft(clean, CFG), band)
+        with pytest.raises(ValueError, match="^band: "):
+            mix_at_snr(clean, noise, 0.0, band=band, cfg=CFG)
+
+    @pytest.mark.parametrize("band", [(0, 256), (5, 5), (np.int64(3), np.int64(9))])
+    def test_band_inside_the_spectrum_accepted(self, band):
+        assert CFG.n_bins == 257
+        clean, noise = white_noise(4000, seed=5), white_noise(4000, seed=6)
+        _, scaled = mix_at_snr(clean, noise, 0.0, band=band, cfg=CFG)
+        ce = band_spectral_energy(stft(clean, CFG), band)
+        assert ce == pytest.approx(band_spectral_energy(stft(scaled, CFG), band), rel=1e-9)
+
     def test_sample_rate_mismatch(self):
         with pytest.raises(SampleRateMismatchError, match="16000 Hz vs 8000 Hz"):
             mix_at_snr(white_noise(100, 1), white_noise(100, 0, 8000), 0.0)

@@ -205,11 +205,24 @@ def first_block_row(gram, m, taps):
     return np.stack([gram[::taps, d::taps][:m, :m] for d in range(taps)])
 
 
-def dense_block_answer(blocks, rhs):
+def dense_block_toeplitz(blocks):
+    """The source-major Gram matrix that ``solve_spd``'s lag blocks stand for."""
     m = blocks.shape[1]
-    gram = np.block([[scipy.linalg.toeplitz(blocks[:, j, i], blocks[:, i, j])
+    return np.block([[scipy.linalg.toeplitz(blocks[:, j, i], blocks[:, i, j])
                       for j in range(m)] for i in range(m)])
-    return cholesky_answer(gram, rhs.ravel()).reshape(rhs.shape)
+
+
+def dense_block_answer(blocks, rhs):
+    return cholesky_answer(dense_block_toeplitz(blocks), rhs.ravel()).reshape(rhs.shape)
+
+
+def predictors(blocks):
+    """``A``, ``B`` (each ``(m, m, p)``, delay last) recovered from ``_block_durbin``'s spectra."""
+    p, m, _ = blocks.shape
+    n_fft, g_spec, _ = linalg._block_durbin(blocks)
+    gen = np.fft.irfft(g_spec, n_fft)[..., :p]
+    b = np.concatenate((gen[1, :, :, 1:], np.eye(m)[:, :, None]), axis=2)  # B_{p-1} = I
+    return gen[0], b
 
 
 class TestBlockToeplitzPath:
@@ -231,6 +244,32 @@ class TestBlockToeplitzPath:
         (msg,) = messages(debug_log)
         what = "Levinson" if m == 1 else "block Levinson"
         assert msg.startswith(f"solve_spd: {what} (n={m * taps}, backward error")
+
+    @pytest.mark.parametrize("taps", [1, 2, 17, 64])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_predictor_identities(self, system, m, taps):
+        # A T = [Pf, 0, ..., 0] and B T = [0, ..., 0, Pb], T taken delay-major.
+        _, blocks, _ = system(m, taps)
+        dense = dense_block_toeplitz(blocks).reshape(m, taps, m, taps)
+        delay_major = dense.transpose(1, 0, 3, 2).reshape(m * taps, m * taps)
+        a, b = predictors(blocks)
+        np.testing.assert_allclose(a[:, :, 0], np.eye(m), rtol=0, atol=1e-14)  # A_0 = I
+        for pred, keep in ((a, 0), (b, taps - 1)):
+            rows = pred.transpose(0, 2, 1).reshape(m, m * taps)  # [P_0, ..., P_{p-1}]
+            prod = (rows @ delay_major).reshape(m, taps, m)
+            scale = np.linalg.norm(rows) * np.linalg.norm(delay_major)
+            err = prod[:, keep]
+            np.testing.assert_allclose(err, err.T, rtol=0, atol=1e-14 * scale)
+            assert np.linalg.eigvalsh(err).min() > 0
+            assert np.linalg.norm(np.delete(prod, keep, axis=1)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("m, taps", [(2, 1), (3, 17), (4, 64)])
+    def test_one_factor_serves_several_right_hand_sides(self, system, rng, m, taps):
+        gram, blocks, _ = system(m, taps)
+        factor = linalg._block_durbin(blocks)
+        for rhs in rng.standard_normal((3, m, taps)):
+            np.testing.assert_allclose(linalg._block_gohberg_semencul(factor, rhs).ravel(),
+                                       np.linalg.solve(gram, rhs.ravel()), rtol=1e-9, atol=0)
 
     def test_rejected_answer_falls_back_to_dense(self, system, monkeypatch, debug_log):
         _, blocks, rhs = system(3, 32)
@@ -259,6 +298,39 @@ class TestBlockToeplitzPath:
         monkeypatch.setattr(linalg, "_block_levinson", recursion)
         np.testing.assert_array_equal(solve_spd(blocks, rhs), dense_block_answer(blocks, rhs))
         assert messages(debug_log)[0].startswith(logged)
+
+
+def lag_blocks(sources, taps):
+    """``blocks[d][i, j]``: source ``i`` against source ``j`` delayed by ``d``."""
+    length = sources.shape[1]
+    return np.stack([np.einsum("in,jn->ij", sources[:, d:], sources[:, :length - d])
+                     for d in range(taps)])
+
+
+class TestBlockToeplitzOracle:
+    """The multi-source solver against an in-test dense Cholesky solve."""
+
+    @pytest.mark.parametrize("taps", [17, 128, 512])
+    @pytest.mark.parametrize("kinds", [("lowpass", "speech"), ("speech", "ar1", "white"),
+                                       ("lowpass", "ar1", "sine"), ("lowpass", "ar1"),
+                                       ("sine", "lowpass")], ids="-".join)
+    def test_accepted_without_fallback(self, kinds, taps, debug_log):
+        blocks = lag_blocks(np.stack([hard_signal(kind) for kind in kinds]), taps)
+        gram = dense_block_toeplitz(blocks)
+        n = gram.shape[0]
+        # As in fir_project: the estimate is filtered sources, rhs = T h.
+        rhs = gram @ np.random.default_rng(taps).standard_normal(n)
+        got = solve_spd(blocks, rhs.reshape(len(kinds), taps)).ravel()
+        (msg,) = messages(debug_log)
+        assert msg.startswith(f"solve_spd: block Levinson (n={n}, backward error")
+
+        backward = np.linalg.norm(rhs - gram @ got) / (
+            np.linalg.norm(gram) * np.linalg.norm(got) + np.linalg.norm(rhs))
+        assert backward <= linalg._levinson_bound(n)
+        want = cholesky_answer(gram, rhs)
+        eig = np.abs(np.linalg.eigvalsh(gram))  # T is symmetric: cond(T) = max |eig| / min |eig|
+        tol = 16 * eig.max() / eig.min() * np.finfo(np.float64).eps
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
 class TestLogging:

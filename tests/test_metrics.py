@@ -419,6 +419,34 @@ class TestEvaluate:
         rhs = 10 ** (-report.si_sir_db / 10) + 10 ** (-report.si_sar_db / 10)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
+    @pytest.mark.parametrize("kind", ["random", "copy", "rescale", "orthogonal", "near_perfect"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_bits_as_the_public_functions(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([2, 3, 17, 1000, 5000]))
+        s = rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5)
+        e = {"random": lambda: rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5),
+             "copy": s.copy,
+             "rescale": lambda: s * rng.uniform(0.1, 10.0),
+             "orthogonal": lambda: (lambda r: r - (r @ s) / (s @ s) * s)(rng.standard_normal(n)),
+             "near_perfect": lambda: s + 1e-9 * np.abs(s).max() * rng.standard_normal(n)}[kind]()
+        report = evaluate(s, e)
+        assert (report.snr_db, report.si_sdr_db, report.sd_sdr_db) == (
+            snr(s, e), si_sdr(s, e), sd_sdr(s, e))
+
+    @pytest.mark.parametrize("ref, est, error", [
+        ([0.0, 0.0], [1.0, np.nan], ZeroReferenceError),
+        ([1.0, 2.0], [0.0, 0.0], ZeroEstimateError),
+        ([1.0, np.nan], [1.0, 2.0], NonFiniteError),
+        ([1.0, np.inf], [0.0, 0.0], NonFiniteError),  # snr's energies come first
+    ])
+    def test_error_order_of_the_public_functions(self, ref, est, error):
+        with pytest.raises(error):
+            evaluate(ref, est)
+        with pytest.raises(error):
+            for fn in (snr, si_sdr, sd_sdr):
+                fn(ref, est)
+
 
 def exhaustive_assignment(matrix):
     """Oracle: score every permutation, fsum mean, NaN as -inf, first one wins ties."""
