@@ -17,14 +17,15 @@ Solvers: the normal equations are assembled from correlations, as in
 fast_bss_eval (Scheibler, arXiv 2110.06440). They are block Toeplitz and
 reach :func:`sepmetrics.linalg.solve_spd` as taps lag blocks of the sources'
 cross-correlations, whatever the number of sources. It factors them by
-Levinson recursion (scalar for the reference alone, block with interferers),
-O(taps^2 sources^3) time and O(taps sources^2) memory, and solves by the
-(block) Gohberg-Semencul formula, O(sources^2 taps log taps) by FFTs, with
-iterative refinement. It checks the answer against Cholesky's backward-error
-bound, and forms the Gram matrix and solves it on its numerical rank by
-pivoted Cholesky only if the check fails, as for dependent sources. The
-scalar factor of the reference's autocorrelation is kept and reused while
-the autocorrelation stays exactly the same; a block factor serves one solve.
+Levinson recursion (the scalar one for the reference alone, the block one
+with interferers), O(taps^2 sources^3) time and O(taps sources^2) memory,
+and solves by the block Gohberg-Semencul formula, O(sources^2 taps log
+taps) by FFTs, with iterative refinement. It checks the answer against
+Cholesky's backward-error bound, and forms the Gram matrix and solves it on
+its numerical rank by pivoted Cholesky only if the check fails, as for
+dependent sources. The last factor is kept and reused while the lag blocks
+stay exactly the same, so repeated scoring against the same sources with
+no other solve in between runs the recursion once.
 
 Blocks: every correlation and every energy comes from overlap-save blocks of
 N points, N a power of two (Oppenheim & Schafer; see :func:`fir_project` for

@@ -44,14 +44,17 @@ def _levinson_bound(n: int) -> float:
     return math.sqrt(n) * m / (1.0 - m)
 
 
-def _toeplitz_norm(sq_lags: np.ndarray) -> float:
-    """``||T||_F`` of a symmetric (block) Toeplitz matrix from its lags' squared norms.
+def _fft_size(p: int) -> int:
+    """The smallest power of two ``>= 2p - 1``: ``p`` lags each way, with no wrap-around."""
+    return 1 << (2 * p - 2).bit_length()
 
-    Lag ``k > 0`` appears ``2 (p - k)`` times, lag 0 ``p`` times.
-    """
-    p = sq_lags.size
-    weights = np.arange(p, 0, -1.0)
-    return math.sqrt(2.0 * _inner(weights, sq_lags) - p * float(sq_lags[0]))
+
+def _generator_spectra(gen: np.ndarray, inv: np.ndarray) -> tuple:
+    """:func:`_block_gohberg_semencul`'s factor from the generators and inverse errors."""
+    n_fft = _fft_size(gen.shape[-1])
+    g_spec = np.fft.rfft(gen, n_fft)
+    h_spec = np.einsum("sjif,sjk->sikf", g_spec, inv * np.array([1.0, -1.0])[:, None, None])
+    return n_fft, g_spec, h_spec
 
 
 def _block_durbin(blocks: np.ndarray) -> tuple:
@@ -67,12 +70,8 @@ def _block_durbin(blocks: np.ndarray) -> tuple:
     inner loop over delays. O(p^2 m^3) time, O(p m^2) memory. Contractions are
     numpy ``einsum`` (not BLAS, so the bits do not depend on the thread
     count); only the m x m error covariances are inverted, by ``numpy.linalg``,
-    which raises ``LinAlgError`` for an exactly singular one.
-
-    Returns ``(n_fft, g_spec, h_spec)`` for :func:`_block_gohberg_semencul`:
-    the spectra of the generators ``[A, B shifted by one block]`` and of the
-    transposed generators times ``Pf^-1`` and ``-Pb^-1``, each of shape
-    ``(2, m, m, n_fft // 2 + 1)``.
+    which raises ``LinAlgError`` for an exactly singular one. The generators
+    are ``alpha_k = A_k^T`` and ``beta = [0, B_0^T, ..., B_{p-2}^T]``.
     """
     p, m, _ = blocks.shape
     lags = np.ascontiguousarray(blocks.transpose(1, 2, 0))  # lags[i, j, d]
@@ -90,70 +89,27 @@ def _block_durbin(blocks: np.ndarray) -> tuple:
         pred[:, :, :, :n + 1] -= np.einsum("sij,sjka->sika", gains, pred[::-1, :, :, n::-1])
         err -= np.einsum("sij,sjk->sik", gains, deltas[::-1])
         inv = np.linalg.inv(err)
-    n_fft = 1 << (2 * p - 2).bit_length()  # the smallest power of two >= 2p - 1
     gen = np.zeros((2, m, m, p))  # alpha_k = A_k^T and beta_k = B_{k-1}^T, untransposed
     gen[0] = pred[0]
     gen[1, :, :, 1:] = pred[1, :, :, p - 1:0:-1]
-    g_spec = np.fft.rfft(gen, n_fft)
-    h_spec = np.einsum("sjif,sjk->sikf", g_spec, inv * np.array([1.0, -1.0])[:, None, None])
-    return n_fft, g_spec, h_spec
+    return _generator_spectra(gen, inv)
 
 
-def _block_gohberg_semencul(factor: tuple, b: np.ndarray) -> np.ndarray:
-    """``T^-1 b = L(alpha) (I x Pf^-1) L(alpha)^T b - L(beta) (I x Pb^-1) L(beta)^T b``: four FFTs.
-
-    The block Gohberg-Semencul (Gohberg-Heinig) formula for :func:`_block_durbin`'s
-    factor: ``alpha_k = A_k^T``, ``beta = [0, B_0^T, ..., B_{p-2}^T]``, and
-    ``L(v)`` is the lower block-triangular Toeplitz matrix with first block
-    column ``v``. Each product is a truncated block convolution, and
-    ``L(v)^T`` is one in reverse. ``b`` and the result have shape ``(m, p)``.
-    The two halves go through each transform stacked; ``Pf^-1``, ``Pb^-1``
-    and the minus sign are folded into the second stage's spectra.
-    """
-    n_fft, g_spec, h_spec = factor
-    p = b.shape[1]
-    b_spec = np.fft.rfft(b[:, ::-1], n_fft)
-    u = np.fft.irfft(np.einsum("sijf,jf->sif", g_spec, b_spec), n_fft)[:, :, p - 1::-1]
-    return np.fft.irfft(np.einsum("sijf,sjf->if", h_spec, np.fft.rfft(u, n_fft)), n_fft)[:, :p]
-
-
-def _block_levinson(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Block Levinson solve of ``T x = rhs``, ``T`` given by :func:`solve_spd`'s lag blocks.
-
-    :func:`_block_durbin` factors ``T`` (O(p^2 m^3)) and
-    :func:`_block_gohberg_semencul` applies ``T^-1`` by FFTs (O(m^2 p log p)).
-    Like the scalar path it is only weakly stable: the predictors are off by
-    up to a relative ``cond(T) u`` and every answer inherits that. Two steps
-    of iterative refinement, ``x += T^-1 (rhs - T x)`` with ``T x`` by
-    :func:`_block_matvec`, bring it back to about ``u``. One is not enough:
-    on ill-conditioned sources (condition numbers up to 3e15) one step leaves
-    backward errors up to 1.5e-10, beyond :func:`solve_spd`'s bound (2.0e-11
-    at 3 sources x 512 taps), where two leave at most 4.2e-13.
-    """
-    factor = _block_durbin(blocks)
-    x = _block_gohberg_semencul(factor, rhs)
-    for _ in range(2):
-        x = x + _block_gohberg_semencul(factor, rhs - _block_matvec(blocks, x))
-    return x
-
-
-# The last Toeplitz column factored by _levinson: (copy of the column, FFT
-# length, stacked spectra of x = T^-1 e_1 and of w = [0, x_{p-1}, ..., x_1],
-# x_0), replaced whole and never modified.
-_factor: tuple | None = None
-
-
-def _durbin(column: np.ndarray) -> np.ndarray:
-    """``T^-1 e_1`` for the symmetric Toeplitz ``T`` with first column ``column``.
+def _durbin(column: np.ndarray) -> tuple:
+    """:func:`_block_durbin`'s factor for one signal, ``T`` the symmetric Toeplitz of ``column``.
 
     Levinson-Durbin recursion on the forward predictor ``a`` (``T_n a =
     [P, 0, ..., 0]``, ``a_0 = 1``); the backward predictor is ``a`` reversed,
-    so raising the order is one reflection. O(p^2) time, O(p) memory. Raises
+    so raising the order is one reflection. O(p^2) time, O(p) memory. In the
+    block terms ``Pf = Pb = P``, ``alpha = a`` and ``beta = [0, a_{p-1}, ...,
+    a_1]``; with no m x m matrices to invert and multiply, the recursion is
+    about 4x faster than :func:`_block_durbin`'s at 512 taps. Raises
     ``LinAlgError`` when a prediction error ``P`` is not positive, i.e. when a
     leading minor of ``T`` is not positive definite.
     """
     p = column.size
-    a = np.zeros(p)
+    gen = np.zeros((2, 1, 1, p))
+    a = gen[0, 0, 0]
     a[0] = 1.0
     err = float(column[0])
     n = 1
@@ -165,72 +121,87 @@ def _durbin(column: np.ndarray) -> np.ndarray:
         n += 1
     if not err > 0.0:  # also catches NaN
         raise np.linalg.LinAlgError(f"leading minor of order {n} is not positive definite")
-    return a / err
+    gen[1, 0, 0, 1:] = a[:0:-1]
+    return _generator_spectra(gen, np.full((2, 1, 1), 1.0 / err))
 
 
-def _gohberg_semencul(factor: tuple, b: np.ndarray) -> np.ndarray:
-    """``T^-1 b = (L(x) L(x)^T b - L(w) L(w)^T b) / x_0``: four FFTs.
+def _block_gohberg_semencul(factor: tuple, b: np.ndarray) -> np.ndarray:
+    """``T^-1 b = L(alpha) (I x Pf^-1) L(alpha)^T b - L(beta) (I x Pb^-1) L(beta)^T b``: four FFTs.
 
-    ``L(v)`` is the lower-triangular Toeplitz matrix with first column ``v``.
-    Each product is a truncated convolution, and ``L(v)^T = J L(v) J`` with
-    ``J`` the reversal. The ``x`` and ``w`` halves go through each transform
-    as one stacked pair of rows, which pocketfft transforms independently.
+    The block Gohberg-Semencul (Gohberg-Heinig) formula for the factor of
+    :func:`_block_durbin` or :func:`_durbin`. ``L(v)`` is the lower
+    block-triangular Toeplitz matrix with first block column ``v``. Each
+    product is a truncated block convolution, and ``L(v)^T`` is one in
+    reverse. ``b`` and the result have shape ``(m, p)``. The factor is
+    ``(n_fft, g_spec, h_spec)``: the spectra of the untransposed generators
+    ``[alpha, beta]`` and of the transposed ones times ``Pf^-1`` and
+    ``-Pb^-1``, each ``(2, m, m, n_fft // 2 + 1)``, so the two halves go
+    through each transform stacked and the minus sign is folded in.
     """
-    _, n_fft, xw_spec, x0 = factor
-    p = b.size
-    b_spec = np.fft.rfft(b[::-1], n_fft)
-    uv = np.fft.irfft(xw_spec * b_spec, n_fft)[:, p - 1::-1]
-    prod = xw_spec * np.fft.rfft(uv, n_fft)
-    return np.fft.irfft(prod[0] - prod[1], n_fft)[:p] / x0
+    n_fft, g_spec, h_spec = factor
+    p = b.shape[1]
+    b_spec = np.fft.rfft(b[:, ::-1], n_fft)
+    u = np.fft.irfft(np.einsum("sijf,jf->sif", g_spec, b_spec), n_fft)[:, :, p - 1::-1]
+    return np.fft.irfft(np.einsum("sijf,sjf->if", h_spec, np.fft.rfft(u, n_fft)), n_fft)[:, :p]
 
 
-def _levinson(column: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the symmetric Toeplitz system ``T x = rhs``, ``T`` given by its first column.
-
-    :func:`_durbin` gives ``T^-1 e_1``, from which the Gohberg-Semencul
-    formula applies ``T^-1`` by FFTs (:func:`_gohberg_semencul`). It is only
-    weakly stable: ``T^-1 e_1`` is off by up to a relative ``cond(T) u`` and
-    every answer inherits that. For a reference low-passed at 1 kHz the
-    backward error reaches 1e-8, far beyond the bound of :func:`solve_spd`'s
-    check. One step of iterative refinement, ``x += T^-1 (rhs - T x)``,
-    brings it back to about ``u``. The factor is kept for the last column,
-    reused only for an exactly equal one and rebuilt otherwise.
-    """
-    global _factor
-    p = column.size
-    factor = _factor  # read once, so a concurrent replacement cannot mix two factors
-    if factor is None or not np.array_equal(factor[0], column):
-        x = _durbin(column)
-        n_fft = 1 << (2 * p - 2).bit_length()  # the smallest power of two >= 2p - 1
-        key = column.copy()
-        xw_spec = np.fft.rfft(np.stack((x, np.concatenate(([0.0], x[:0:-1])))), n_fft)
-        for a in (key, xw_spec):
-            a.flags.writeable = False
-        factor = _factor = (key, n_fft, xw_spec, float(x[0]))
-    x = _gohberg_semencul(factor, rhs)
-    residual = rhs - _block_matvec(column[:, None, None], x[None])[0]
-    return x + _gohberg_semencul(factor, residual)
-
-
-def _block_matvec(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``T x`` for :func:`solve_spd`'s lag blocks, each block embedded in a circulant."""
+def _circulant(blocks: np.ndarray) -> np.ndarray:
+    """Spectra of the lag blocks' circulant embeddings, for :func:`_block_matvec`."""
     p = blocks.shape[0]
-    n_fft = 1 << (2 * p - 2).bit_length()  # the smallest power of two >= 2p - 1
+    n_fft = _fft_size(p)
     # Block (i, j) has first column blocks[:, j, i] and first row blocks[:, i, j];
     # its circulant's first column is that column, zeros, then the row reversed.
     circ = np.zeros(blocks.shape[1:] + (n_fft,))
     circ[:, :, :p] = blocks.transpose(2, 1, 0)
     circ[:, :, n_fft - p + 1:] = blocks[:0:-1].transpose(1, 2, 0)
-    prod = np.einsum("ijk,jk->ik", np.fft.rfft(circ, n_fft), np.fft.rfft(x, n_fft))
-    return np.fft.irfft(prod, n_fft)[:, :p]
+    return np.fft.rfft(circ, n_fft)
 
 
-def _backward_error(gram: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> float:
-    """``||T x - b|| / (||T||_F ||x|| + ||b||)``, ``T x`` by FFTs; NaN for a non-finite operand."""
+def _block_matvec(circ_spec: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``T x`` from the spectra of ``T``'s circulant embeddings (:func:`_circulant`)."""
+    p = x.shape[1]
+    n_fft = _fft_size(p)
+    return np.fft.irfft(np.einsum("ijk,jk->ik", circ_spec, np.fft.rfft(x, n_fft)), n_fft)[:, :p]
+
+
+# The last lag blocks factored: (read-only copy of the blocks, their factor,
+# their circulant spectra), replaced whole and never modified.
+_factor: tuple | None = None
+
+
+def _levinson(kept: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``T x = rhs`` from ``kept``, laid out as :data:`_factor`.
+
+    :func:`_block_gohberg_semencul` applies ``T^-1`` by FFTs (O(m^2 p log
+    p)). The recursions are only weakly stable: the predictors are off by up
+    to a relative ``cond(T) u`` and every answer inherits that. Iterative
+    refinement, ``x += T^-1 (rhs - T x)`` with ``T x`` by
+    :func:`_block_matvec`, brings it back to about ``u``. One signal takes one
+    step: for a reference low-passed at 1 kHz the backward error without it
+    reaches 1e-8, far beyond :func:`solve_spd`'s bound. Blocks take two: on
+    ill-conditioned sources (condition numbers up to 3e15) one step leaves
+    backward errors up to 1.5e-10, beyond the bound (2.0e-11 at 3 sources x
+    512 taps), where two leave at most 4.2e-13.
+    """
+    _, factor, circ_spec = kept
+    x = _block_gohberg_semencul(factor, rhs)
+    for _ in range(1 if rhs.shape[0] == 1 else 2):
+        x = x + _block_gohberg_semencul(factor, rhs - _block_matvec(circ_spec, x))
+    return x
+
+
+def _backward_error(gram: np.ndarray, rhs: np.ndarray, x: np.ndarray,
+                    circ_spec: np.ndarray | None = None) -> float:
+    """``||T x - b|| / (||T||_F ||x|| + ||b||)``, ``T x`` by FFTs; NaN for a non-finite operand.
+
+    ``circ_spec`` are ``T``'s circulant spectra if kept, else they are built.
+    """
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all() and np.isfinite(x).all()):
         return math.nan
-    residual = rhs - _block_matvec(gram, x)
-    norm_t = _toeplitz_norm(np.einsum("kij,kij->k", gram, gram))
+    residual = rhs - _block_matvec(_circulant(gram) if circ_spec is None else circ_spec, x)
+    sq_lags = np.einsum("kij,kij->k", gram, gram)  # in T lag d > 0 appears 2 (p - d) times
+    p = sq_lags.size
+    norm_t = math.sqrt(2.0 * _inner(np.arange(p, 0, -1.0), sq_lags) - p * float(sq_lags[0]))
     scale = norm_t * math.sqrt(_inner(x.ravel())) + math.sqrt(_inner(rhs.ravel()))
     # scale is 0 only for rhs = x = 0, which is solved exactly.
     return math.sqrt(_inner(residual.ravel())) / scale if scale else 0.0
@@ -246,17 +217,18 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     signal ``i``'s delay ``a`` at ``[i, a]``; ``T`` is the ``(m p) x (m p)``
     Gram matrix of that ordering, and it is never formed unless the check
     below fails. A plain ``m x m`` Gram matrix is one lag: ``gram[None]``
-    with ``rhs`` of shape ``(m, 1)``. With ``m == 1``, ``T`` is symmetric
-    Toeplitz with first column ``gram[:, 0, 0]`` and is solved by Levinson
-    recursion: :func:`_durbin` factors the column once (O(p^2) time, O(p)
-    memory) and :func:`_levinson` solves by FFTs (O(p log p)), reusing the
-    factor while the column stays exactly the same. Otherwise it is solved the
-    same way by blocks (:func:`_block_levinson`): the block Levinson recursion
-    (Whittle) keeps only the predictors (O(p^2 m^3) time, O(p m^2) memory),
-    the block Gohberg-Semencul formula applies ``T^-1`` by FFTs
-    (O(m^2 p log p)), and two refinement steps follow, since one leaves
-    ill-conditioned sources beyond the check below. With ``p == 1`` the
-    factor is the inverse of ``gram[0]``.
+    with ``rhs`` of shape ``(m, 1)``; with ``p == 1`` the factor is the
+    inverse of ``gram[0]``.
+
+    One path serves every ``m``. Levinson recursion factors ``T``: the block
+    (Whittle) recursion keeps only the predictors (:func:`_block_durbin`,
+    O(p^2 m^3) time, O(p m^2) memory), and for ``m == 1`` the scalar one
+    (:func:`_durbin`, O(p^2)) gives the same factor faster. The block
+    Gohberg-Semencul formula applies ``T^-1`` by FFTs (O(m^2 p log p)) and
+    iterative refinement follows (:func:`_levinson`). The last factor is
+    kept with the spectra of ``T``'s circulant embedding, which give every
+    ``T x``, and reused while ``gram`` stays exactly the same; any other
+    ``gram`` replaces it.
 
     Every answer is held to one check: its normwise backward error
     (:func:`_backward_error`) must be within Cholesky's worst-case bound
@@ -271,22 +243,33 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     :class:`DegenerateSourcesError`. A non-finite input has a NaN backward
     error and its answer is returned, for the metrics' ``NonFiniteError``.
 
-    Any other ``gram.ndim`` raises ``ValueError``. The path taken is logged
-    at DEBUG on the ``sepmetrics.linalg`` logger.
+    Any other ``gram.ndim`` raises ``ValueError``. The path taken, and
+    whether the factor was built or reused, is logged at DEBUG on the
+    ``sepmetrics.linalg`` logger.
     """
+    global _factor
     if gram.ndim != 3:
         raise ValueError(f"gram must be 3-D lag blocks, got {gram.ndim}-D")
     p, m, _ = gram.shape
     what, n = ("Levinson" if m == 1 else "block Levinson"), rhs.size
     bound = _levinson_bound(n)
+    kept = _factor  # read once, so a concurrent replacement cannot mix two factors
+    reused = kept is not None and np.array_equal(kept[0], gram)
     try:
-        x = _levinson(gram[:, 0, 0], rhs[0])[None] if m == 1 else _block_levinson(gram, rhs)
+        if not reused:
+            factor = _durbin(gram[:, 0, 0]) if m == 1 else _block_durbin(gram)
+            kept = (gram.copy(), factor, _circulant(gram))
+            for a in (kept[0], *factor[1:], kept[2]):
+                a.flags.writeable = False
+            _factor = kept
+        x = _levinson(kept, rhs)
     except np.linalg.LinAlgError as exc:
         _log.debug("solve_spd: %s failed (n=%d: %s); using Cholesky", what, n, exc)
     else:
-        error = _backward_error(gram, rhs, x)
+        error = _backward_error(gram, rhs, x, kept[2])
         if error <= bound:
-            _log.debug("solve_spd: %s (n=%d, backward error %.3g)", what, n, error)
+            _log.debug("solve_spd: %s (n=%d, backward error %.3g, factor %s)", what, n, error,
+                       "reused" if reused else "built")
             return x
         _log.debug("solve_spd: %s rejected (n=%d, backward error %.3g > %.3g); "
                    "using Cholesky", what, n, error, bound)

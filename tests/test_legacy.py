@@ -368,6 +368,10 @@ class TestScores:
         assert held <= 512 * (1 + n_interf) * 8 + 4096, held  # the filters and a few objects
 
 
+def no_levinson(*args):
+    raise np.linalg.LinAlgError("disabled")
+
+
 class TestLevinsonAgainstDense:
     def test_speech_like_512_taps(self, speech, monkeypatch, caplog):
         ref = speech.samples
@@ -377,10 +381,6 @@ class TestLevinsonAgainstDense:
         cfg = FirProjectionConfig(taps=512)
         caplog.set_level(logging.DEBUG, logger="sepmetrics.linalg")
         fast = fir_project(est, ref, cfg=cfg)
-
-        def no_levinson(*args, **kwargs):
-            raise np.linalg.LinAlgError("disabled")
-
         monkeypatch.setattr(linalg, "_levinson", no_levinson)
         dense = fir_project(est, ref, cfg=cfg)
         paths = [r.getMessage().split(" (")[0] for r in caplog.records]
@@ -513,10 +513,6 @@ class TestBlockedRightHandSides:
                                            FirProjectionConfig(taps=taps)), est, sources)
 
 
-def no_block_levinson(blocks, rhs):
-    raise np.linalg.LinAlgError("disabled")
-
-
 class TestBlockLevinsonAgainstDense:
     """Multi-source projections by block Levinson against the dense Cholesky path."""
 
@@ -529,7 +525,7 @@ class TestBlockLevinsonAgainstDense:
         fast = fir_project(est, sources[0], sources[1:], cfg)
         assert solver_paths(caplog) == ["solve_spd: block Levinson"]
         caplog.clear()
-        monkeypatch.setattr(linalg, "_block_levinson", no_block_levinson)
+        monkeypatch.setattr(linalg, "_levinson", no_levinson)
         dense = fir_project(est, sources[0], sources[1:], cfg)
         assert solver_paths(caplog) == ["solve_spd: block Levinson failed", "solve_spd: Cholesky"]
         for metric in (legacy_sdr, legacy_sir, legacy_sar):

@@ -60,7 +60,7 @@ class TestToeplitzPath:
         column = autocorrelation_column(rng, 64)
         rhs = rng.standard_normal((1, 64))
         exact = linalg._levinson
-        monkeypatch.setattr(linalg, "_levinson", lambda c, b: exact(c, b) * (1.0 + 1e-6))
+        monkeypatch.setattr(linalg, "_levinson", lambda kept, b: exact(kept, b) * (1.0 + 1e-6))
         x = solve_spd(column, rhs)
         np.testing.assert_array_equal(x, dense_answer(column, rhs))
         rejected, cholesky = messages(debug_log)
@@ -70,7 +70,7 @@ class TestToeplitzPath:
     def test_non_finite_levinson_falls_back(self, rng, monkeypatch, debug_log):
         column = autocorrelation_column(rng, 8)
         rhs = rng.standard_normal((1, 8))
-        monkeypatch.setattr(linalg, "_levinson", lambda c, b: np.full(8, np.inf))
+        monkeypatch.setattr(linalg, "_levinson", lambda kept, b: np.full((1, 8), np.inf))
         np.testing.assert_array_equal(solve_spd(column, rhs), dense_answer(column, rhs))
         assert messages(debug_log)[0].startswith(
             "solve_spd: Levinson rejected (n=8, backward error nan >")
@@ -138,28 +138,68 @@ class TestToeplitzOracle:
         tol = 16 * np.linalg.cond(gram) * np.finfo(np.float64).eps
         assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
-    def test_factor_reused_bit_for_bit(self, rng):
-        column = autocorrelation_column(rng, 64)
-        a, b = rng.standard_normal((2, 1, 64))
+
+class TestKeptFactor:
+    """One kept factor, with its circulant spectra, for one source and for many."""
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_factor_reused_bit_for_bit(self, rng, m, debug_log):
+        blocks = lag_blocks(rng.standard_normal((m, 400)), 64)
+        a, b = rng.standard_normal((2, m, 64))
         linalg._factor = None
-        cold = solve_spd(column, b)
+        cold = solve_spd(blocks, b)
         factor = linalg._factor
         assert factor is not None
-        solve_spd(column.copy(), a)
-        hit = solve_spd(column.copy(), b)
+        solve_spd(blocks.copy(), a)
+        hit = solve_spd(blocks.copy(), b)
         assert linalg._factor is factor
         np.testing.assert_array_equal(hit, cold)
+        ends = [msg.rsplit(", ", 1)[1] for msg in messages(debug_log)]
+        assert ends == ["factor built)", "factor reused)", "factor reused)"]
 
-    def test_factor_is_a_private_copy_replaced_on_change(self, rng):
-        column = autocorrelation_column(rng, 16)
-        rhs = rng.standard_normal((1, 16))
-        solve_spd(column, rhs)
-        key = linalg._factor[0]
-        assert np.array_equal(key, column[:, 0, 0]) and not key.flags.writeable
-        column[3] *= 1.0 + 1e-12
-        solve_spd(column, rhs)
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_factor_is_a_private_copy_replaced_on_change(self, rng, m):
+        blocks = lag_blocks(rng.standard_normal((m, 400)), 16)
+        rhs = rng.standard_normal((m, 16))
+        solve_spd(blocks, rhs)
+        key, (_, g_spec, h_spec), circ_spec = linalg._factor
+        assert np.array_equal(key, blocks)
+        assert not any(a.flags.writeable for a in (key, g_spec, h_spec, circ_spec))
+        blocks[3] *= 1.0 + 1e-12
+        solve_spd(blocks, rhs)
         assert linalg._factor[0] is not key
-        assert np.array_equal(linalg._factor[0], column[:, 0, 0])
+        assert np.array_equal(linalg._factor[0], blocks)
+
+    def test_single_and_block_solves_match_their_cold_solves(self, rng):
+        single = lag_blocks(rng.standard_normal((1, 400)), 32)
+        block = lag_blocks(rng.standard_normal((3, 400)), 32)
+        rhs = {1: rng.standard_normal((1, 32)), 3: rng.standard_normal((3, 32))}
+
+        def cold(blocks):
+            linalg._factor = None
+            return solve_spd(blocks, rhs[blocks.shape[1]])
+
+        want = {1: cold(single), 3: cold(block)}
+        linalg._factor = None
+        for blocks in (single, block, single):
+            np.testing.assert_array_equal(solve_spd(blocks, rhs[blocks.shape[1]]),
+                                          want[blocks.shape[1]])
+
+    def test_circulant_transformed_once_per_factor(self, rng, monkeypatch, debug_log):
+        transforms = []
+        exact = linalg._circulant
+        monkeypatch.setattr(linalg, "_circulant", lambda b: transforms.append(b) or exact(b))
+        linalg._factor = None
+        solve_spd(lag_blocks(rng.standard_normal((3, 400)), 32), rng.standard_normal((3, 32)))
+        assert len(transforms) == 1  # both refinement steps and the check use the kept spectra
+        column = autocorrelation_column(rng, 32)
+        solve_spd(column, rng.standard_normal((1, 32)))
+        transforms.clear()
+        solve_spd(column.copy(), rng.standard_normal((1, 32)))
+        assert transforms == []  # the kept factor's spectra
+        solve_spd(np.ones((2, 1, 1)), np.ones((1, 2)))  # no factor: the dense check builds them
+        assert len(transforms) == 1
+        assert messages(debug_log)[-2].startswith("solve_spd: Levinson failed (n=2")
 
 
 def six_fft_gohberg_semencul(x, b, n_fft):
@@ -175,19 +215,20 @@ def six_fft_gohberg_semencul(x, b, n_fft):
 
 
 @pytest.mark.parametrize("taps", [1, 2, 17, 512, 4096])
-def test_stacked_gohberg_semencul_matches_six_ffts(rng, taps):
-    column = autocorrelation_column(rng, taps, length=5000)
-    rhs = rng.standard_normal((1, taps))
-    linalg._factor = None
-    solve_spd(column, rhs)
-    factor = linalg._factor
-    _, n_fft, xw_spec, x0 = factor
-    assert xw_spec.shape == (2, n_fft // 2 + 1) and not xw_spec.flags.writeable
+def test_block_formula_on_scalar_factor_matches_six_ffts(rng, taps):
+    column = autocorrelation_column(rng, taps, length=5000)[:, 0, 0]
+    factor = n_fft, g_spec, h_spec = linalg._durbin(column)
+    assert g_spec.shape == h_spec.shape == (2, 1, 1, n_fft // 2 + 1)
     assert n_fft & (n_fft - 1) == 0 and n_fft // 2 < 2 * taps - 1 <= n_fft  # smallest 2^k
-    x = linalg._durbin(column[:, 0, 0])
-    for b in (rhs[0], rng.standard_normal(taps)):
-        assert np.array_equal(linalg._gohberg_semencul(factor, b),
-                              six_fft_gohberg_semencul(x, b, n_fft))
+    # T^-1 e_1 = a / P: a from alpha's spectrum, 1/P from h = g / P (as -h / g for beta)
+    a = np.fft.irfft(g_spec[0, 0, 0], n_fft)[:taps]
+    f = np.argmax(np.abs(g_spec[0, 0, 0]))
+    x = a * (h_spec[0, 0, 0, f] / g_spec[0, 0, 0, f]).real
+    np.testing.assert_allclose(-h_spec[1], g_spec[1] * x[0], rtol=1e-14, atol=0)
+    for b in rng.standard_normal((2, taps)):
+        want = six_fft_gohberg_semencul(x, b, n_fft)
+        got = linalg._block_gohberg_semencul(factor, b[None])[0]
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def delay_gram(sources, taps):
@@ -263,19 +304,18 @@ class TestBlockToeplitzPath:
             assert np.linalg.eigvalsh(err).min() > 0
             assert np.linalg.norm(np.delete(prod, keep, axis=1)) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("m, taps", [(2, 1), (3, 17), (4, 64)])
+    @pytest.mark.parametrize("m, taps", [(1, 17), (2, 1), (3, 17), (4, 64)])
     def test_one_factor_serves_several_right_hand_sides(self, system, rng, m, taps):
         gram, blocks, _ = system(m, taps)
-        factor = linalg._block_durbin(blocks)
+        factor = linalg._durbin(blocks[:, 0, 0]) if m == 1 else linalg._block_durbin(blocks)
         for rhs in rng.standard_normal((3, m, taps)):
             np.testing.assert_allclose(linalg._block_gohberg_semencul(factor, rhs).ravel(),
                                        np.linalg.solve(gram, rhs.ravel()), rtol=1e-9, atol=0)
 
     def test_rejected_answer_falls_back_to_dense(self, system, monkeypatch, debug_log):
         _, blocks, rhs = system(3, 32)
-        exact = linalg._block_levinson
-        monkeypatch.setattr(linalg, "_block_levinson",
-                            lambda b, r: exact(b, r) * (1.0 + 1e-6))
+        exact = linalg._levinson
+        monkeypatch.setattr(linalg, "_levinson", lambda kept, r: exact(kept, r) * (1.0 + 1e-6))
         x = solve_spd(blocks, rhs)
         np.testing.assert_array_equal(x, dense_block_answer(blocks, rhs))
         rejected, cholesky = messages(debug_log)
@@ -290,12 +330,12 @@ class TestBlockToeplitzPath:
                                                    broken, logged):
         _, blocks, rhs = system(2, 20)
 
-        def recursion(b, r):
+        def recursion(kept, r):
             if isinstance(broken, Exception):
                 raise broken
             return broken
 
-        monkeypatch.setattr(linalg, "_block_levinson", recursion)
+        monkeypatch.setattr(linalg, "_levinson", recursion)
         np.testing.assert_array_equal(solve_spd(blocks, rhs), dense_block_answer(blocks, rhs))
         assert messages(debug_log)[0].startswith(logged)
 
