@@ -21,6 +21,7 @@ arrays.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, fields
 
@@ -36,7 +37,9 @@ from .errors import (
     ZeroReferenceError,
     ZeroTargetError,
 )
-from .linalg import _inner, solve_spd
+from .linalg import _UNIT_ROUNDOFF, _inner, solve_spd
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "Decomposition",
@@ -287,24 +290,67 @@ def _resolve_metric(metric):
         ) from None
 
 
+def _assign(weights: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray] | None:
+    """Maximum-weight assignment of a square matrix, -inf entries forbidden.
+
+    Shortest augmenting paths with potentials (Jonker & Volgenant 1987, in
+    Crouse's form, IEEE TAES 52(4) 2016): one O(k^2) Dijkstra search per row,
+    on Python floats (faster than numpy calls at these sizes). Returns
+    ``(cols, u, v)``, row j taking column ``cols[j]``, with duals
+    ``u[j] + v[c] >= weights[j, c]``, equal on the assignment (to rounding);
+    None when every assignment uses a forbidden entry. Potentials are sums
+    of weight differences along paths: finite weights of magnitude at most 2
+    keep them far from overflow.
+    """
+    k = weights.shape[0]
+    cost, u, v = (-weights).tolist(), [0.0] * k, [0.0] * k
+    col4row, row4col = [-1] * k, [-1] * k
+    for row in range(k):
+        dist, path, todo, visited, scanned = [math.inf] * k, [-1] * k, list(range(k)), [], []
+        i, low, sink = row, 0.0, -1
+        while sink < 0:
+            visited.append(i)
+            costs, ui, nearest = cost[i], u[i], math.inf
+            for j in todo:
+                if (reach := low + costs[j] - ui - v[j]) < dist[j]:
+                    dist[j], path[j] = reach, i
+                if dist[j] < nearest:
+                    nearest = dist[j]
+            if nearest == math.inf:
+                return None
+            low = nearest
+            ties = [j for j in todo if dist[j] == low]
+            pick = next((j for j in ties if row4col[j] < 0), ties[0])  # a free one ends it
+            todo.remove(pick)
+            scanned.append(pick)
+            if row4col[pick] < 0:
+                sink = pick
+            else:
+                i = row4col[pick]
+        u[row] += low
+        for i in visited[1:]:
+            u[i] += low - dist[col4row[i]]
+        for j in scanned:
+            v[j] -= low - dist[j]
+        while True:  # flip the augmenting path back to the new row
+            i = row4col[sink] = path[sink]
+            col4row[i], sink = sink, col4row[i]
+            if i == row:
+                break
+    return col4row, -np.array(u), -np.array(v)
+
+
 def _complete(weights: np.ndarray, prefix: list[int]) -> list[int] | None:
     """Extend ``prefix`` (columns for the first rows) to a full assignment.
 
     The remaining rows get the completion of largest ``weights`` sum, with
     -inf entries forbidden; None when the prefix or every completion hits one.
     """
-    from scipy.optimize import linear_sum_assignment  # its only use: not loaded on import
     if any(weights[j, c] == -math.inf for j, c in enumerate(prefix)):
         return None
-    k = weights.shape[0]
-    cols = np.array([c for c in range(k) if c not in prefix], dtype=np.intp)
-    if cols.size == 0:
-        return list(prefix)
-    try:
-        _, picked = linear_sum_assignment(weights[len(prefix):, cols], maximize=True)
-    except ValueError:  # infeasible: no completion avoids the forbidden entries
-        return None
-    return list(prefix) + [int(c) for c in cols[picked]]
+    cols = [c for c in range(weights.shape[0]) if c not in prefix]
+    solved = _assign(weights[len(prefix):, cols])
+    return None if solved is None else list(prefix) + [cols[c] for c in solved[0]]
 
 
 def _mean(values: np.ndarray) -> float:
@@ -321,35 +367,106 @@ def _mean(values: np.ndarray) -> float:
         return math.ldexp(math.fsum(math.ldexp(v, -shift) for v in values) / k, shift)
 
 
+def _may_tie(near: np.ndarray, best: list[int], j: int, c: int) -> bool:
+    """Whether an assignment through ``best[:j] + [c]`` can use ``near`` entries only.
+
+    Besides (j, c) it needs a chain of rows after j from the one that held
+    ``c`` in ``best`` to the freed column ``best[j]``, each row taking the
+    column the next one held (the alternating cycle it differs from ``best`` by).
+    """
+    if not near[j, c]:
+        return False
+    owner = {col: row for row, col in enumerate(best)}
+    stack = [owner[c]]
+    seen = set(stack)
+    while stack:
+        for col in np.flatnonzero(near[stack.pop()]).tolist():
+            if col == best[j]:
+                return True
+            if (row := owner[col]) > j and row not in seen:
+                seen.add(row)
+                stack.append(row)
+    return False
+
+
+def _two_diff(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x - y`` rounded, and its rounding error exactly (Knuth's TwoSum)."""
+    d = x - y
+    z = d - x
+    return d, (x - (d - z)) - (y + z)
+
+
+def _offsets_removed(x: np.ndarray, finite: np.ndarray) -> np.ndarray:
+    """``x`` less each row's largest finite entry, then each column's; -inf elsewhere.
+
+    A constant added to a row or a column moves every assignment's sum alike,
+    so the optimum stays; the two subtractions carry their rounding errors
+    into one final rounding, so small differences under large offsets stay exact.
+    """
+    with np.errstate(invalid="ignore"):  # rows or columns without a finite entry
+        d1, e1 = _two_diff(x, x.max(axis=1, where=finite, initial=-math.inf, keepdims=True))
+        d2, e2 = _two_diff(d1, d1.max(axis=0, where=finite, initial=-math.inf, keepdims=True))
+        return np.where(finite, d2 + (e1 + e2), -math.inf)
+
+
 def _best_assignment(matrix: np.ndarray) -> tuple[int, ...]:
     """The assignment an exhaustive search over ``itertools.permutations`` picks.
 
     An assignment scores the :func:`_mean` of its entries, NaN (mixed +-inf
     or a NaN entry) ranking as -inf; ties go to the first permutation. If an
-    assignment avoids -inf/NaN and uses a +inf (``linear_sum_assignment`` on
-    weights 1 for +inf, 0 for finite, -inf forbidden), the best class scores
-    +inf and keeps those weights; else the all-finite assignments are solved
-    on their values; with neither, all score -inf and the identity is first.
-    The class optimum is then made lexicographically first, row by row, by
-    re-solving the rest.
+    assignment avoids -inf/NaN and uses a +inf (:func:`_assign` on weights 1
+    for +inf, 0 for finite, -inf forbidden), the best class scores +inf and
+    keeps those weights; else the all-finite assignments are solved on their
+    values; with neither, all score -inf and the identity is first. The class
+    optimum is then made lexicographically first, row by row, by re-solving
+    the rest.
+
+    In the finite class the duals skip most re-solves. An assignment through
+    (j, c) sums to at most the optimum less the reduced cost
+    ``u[j] + v[c] - w[j, c] >= 0``, so one that ties (equal means after
+    rounding) uses only entries whose reduced cost is within ``slack``, a
+    bound on the rounding of weights, duals, reduced costs and scores; a
+    candidate is re-solved only if such entries can complete it (:func:`_may_tie`).
     """
     k = matrix.shape[0]
-    rows, finite = np.arange(k), np.isfinite(matrix)
-    weights = np.where(matrix == math.inf, 1.0, np.where(finite, 0.0, -math.inf))
-    best = _complete(weights, [])
+    rows, finite, plus = np.arange(k), np.isfinite(matrix), matrix == math.inf
+    best, solves, skipped, won = None, 0, 0, "+inf"
+    reduced, slack = np.zeros((k, k)), math.inf  # the +inf class re-solves every candidate
+    if plus.any():
+        weights = np.where(plus, 1.0, np.where(finite, 0.0, -math.inf))
+        best, solves = _complete(weights, []), 1
     if best is None or _mean(matrix[rows, best]) != math.inf:
-        weights = np.where(finite, matrix, -math.inf)
-        best = _complete(weights, [])
-        if best is None:
-            return tuple(range(k))
+        # an exact power-of-two rescale below 1 in magnitude: no potential overflows
+        exponent = math.frexp(np.abs(matrix[finite]).max(initial=0.0))[1]
+        weights = _offsets_removed(np.ldexp(matrix, -exponent), finite)
+        solved, solves, won = _assign(weights), solves + 1, "finite"
+        if solved is None:
+            best, won = list(range(k)), "none"  # no earlier candidate: nothing to re-solve
+        else:
+            best, u, v = solved
+            reduced = u[:, None] + v - weights  # +inf where forbidden
+            # Twice the rounding a tie can hide, in units of the unit roundoff
+            # 2**-53: 4k in the scores (and k 2**-1074, rescaled, where a mean
+            # underflows), 2 (|u| + |v| + 2) in each of 2k reduced costs and
+            # weights; plus what k - 1 negative reduced costs can give back.
+            slack = (8 * k * _UNIT_ROUNDOFF * (np.abs(u).max() + np.abs(v).max() + 3)
+                     + k * math.ldexp(1.0, -1073 - exponent)
+                     - (k - 1) * min(0.0, reduced[finite].min()))
 
-    best_score = _mean(matrix[rows, best])
+    best_score = -math.inf if won == "none" else _mean(matrix[rows, best])
+    near = reduced <= slack + reduced[rows, best].sum()
     for j in range(k):
         for c in [c for c in range(best[j]) if c not in best[:j]]:
-            candidate = _complete(weights, best[:j] + [c])
+            if not _may_tie(near, best, j, c):
+                skipped += 1
+                continue
+            candidate, solves = _complete(weights, best[:j] + [c]), solves + 1
             if candidate is not None and (score := _mean(matrix[rows, candidate])) >= best_score:
                 best, best_score = candidate, score
+                near = reduced <= slack + reduced[rows, best].sum()
                 break
+    _log.debug("evaluate_permuted: k=%d, %s class won, %d assignment solves, "
+               "%d candidates skipped", k, won, solves, skipped)
     return tuple(best)
 
 
@@ -362,8 +479,16 @@ def evaluate_permuted(references, estimates, metric="si-sdr"):
     over k: independent of pair order, and rescaled rather than overflowing);
     a NaN mean (mixed +-inf, or a NaN from a custom metric) ranks as -inf and
     ties go to the lexicographically first assignment. The k*k pair scores are
-    computed once and ``scipy.optimize.linear_sum_assignment`` finds what an
-    exhaustive search over all k! assignments would, with no source cap.
+    computed once and the search finds what an exhaustive search over all k!
+    assignments would, with no source cap, on numpy alone: a shortest-augmenting-
+    path solver (Jonker-Volgenant, O(k^3)) finds an optimum, and the first
+    among ties is fixed row by row, re-solving the rest only where its duals
+    allow a tie. An assignment through (j, c) falls short of the optimum by at
+    least the reduced cost ``u[j] + v[c] - w[j, c]``, so a candidate needing an
+    entry whose reduced cost exceeds a rounding bound (about ``2**-50 k``
+    times the largest dual, on weights scaled below 1) is skipped unsolved. Each
+    search logs one DEBUG record on ``sepmetrics.metrics``: k, the class that
+    won (+inf, finite or none), and the counts of solves and skipped candidates.
     """
     references, estimates = list(references), list(estimates)
     if len(references) != len(estimates):

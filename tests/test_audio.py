@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 
@@ -66,8 +67,22 @@ class TestReadWav:
     def test_float_nan_payload_rejected(self, tmp_path):
         payload = struct.pack("<2f", 0.5, math.nan)
         path = make_wav(tmp_path / "n.wav", payload, 3, 1, 32)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: float payload")):
             read_wav(path)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_float_inf_payload_rejected(self, tmp_path, value):
+        path = make_wav(tmp_path / "i.wav", struct.pack("<2f", value, 0.5), 3, 1, 32)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: float payload")):
+            read_wav(path)
+
+    def test_one_finiteness_scan(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "x.wav")
+        write_wav(Signal(np.linspace(-1.0, 1.0, 64)), path)
+        sizes, isfinite = [], np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda x: sizes.append(np.size(x)) or isfinite(x))
+        read_wav(path)
+        assert sizes == [64]
 
     def test_zero_sample_rate(self, tmp_path):
         path = make_wav(tmp_path / "r.wav", struct.pack("<2h", 1, 2), 1, 1, 16, rate=0)

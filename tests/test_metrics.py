@@ -1,6 +1,8 @@
 import itertools
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -26,6 +28,8 @@ from sepmetrics.errors import (
     ZeroTargetError,
 )
 from sepmetrics.metrics import (
+    _assign,
+    _best_assignment,
     _mean,
     decompose,
     evaluate,
@@ -453,8 +457,8 @@ def exhaustive_assignment(matrix):
     k = len(matrix)
     best, best_score = None, -math.inf
     for perm in itertools.permutations(range(k)):
-        try:
-            score = math.fsum(matrix[j][perm[j]] for j in range(k)) / k
+        try:  # math.fsum over k, rescaled where the sum overflows (TestMean)
+            score = _mean([matrix[j][perm[j]] for j in range(k)])
         except ValueError:  # fsum refuses -inf + inf
             score = math.nan
         if math.isnan(score):
@@ -484,6 +488,21 @@ def _duplicated(rng, k, axis):
     return matrix
 
 
+def _hall_violating(rng, k):
+    """Rows that share fewer finite columns than they number: no all-finite assignment."""
+    matrix = _with_infs(rng, k)
+    rows = rng.permutation(k)[:int(rng.integers(1, k + 1))]
+    cols = rng.permutation(k)[:rows.size - 1]
+    matrix[np.ix_(rows, np.setdiff1d(np.arange(k), cols))] = -math.inf
+    return matrix
+
+
+def _offset_ties(rng, k, per_row):
+    """Small integers under offsets near 1e16, where float64 spacing is 2."""
+    offsets = rng.choice([1e16, -1e16, 3e16], size=(k, 1) if per_row else 1)
+    return offsets + rng.integers(0, 4, (k, k))
+
+
 MATRIX_KINDS = {
     "random": lambda rng, k: rng.standard_normal((k, k)) * 10.0,
     "integer_ties": lambda rng, k: rng.integers(0, 3, (k, k)).astype(float),
@@ -491,6 +510,13 @@ MATRIX_KINDS = {
     "duplicated_column": lambda rng, k: _duplicated(rng, k, 1),
     "plus_minus_inf": lambda rng, k: _with_infs(rng, k),
     "nan": lambda rng, k: _with_infs(rng, k, nan=True),
+    "hall_violating": _hall_violating,
+    "huge": lambda rng, k: rng.choice([-1.7e308, -1e308, 1e308, 1.5e308, 1.7e308, 0.0, 1.0],
+                                      size=(k, k)),
+    "offset_ties": lambda rng, k: _offset_ties(rng, k, per_row=False),
+    "row_offset_ties": lambda rng, k: _offset_ties(rng, k, per_row=True),
+    # sums apart by a few units in the last place: some round to one mean
+    "ulp_ties": lambda rng, k: 1.0 + rng.integers(0, 4, (k, k)) * 2.0 ** -52,
 }
 
 
@@ -519,6 +545,50 @@ class TestMean:
     def test_huge_values(self):
         assert _mean([1e308, 1e308]) == 1e308
         assert _mean([1e308, 1e308, math.inf]) == math.inf
+
+
+def _scaled(matrix):
+    """Non-finite entries as -inf (forbidden), the rest rescaled by a power of two below 1."""
+    finite = np.isfinite(matrix)
+    top = np.abs(matrix[finite]).max(initial=0.0)
+    return np.ldexp(np.where(finite, matrix, -math.inf), -math.frexp(top)[1])
+
+
+class TestAssign:
+    @pytest.mark.parametrize("kind", sorted(MATRIX_KINDS))
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_agrees_with_exhaustive_search(self, k, kind):
+        for seed in range(4):
+            weights = _scaled(MATRIX_KINDS[kind](np.random.default_rng([k, seed, 1]), k))
+            sums = [math.fsum(weights[np.arange(k), perm])
+                    for perm in itertools.permutations(range(k))]
+            solved = _assign(weights)
+            if max(sums) == -math.inf:
+                assert solved is None, (kind, k, seed)
+                continue
+            cols, u, v = solved
+            assert sorted(cols) == list(range(k))
+            assert math.fsum(weights[np.arange(k), cols]) == pytest.approx(max(sums), abs=1e-12)
+            # the duals bound every entry and are tight on the assignment
+            assert (u[:, None] + v >= weights - 1e-12).all()
+            assert np.allclose(u + v[cols], weights[np.arange(k), cols], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [16, 32, 64])
+    def test_optimum_matches_scipy(self, k):
+        from scipy.optimize import linear_sum_assignment  # the reference, in this test only
+        rng = np.random.default_rng(k)
+        rows, planted = np.arange(k), rng.permutation(k)
+        noise = rng.normal(0.0, 3.0, (k, k))
+        signal = noise.copy()
+        signal[rows, planted] += 10.0
+        holes = noise.copy()
+        holes[(rng.random((k, k)) < 0.3) & (np.arange(k) != planted[:, None])] = -math.inf
+        for matrix in (noise, signal, holes, rng.integers(0, 3, (k, k)).astype(float)):
+            _, want = linear_sum_assignment(matrix, maximize=True)
+            optimum = math.fsum(matrix[rows, want])
+            assert math.fsum(matrix[rows, list(_best_assignment(matrix))]) == optimum
+            weights = _scaled(matrix)
+            assert math.fsum(weights[rows, _assign(weights)[0]]) == math.fsum(weights[rows, want])
 
 
 class TestEvaluatePermuted:
@@ -558,6 +628,7 @@ class TestEvaluatePermuted:
             refs, ests, metric = matrix_metric(matrix)
             perm, reports = evaluate_permuted(refs, ests, metric)
             assert perm == exhaustive_assignment(matrix), (kind, k, seed, matrix)
+            assert all(type(c) is int for c in perm)
             assert len(reports) == k
 
     def test_equivariant_under_estimate_permutation(self, rng):
@@ -637,9 +708,26 @@ class TestEvaluatePermuted:
         with pytest.raises(ValueError):
             evaluate_permuted(refs, ests, "pesq")
 
-    def test_scipy_optimize_loads_only_on_first_search(self, tmp_path):
+    @pytest.mark.parametrize("kind, won", [("random", "finite"), ("plus_minus_inf", "+inf"),
+                                           ("hall_violating", "none")])
+    def test_one_debug_record_per_search(self, caplog, kind, won):
+        k = 6
+        matrix = MATRIX_KINDS[kind](np.random.default_rng([k, 0]), k)
+        refs, ests, metric = matrix_metric(matrix)
+        with caplog.at_level(logging.DEBUG, logger="sepmetrics.metrics"):
+            perm, _ = evaluate_permuted(refs, ests, metric)
+        assert perm == exhaustive_assignment(matrix)
+        [record] = [r.getMessage() for r in caplog.records if r.name == "sepmetrics.metrics"]
+        found = re.fullmatch(r"evaluate_permuted: k=6, (\S+) class won, (\d+) assignment "
+                             r"solves, (\d+) candidates skipped", record)
+        assert found and found[1] == won, record
+        if won == "finite":  # distinct real scores: one solve, every candidate skipped
+            assert (found[2], int(found[3]) > 0) == ("1", True), record
+
+    def test_runs_on_numpy_alone(self, tmp_path):
         # A fresh interpreter: pytest's own imports would otherwise leak in.
-        # Everything but the permutation search runs on numpy alone.
+        # Only solve_spd's pivoted-Cholesky fallback imports scipy, and none of
+        # these calls reaches it: the permutation search included, nothing loads scipy.
         code = (
             "import os, sys\n"
             "import numpy as np\n"
@@ -654,15 +742,22 @@ class TestEvaluatePermuted:
             "path = os.path.join(sys.argv[1], 'x.wav')\n"
             "sepmetrics.write_wav(Signal(x[0]), path)\n"
             "sepmetrics.read_wav(path)\n"
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "sepmetrics.evaluate_permuted(x[:2], x[1::-1])\n"
-            "print(loaded, 'scipy.optimize' in sys.modules)\n"
+            "assert sepmetrics.evaluate_permuted(x[:2], x[1::-1])[0] == (1, 0)\n"
+            "refs, ests = (os.path.join(sys.argv[1], d) for d in ('refs', 'ests'))\n"
+            "for d, order in ((refs, 'ab'), (ests, 'ba')):\n"
+            "    os.mkdir(d)\n"
+            "    for name, row in zip(order, x):\n"
+            "        sepmetrics.write_wav(Signal(row), os.path.join(d, name + '.wav'))\n"
+            "assert sepmetrics.cli.main(['eval-set', '--refs', refs, '--ests', ests,\n"
+            "                            '--permute']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(sepmetrics.__file__)))
-        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                             env=dict(os.environ, PYTHONPATH=src),
-                             check=True, capture_output=True, text=True).stdout
-        assert out.split() == ["[]", "True"]
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              check=True, capture_output=True, text=True)
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert "permutation: 1,0" in done.stderr.splitlines()
 
 
 def _poisoned(x, value):
