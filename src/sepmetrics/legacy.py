@@ -23,19 +23,17 @@ and solves by the block Gohberg-Semencul formula, O(sources^2 taps log
 taps) by FFTs, with iterative refinement. It checks the answer against
 Cholesky's backward-error bound, and forms the Gram matrix and solves it on
 its numerical rank by pivoted Cholesky only if the check fails, as for
-dependent sources. The last factor is kept and reused while the lag blocks
-stay exactly the same, so repeated scoring against the same sources with
-no other solve in between runs the recursion once.
+dependent sources. The reference's plan (below) keeps its factor, so
+scoring against it alone runs the recursion once, whatever runs between.
 
 Blocks: every correlation and every energy comes from overlap-save blocks of
 N points, N a power of two (Oppenheim & Schafer; see :func:`fir_project` for
 N's rule), never from a transform of a whole signal. The correlation lags sum
 one signal's blocks against another's segments, and the projected signals are
 rebuilt block by block, so each of the five energies is a direct sum of
-squares in which nothing cancels. The last reference's autocorrelation and
-segment spectra are kept in a private one-entry plan, reused only for an
-exactly equal reference and ``taps``. Everything but that pivoted Cholesky
-runs on numpy alone.
+squares in which nothing cancels. A private one-entry plan keeps the last
+reference's statistics and factor (:func:`fir_project`). Everything but
+that pivoted Cholesky runs on numpy alone.
 
 Scores: SDR, SIR and SAR are ratios of the five energies. A result holds the
 filters and those energies, no vector.
@@ -79,7 +77,7 @@ MAX_PROBLEM_SIZE = 4096
 _CHUNK = 4
 
 # The last reference seen: (copy of its samples, taps, autocorrelation at lags
-# 0..taps-1, its segments' spectra), replaced whole and never modified.
+# 0..taps-1, its segments' spectra, a holder solve_spd fills with its factor), replaced whole.
 _plan: tuple | None = None
 
 
@@ -124,9 +122,9 @@ def _lag_sum(blocks: np.ndarray, segments: np.ndarray, taps: int, n_block: int) 
 
 
 def _reference_plan(ref: np.ndarray, taps: int, n_block: int) -> tuple:
-    """``ref``'s autocorrelation and segment spectra: the last plan's if they match."""
+    """``ref``'s autocorrelation, segment spectra and factor holder: the last plan's if equal."""
     global _plan
-    plan = _plan  # read once, so a concurrent replacement cannot mix two plans
+    plan = _plan  # read once, so a concurrent replacement cannot mix two plans or holders
     if plan is not None and plan[1] == taps and np.array_equal(plan[0], ref):
         _log.debug("fir_project: reusing the reference plan (L=%d, taps=%d)", ref.size, taps)
         return plan[2:]
@@ -135,7 +133,7 @@ def _reference_plan(ref: np.ndarray, taps: int, n_block: int) -> tuple:
     ref = ref.copy()
     for a in (ref, acf, segments):
         a.flags.writeable = False
-    _plan = plan = (ref, taps, acf, segments)
+    _plan = plan = (ref, taps, acf, segments, [None])
     _log.debug("fir_project: new reference plan (L=%d, taps=%d)", ref.size, taps)
     return plan[2:]
 
@@ -277,10 +275,10 @@ def fir_project(estimate, reference, interferers=(),
     equations give NaN energies, so every score raises ``NonFiniteError``.
 
     The reference's plan holds a read-only copy of it, ``taps``, its
-    autocorrelation at lags below ``taps`` and its ``K`` segment spectra. It
-    is reused only if ``taps`` matches and the prepared reference is
-    ``np.array_equal`` to its copy, else replaced whole. Reuse gives the same
-    bits as a rebuild, so no caller can observe the plan; both log at DEBUG.
+    autocorrelation at lags below ``taps``, its ``K`` segment spectra and its
+    factor's holder; it is reused only if ``taps`` matches and the reference
+    is ``np.array_equal`` to the copy, else replaced whole. Reuse gives a
+    rebuild's bits, so no caller can observe the plan; both log at DEBUG.
 
     Raises:
         LengthMismatchError: signals of unequal length.
@@ -308,7 +306,7 @@ def fir_project(estimate, reference, interferers=(),
 
     # A block and its lags, or a block of h * s, fit in N points without aliasing.
     n_block = 1 << (min(max(4 * taps, 1024), L + taps - 1) - 1).bit_length()
-    ref_acf, ref_segments = _reference_plan(ref, taps, n_block)
+    ref_acf, ref_segments, ref_holder = _reference_plan(ref, taps, n_block)
     segments = [ref_segments] + [_segment_spectra(src, taps, n_block) for src in sources[1:]]
 
     est_blocks = _block_spectra(est, taps, n_block)
@@ -325,7 +323,7 @@ def fir_project(estimate, reference, interferers=(),
                 if i or j:
                     blocks[:, i, j] = _lag_sum(src_blocks, seg, taps, n_block)
             del src_blocks  # freed before the next source's: a lower peak
-    coeffs = solve_spd(blocks, rhs)
+    coeffs = solve_spd(blocks, rhs, ref_holder if nsrc == 1 else None)
     if np.isfinite(rhs).all() and np.isfinite(blocks).all():
         energies = _energies(est, segments, coeffs, n_block)
     else:  # a non-finite sample, which need not reach every block of the energy pass

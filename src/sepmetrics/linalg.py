@@ -164,13 +164,17 @@ def _block_matvec(circ_spec: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.einsum("ijk,jk->ik", circ_spec, np.fft.rfft(x, n_fft)), n_fft)[:, :p]
 
 
-# The last lag blocks factored: (read-only copy of the blocks, their factor,
-# their circulant spectra), replaced whole and never modified.
-_factor: tuple | None = None
+def _factorize(gram: np.ndarray) -> tuple:
+    """``(copy of gram, factor, circulant spectra)``, read-only: by :func:`_durbin` if m = 1."""
+    factor = _durbin(gram[:, 0, 0]) if gram.shape[1] == 1 else _block_durbin(gram)
+    kept = (gram.copy(), factor, _circulant(gram))
+    for a in (kept[0], *factor[1:], kept[2]):
+        a.flags.writeable = False
+    return kept
 
 
 def _levinson(kept: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``T x = rhs`` from ``kept``, laid out as :data:`_factor`.
+    """Solve ``T x = rhs`` from ``kept``, laid out as :func:`_factorize` returns it.
 
     :func:`_block_gohberg_semencul` applies ``T^-1`` by FFTs (O(m^2 p log
     p)). The recursions are only weakly stable: the predictors are off by up
@@ -194,7 +198,7 @@ def _backward_error(gram: np.ndarray, rhs: np.ndarray, x: np.ndarray,
                     circ_spec: np.ndarray | None = None) -> float:
     """``||T x - b|| / (||T||_F ||x|| + ||b||)``, ``T x`` by FFTs; NaN for a non-finite operand.
 
-    ``circ_spec`` are ``T``'s circulant spectra if kept, else they are built.
+    ``circ_spec`` are ``T``'s circulant spectra if held, else they are built.
     """
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all() and np.isfinite(x).all()):
         return math.nan
@@ -207,7 +211,7 @@ def _backward_error(gram: np.ndarray, rhs: np.ndarray, x: np.ndarray,
     return math.sqrt(_inner(residual.ravel())) / scale if scale else 0.0
 
 
-def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def solve_spd(gram: np.ndarray, rhs: np.ndarray, kept: list | None = None) -> np.ndarray:
     """Solve ``T x = rhs`` for a positive-semidefinite block-Toeplitz Gram matrix ``T``.
 
     ``gram`` of shape ``(p, m, m)`` is the first block row of ``T``, given as
@@ -225,10 +229,11 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     O(p^2 m^3) time, O(p m^2) memory), and for ``m == 1`` the scalar one
     (:func:`_durbin`, O(p^2)) gives the same factor faster. The block
     Gohberg-Semencul formula applies ``T^-1`` by FFTs (O(m^2 p log p)) and
-    iterative refinement follows (:func:`_levinson`). The last factor is
-    kept with the spectra of ``T``'s circulant embedding, which give every
-    ``T x``, and reused while ``gram`` stays exactly the same; any other
-    ``gram`` replaces it.
+    iterative refinement follows (:func:`_levinson`). The module keeps no
+    state: a caller may own a one-slot list ``kept``, from ``[None]``, that
+    holds a read-only copy of ``gram``, its factor and ``T``'s circulant
+    spectra, for every ``T x``; a solve reuses them while ``gram`` is
+    ``np.array_equal`` to the copy, else refills the slot.
 
     Every answer is held to one check: its normwise backward error
     (:func:`_backward_error`) must be within Cholesky's worst-case bound
@@ -247,26 +252,22 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     whether the factor was built or reused, is logged at DEBUG on the
     ``sepmetrics.linalg`` logger.
     """
-    global _factor
     if gram.ndim != 3:
         raise ValueError(f"gram must be 3-D lag blocks, got {gram.ndim}-D")
     p, m, _ = gram.shape
     what, n = ("Levinson" if m == 1 else "block Levinson"), rhs.size
     bound = _levinson_bound(n)
-    kept = _factor  # read once, so a concurrent replacement cannot mix two factors
-    reused = kept is not None and np.array_equal(kept[0], gram)
+    kept = kept or [None]  # no holder: a factor for this call alone
+    held = kept[0]  # read once: a racing refill cannot mix two factors
+    reused = held is not None and np.array_equal(held[0], gram)
     try:
         if not reused:
-            factor = _durbin(gram[:, 0, 0]) if m == 1 else _block_durbin(gram)
-            kept = (gram.copy(), factor, _circulant(gram))
-            for a in (kept[0], *factor[1:], kept[2]):
-                a.flags.writeable = False
-            _factor = kept
-        x = _levinson(kept, rhs)
+            kept[0] = held = _factorize(gram)
+        x = _levinson(held, rhs)
     except np.linalg.LinAlgError as exc:
         _log.debug("solve_spd: %s failed (n=%d: %s); using Cholesky", what, n, exc)
     else:
-        error = _backward_error(gram, rhs, x, kept[2])
+        error = _backward_error(gram, rhs, x, held[2])
         if error <= bound:
             _log.debug("solve_spd: %s (n=%d, backward error %.3g, factor %s)", what, n, error,
                        "reused" if reused else "built")

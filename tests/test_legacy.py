@@ -446,9 +446,9 @@ class TestBlockedRightHandSides:
         """``fir_project``'s result and the lag blocks and right-hand sides it solved."""
         seen = []
 
-        def spy(blocks, rhs):
+        def spy(blocks, rhs, kept=None):
             seen.append((blocks.copy(), rhs.copy()))
-            return linalg.solve_spd(blocks, rhs)
+            return linalg.solve_spd(blocks, rhs, kept)
 
         monkeypatch.setattr(legacy, "solve_spd", spy)
         d = fir_project(est, sources[0], sources[1:], FirProjectionConfig(taps=taps))
@@ -594,8 +594,8 @@ def test_multi_source_scores_do_not_depend_on_blas_threads():
 
 
 def cold_project(est, ref, interferers=(), taps=32):
-    """``fir_project`` with no reference plan or Toeplitz factor left by an earlier call."""
-    legacy._plan = linalg._factor = None
+    """``fir_project`` with no reference plan (nor its factor) left by an earlier call."""
+    legacy._plan = None
     return fir_project(est, ref, interferers, FirProjectionConfig(taps=taps))
 
 
@@ -686,8 +686,9 @@ class TestReferencePlan:
         a, b, ests = signals
         fir_project(ests[0], a, cfg=FirProjectionConfig(taps=32))
         fir_project(ests[1], b, cfg=FirProjectionConfig(taps=16))
-        ref, taps, acf, segments = legacy._plan
+        ref, taps, acf, segments, kept = legacy._plan
         assert taps == 16 and np.array_equal(ref, b) and ref is not b
+        assert kept[0] is not None  # the factor of the reference-only solve
         assert not any(x.flags.writeable for x in (ref, acf, segments))
         # Only the lags below taps are kept; the negative ones are the same numbers.
         want = [math.fsum(b[lag:] * b[:b.size - lag]) for lag in range(16)]
@@ -711,9 +712,24 @@ class TestReferencePlan:
             "fir_project: new reference plan (L=1500, taps=512)",
         ]
 
+    def test_factor_outlives_other_solves(self, signals, caplog):
+        # A decompose and a multi-source projection on the same reference solve
+        # other systems in between; the plan's factor is neither evicted nor touched.
+        a, b, ests = signals
+        cfg = FirProjectionConfig(taps=32)
+        first = fir_project(ests[0], a, cfg=cfg)
+        metrics.decompose(a, ests[1], [b])
+        fir_project(ests[2], a, [b], cfg)
+        caplog.set_level(logging.DEBUG, logger="sepmetrics.linalg")
+        again = fir_project(ests[0], a, cfg=cfg)
+        assert_same(again, first)
+        [record] = [r.getMessage() for r in caplog.records if r.name == "sepmetrics.linalg"]
+        assert record.startswith("solve_spd: Levinson (n=32,") and record.endswith("factor reused)")
+
     def test_threads_share_the_plan_safely(self, signals):
         a, b, ests = signals
-        cases = [(ests[i % 3], (a, b)[i % 2], (), 16) for i in range(4)]
+        # 512 taps too: each reference's plan, factor holder included, keeps replacing the other's
+        cases = [(ests[i % 3], (a, b)[i % 2], (), taps) for taps in (16, 512) for i in range(4)]
         want = [cold_project(*c) for c in cases]
         failures = []
 

@@ -140,63 +140,87 @@ class TestToeplitzOracle:
 
 
 class TestKeptFactor:
-    """One kept factor, with its circulant spectra, for one source and for many."""
+    """A caller-owned one-slot holder keeps one factor, with its circulant spectra."""
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_factor_reused_bit_for_bit(self, rng, m, debug_log):
         blocks = lag_blocks(rng.standard_normal((m, 400)), 64)
         a, b = rng.standard_normal((2, m, 64))
-        linalg._factor = None
-        cold = solve_spd(blocks, b)
-        factor = linalg._factor
-        assert factor is not None
-        solve_spd(blocks.copy(), a)
-        hit = solve_spd(blocks.copy(), b)
-        assert linalg._factor is factor
+        kept = [None]
+        cold = solve_spd(blocks, b, kept)
+        held = kept[0]
+        assert held is not None
+        solve_spd(blocks, a, kept)
+        hit = solve_spd(blocks, b, kept)
+        assert kept[0] is held
         np.testing.assert_array_equal(hit, cold)
+        np.testing.assert_array_equal(solve_spd(blocks, b), cold)  # no holder: built for the call
         ends = [msg.rsplit(", ", 1)[1] for msg in messages(debug_log)]
-        assert ends == ["factor built)", "factor reused)", "factor reused)"]
+        assert ends == ["factor built)", "factor reused)", "factor reused)", "factor built)"]
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_factor_is_a_private_copy_replaced_on_change(self, rng, m):
         blocks = lag_blocks(rng.standard_normal((m, 400)), 16)
         rhs = rng.standard_normal((m, 16))
-        solve_spd(blocks, rhs)
-        key, (_, g_spec, h_spec), circ_spec = linalg._factor
-        assert np.array_equal(key, blocks)
+        kept = [None]
+        solve_spd(blocks, rhs, kept)
+        held = key, (_, g_spec, h_spec), circ_spec = kept[0]
+        assert np.array_equal(key, blocks) and key is not blocks
         assert not any(a.flags.writeable for a in (key, g_spec, h_spec, circ_spec))
+        solve_spd(blocks.copy(), rhs, kept)
+        assert kept[0] is held
         blocks[3] *= 1.0 + 1e-12
-        solve_spd(blocks, rhs)
-        assert linalg._factor[0] is not key
-        assert np.array_equal(linalg._factor[0], blocks)
+        solve_spd(blocks, rhs, kept)
+        assert kept[0][0] is not key
+        assert np.array_equal(kept[0][0], blocks)
 
-    def test_single_and_block_solves_match_their_cold_solves(self, rng):
-        single = lag_blocks(rng.standard_normal((1, 400)), 32)
-        block = lag_blocks(rng.standard_normal((3, 400)), 32)
-        rhs = {1: rng.standard_normal((1, 32)), 3: rng.standard_normal((3, 32))}
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_holder_for_other_blocks_gives_the_cold_answer(self, rng, m, debug_log):
+        old, new = (lag_blocks(rng.standard_normal((m, 400)), 32) for _ in range(2))
+        rhs = rng.standard_normal((m, 32))
+        want = solve_spd(new, rhs)
+        kept = [None]
+        solve_spd(old, rhs, kept)
+        np.testing.assert_array_equal(solve_spd(new, rhs, kept), want)
+        assert np.array_equal(kept[0][0], new)
+        ends = [msg.rsplit(", ", 1)[1] for msg in messages(debug_log)]
+        assert ends == ["factor built)"] * 3
 
-        def cold(blocks):
-            linalg._factor = None
-            return solve_spd(blocks, rhs[blocks.shape[1]])
+    def test_failed_recursion_leaves_the_holder_empty(self, debug_log):
+        kept = [None]
+        for _ in range(2):
+            solve_spd(np.ones((2, 1, 1)), np.ones((1, 2)), kept)
+            assert kept == [None]
+        assert [msg.split(" (")[0] for msg in messages(debug_log)] == [
+            "solve_spd: Levinson failed", "solve_spd: Cholesky"] * 2
 
-        want = {1: cold(single), 3: cold(block)}
-        linalg._factor = None
-        for blocks in (single, block, single):
-            np.testing.assert_array_equal(solve_spd(blocks, rhs[blocks.shape[1]]),
-                                          want[blocks.shape[1]])
+    def test_interleaved_solves_match_their_cold_solves(self, rng):
+        blocks = {1: lag_blocks(rng.standard_normal((1, 400)), 32),
+                  3: lag_blocks(rng.standard_normal((3, 400)), 32)}
+        rhs = {m: rng.standard_normal((m, 32)) for m in blocks}
+        want = {m: solve_spd(blocks[m], rhs[m]) for m in blocks}
+        holders, shared = {m: [None] for m in blocks}, [None]
+        for m in (1, 3, 1, 3, 1):
+            for kept in (holders[m], shared, None):
+                np.testing.assert_array_equal(solve_spd(blocks[m], rhs[m], kept), want[m])
+        assert all(h[0] is not None for h in holders.values())
+        state = [name for name, value in vars(linalg).items()
+                 if not name.startswith("__")
+                 and isinstance(value, (np.ndarray, tuple, list, dict))]
+        assert state == []
 
     def test_circulant_transformed_once_per_factor(self, rng, monkeypatch, debug_log):
         transforms = []
         exact = linalg._circulant
         monkeypatch.setattr(linalg, "_circulant", lambda b: transforms.append(b) or exact(b))
-        linalg._factor = None
         solve_spd(lag_blocks(rng.standard_normal((3, 400)), 32), rng.standard_normal((3, 32)))
-        assert len(transforms) == 1  # both refinement steps and the check use the kept spectra
+        assert len(transforms) == 1  # both refinement steps and the check use the factor's spectra
         column = autocorrelation_column(rng, 32)
-        solve_spd(column, rng.standard_normal((1, 32)))
+        kept = [None]
+        solve_spd(column, rng.standard_normal((1, 32)), kept)
         transforms.clear()
-        solve_spd(column.copy(), rng.standard_normal((1, 32)))
-        assert transforms == []  # the kept factor's spectra
+        solve_spd(column, rng.standard_normal((1, 32)), kept)
+        assert transforms == []  # the held factor's spectra
         solve_spd(np.ones((2, 1, 1)), np.ones((1, 2)))  # no factor: the dense check builds them
         assert len(transforms) == 1
         assert messages(debug_log)[-2].startswith("solve_spd: Levinson failed (n=2")
