@@ -221,8 +221,8 @@ def _cmd_experiment(args) -> int:
 
 
 def gap_db(legacy_sdr_db: float, si_sdr_db: float) -> float:
-    """Legacy-SDR overstatement. Both infinite counts as no gap."""
-    if math.isinf(legacy_sdr_db) and math.isinf(si_sdr_db) and legacy_sdr_db > 0 and si_sdr_db > 0:
+    """Legacy-SDR overstatement. Equal infinities (both +inf or both -inf) count as no gap."""
+    if math.isinf(legacy_sdr_db) and legacy_sdr_db == si_sdr_db:
         return 0.0
     return legacy_sdr_db - si_sdr_db
 

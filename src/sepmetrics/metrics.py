@@ -37,7 +37,7 @@ from .errors import (
     ZeroReferenceError,
     ZeroTargetError,
 )
-from .linalg import _UNIT_ROUNDOFF, _inner, solve_spd
+from .linalg import _inner, solve_spd
 
 _log = logging.getLogger(__name__)
 
@@ -290,29 +290,26 @@ def _resolve_metric(metric):
         ) from None
 
 
-def _assign(weights: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray] | None:
-    """Maximum-weight assignment of a square matrix, -inf entries forbidden.
+def _assign(weights: list[list[int | None]]) -> tuple[list[int], list[int], list[int]] | None:
+    """Maximum-weight assignment of a square integer matrix, None entries forbidden.
 
     Shortest augmenting paths with potentials (Jonker & Volgenant 1987, in
     Crouse's form, IEEE TAES 52(4) 2016): one O(k^2) Dijkstra search per row,
-    on Python floats (faster than numpy calls at these sizes). Returns
-    ``(cols, u, v)``, row j taking column ``cols[j]``, with duals
-    ``u[j] + v[c] >= weights[j, c]``, equal on the assignment (to rounding);
-    None when every assignment uses a forbidden entry. Potentials are sums
-    of weight differences along paths: finite weights of magnitude at most 2
-    keep them far from overflow.
+    on Python integers, so every potential is exact and nothing overflows.
+    Returns ``(cols, u, v)``, row j taking column ``cols[j]``, with integer
+    duals ``u[j] + v[c] >= weights[j][c]``, equal on the assignment; None when
+    every assignment uses a forbidden entry.
     """
-    k = weights.shape[0]
-    cost, u, v = (-weights).tolist(), [0.0] * k, [0.0] * k
-    col4row, row4col = [-1] * k, [-1] * k
+    k = len(weights)
+    u, v, col4row, row4col = [0] * k, [0] * k, [-1] * k, [-1] * k
     for row in range(k):
         dist, path, todo, visited, scanned = [math.inf] * k, [-1] * k, list(range(k)), [], []
-        i, low, sink = row, 0.0, -1
+        i, low, sink = row, 0, -1
         while sink < 0:
             visited.append(i)
-            costs, ui, nearest = cost[i], u[i], math.inf
+            gains, ui, nearest = weights[i], u[i], math.inf  # costs are -weights
             for j in todo:
-                if (reach := low + costs[j] - ui - v[j]) < dist[j]:
+                if gains[j] is not None and (reach := low - gains[j] - ui - v[j]) < dist[j]:
                     dist[j], path[j] = reach, i
                 if dist[j] < nearest:
                     nearest = dist[j]
@@ -337,19 +334,19 @@ def _assign(weights: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray] | N
             col4row[i], sink = sink, col4row[i]
             if i == row:
                 break
-    return col4row, -np.array(u), -np.array(v)
+    return col4row, [-x for x in u], [-x for x in v]
 
 
-def _complete(weights: np.ndarray, prefix: list[int]) -> list[int] | None:
+def _complete(weights: list[list[int | None]], prefix: list[int]) -> list[int] | None:
     """Extend ``prefix`` (columns for the first rows) to a full assignment.
 
     The remaining rows get the completion of largest ``weights`` sum, with
-    -inf entries forbidden; None when the prefix or every completion hits one.
+    None entries forbidden; None when the prefix or every completion hits one.
     """
-    if any(weights[j, c] == -math.inf for j, c in enumerate(prefix)):
+    if any(weights[j][c] is None for j, c in enumerate(prefix)):
         return None
-    cols = [c for c in range(weights.shape[0]) if c not in prefix]
-    solved = _assign(weights[len(prefix):, cols])
+    cols = [c for c in range(len(weights)) if c not in prefix]
+    solved = _assign([[row[c] for c in cols] for row in weights[len(prefix):]])
     return None if solved is None else list(prefix) + [cols[c] for c in solved[0]]
 
 
@@ -389,24 +386,17 @@ def _may_tie(near: np.ndarray, best: list[int], j: int, c: int) -> bool:
     return False
 
 
-def _two_diff(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``x - y`` rounded, and its rounding error exactly (Knuth's TwoSum)."""
-    d = x - y
-    z = d - x
-    return d, (x - (d - z)) - (y + z)
+def _integers(matrix: np.ndarray) -> tuple[list[list[int | None]], int]:
+    """The finite entries as exact integers over one power-of-two denominator.
 
-
-def _offsets_removed(x: np.ndarray, finite: np.ndarray) -> np.ndarray:
-    """``x`` less each row's largest finite entry, then each column's; -inf elsewhere.
-
-    A constant added to a row or a column moves every assignment's sum alike,
-    so the optimum stays; the two subtractions carry their rounding errors
-    into one final rounding, so small differences under large offsets stay exact.
+    Returns ``(weights, denominator)``, ``weights[j][c] / denominator`` equal
+    to ``matrix[j, c]`` where that is finite and None where it is not.
     """
-    with np.errstate(invalid="ignore"):  # rows or columns without a finite entry
-        d1, e1 = _two_diff(x, x.max(axis=1, where=finite, initial=-math.inf, keepdims=True))
-        d2, e2 = _two_diff(d1, d1.max(axis=0, where=finite, initial=-math.inf, keepdims=True))
-        return np.where(finite, d2 + (e1 + e2), -math.inf)
+    ratios = [[x.as_integer_ratio() if math.isfinite(x) else None for x in row]
+              for row in matrix.tolist()]
+    denominator = max((r[1] for row in ratios for r in row if r is not None), default=1)
+    return [[None if r is None else r[0] * (denominator // r[1]) for r in row]
+            for row in ratios], denominator
 
 
 def _best_assignment(matrix: np.ndarray) -> tuple[int, ...]:
@@ -417,44 +407,42 @@ def _best_assignment(matrix: np.ndarray) -> tuple[int, ...]:
     assignment avoids -inf/NaN and uses a +inf (:func:`_assign` on weights 1
     for +inf, 0 for finite, -inf forbidden), the best class scores +inf and
     keeps those weights; else the all-finite assignments are solved on their
-    values; with neither, all score -inf and the identity is first. The class
-    optimum is then made lexicographically first, row by row, by re-solving
-    the rest.
+    values as exact integers (:func:`_integers`); with neither, all score -inf
+    and the identity is first. The class optimum is then made
+    lexicographically first, row by row, by re-solving the rest.
 
-    In the finite class the duals skip most re-solves. An assignment through
-    (j, c) sums to at most the optimum less the reduced cost
-    ``u[j] + v[c] - w[j, c] >= 0``, so one that ties (equal means after
-    rounding) uses only entries whose reduced cost is within ``slack``, a
-    bound on the rounding of weights, duals, reduced costs and scores; a
-    candidate is re-solved only if such entries can complete it (:func:`_may_tie`).
+    In the finite class the duals skip most re-solves. An assignment's sum
+    falls short of the optimum's by exactly the sum of its entries' reduced
+    costs ``u[j] + v[c] - w[j][c] >= 0``, so one that ties (equal means after
+    rounding) uses only entries whose reduced cost is within ``slack``, the
+    most the rounding of two means can hide; a candidate is re-solved only if
+    such entries can complete it (:func:`_may_tie`).
     """
     k = matrix.shape[0]
-    rows, finite, plus = np.arange(k), np.isfinite(matrix), matrix == math.inf
+    rows = np.arange(k)
+    near = np.ones((k, k), dtype=bool)  # the +inf class re-solves every candidate
     best, solves, skipped, won = None, 0, 0, "+inf"
-    reduced, slack = np.zeros((k, k)), math.inf  # the +inf class re-solves every candidate
-    if plus.any():
-        weights = np.where(plus, 1.0, np.where(finite, 0.0, -math.inf))
+    if (matrix == math.inf).any():
+        weights = [[1 if x == math.inf else 0 if math.isfinite(x) else None for x in row]
+                   for row in matrix.tolist()]
         best, solves = _complete(weights, []), 1
     if best is None or _mean(matrix[rows, best]) != math.inf:
-        # an exact power-of-two rescale below 1 in magnitude: no potential overflows
-        exponent = math.frexp(np.abs(matrix[finite]).max(initial=0.0))[1]
-        weights = _offsets_removed(np.ldexp(matrix, -exponent), finite)
+        weights, denominator = _integers(matrix)
         solved, solves, won = _assign(weights), solves + 1, "finite"
         if solved is None:
             best, won = list(range(k)), "none"  # no earlier candidate: nothing to re-solve
         else:
             best, u, v = solved
-            reduced = u[:, None] + v - weights  # +inf where forbidden
-            # Twice the rounding a tie can hide, in units of the unit roundoff
-            # 2**-53: 4k in the scores (and k 2**-1074, rescaled, where a mean
-            # underflows), 2 (|u| + |v| + 2) in each of 2k reduced costs and
-            # weights; plus what k - 1 negative reduced costs can give back.
-            slack = (8 * k * _UNIT_ROUNDOFF * (np.abs(u).max() + np.abs(v).max() + 3)
-                     + k * math.ldexp(1.0, -1073 - exponent)
-                     - (k - 1) * min(0.0, reduced[finite].min()))
+            # In units of 1 / denominator, k times a mean's rounding is below
+            # 2**-52 |sum| (the sum's, then the quotient's; 2**-53 each) plus
+            # (k + 1) 2**-1075 where it is subnormal, so two equal means have
+            # sums at most 2**-50 |optimum| + (k + 2) 2**-1074 apart.
+            optimum = sum(weights[j][c] for j, c in enumerate(best))
+            slack = (abs(optimum) >> 50) + ((k + 2) * denominator >> 1074) + 1
+            near = np.array([[w is not None and u[j] + v[c] - w <= slack
+                              for c, w in enumerate(row)] for j, row in enumerate(weights)])
 
     best_score = -math.inf if won == "none" else _mean(matrix[rows, best])
-    near = reduced <= slack + reduced[rows, best].sum()
     for j in range(k):
         for c in [c for c in range(best[j]) if c not in best[:j]]:
             if not _may_tie(near, best, j, c):
@@ -463,7 +451,6 @@ def _best_assignment(matrix: np.ndarray) -> tuple[int, ...]:
             candidate, solves = _complete(weights, best[:j] + [c]), solves + 1
             if candidate is not None and (score := _mean(matrix[rows, candidate])) >= best_score:
                 best, best_score = candidate, score
-                near = reduced <= slack + reduced[rows, best].sum()
                 break
     _log.debug("evaluate_permuted: k=%d, %s class won, %d assignment solves, "
                "%d candidates skipped", k, won, solves, skipped)
@@ -481,14 +468,16 @@ def evaluate_permuted(references, estimates, metric="si-sdr"):
     ties go to the lexicographically first assignment. The k*k pair scores are
     computed once and the search finds what an exhaustive search over all k!
     assignments would, with no source cap, on numpy alone: a shortest-augmenting-
-    path solver (Jonker-Volgenant, O(k^3)) finds an optimum, and the first
-    among ties is fixed row by row, re-solving the rest only where its duals
-    allow a tie. An assignment through (j, c) falls short of the optimum by at
-    least the reduced cost ``u[j] + v[c] - w[j, c]``, so a candidate needing an
-    entry whose reduced cost exceeds a rounding bound (about ``2**-50 k``
-    times the largest dual, on weights scaled below 1) is skipped unsolved. Each
-    search logs one DEBUG record on ``sepmetrics.metrics``: k, the class that
-    won (+inf, finite or none), and the counts of solves and skipped candidates.
+    path solver (Jonker-Volgenant, O(k^3)) finds an optimum on the scores as
+    exact integers over one power-of-two denominator, and the first among ties
+    is fixed row by row, re-solving the rest only where its duals allow a tie.
+    An assignment through (j, c) falls short of the optimum's sum by at least
+    the exact reduced cost ``u[j] + v[c] - w[j][c]``, so a candidate needing
+    an entry whose reduced cost exceeds what rounding the means can hide
+    (``2**-50`` times the optimum's sum, plus a subnormal floor) is skipped
+    unsolved. Each search logs one DEBUG record on ``sepmetrics.metrics``: k,
+    the class that won (+inf, finite or none), and the counts of solves and
+    skipped candidates.
     """
     references, estimates = list(references), list(estimates)
     if len(references) != len(estimates):

@@ -558,6 +558,8 @@ class TestCompare:
 
     def test_gap_rules(self):
         assert gap_db(math.inf, math.inf) == 0.0
+        assert gap_db(-math.inf, -math.inf) == 0.0
+        assert gap_db(-math.inf, math.inf) == -math.inf
         assert gap_db(math.inf, 10.0) == math.inf
         assert gap_db(12.0, 2.0) == 10.0
 

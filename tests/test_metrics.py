@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from sepmetrics.errors import (
 from sepmetrics.metrics import (
     _assign,
     _best_assignment,
+    _integers,
     _mean,
     decompose,
     evaluate,
@@ -497,10 +499,15 @@ def _hall_violating(rng, k):
     return matrix
 
 
-def _offset_ties(rng, k, per_row):
-    """Small integers under offsets near 1e16, where float64 spacing is 2."""
-    offsets = rng.choice([1e16, -1e16, 3e16], size=(k, 1) if per_row else 1)
-    return offsets + rng.integers(0, 4, (k, k))
+def _offset_ties(rng, k, *shapes, holes=0.0):
+    """Small integers under offsets near 1e16 (float64 spacing 2 and up), summed
+    over one draw per shape (1: one for all, (k, 1): per row, k: per column),
+    with a share ``holes`` of -inf entries.
+    """
+    offsets = sum(rng.choice([1e16, -1e16, 3e16], size=shape) for shape in shapes)
+    matrix = offsets + rng.integers(0, 4, (k, k))
+    matrix[rng.random((k, k)) < holes] = -math.inf
+    return matrix
 
 
 MATRIX_KINDS = {
@@ -513,8 +520,12 @@ MATRIX_KINDS = {
     "hall_violating": _hall_violating,
     "huge": lambda rng, k: rng.choice([-1.7e308, -1e308, 1e308, 1.5e308, 1.7e308, 0.0, 1.0],
                                       size=(k, k)),
-    "offset_ties": lambda rng, k: _offset_ties(rng, k, per_row=False),
-    "row_offset_ties": lambda rng, k: _offset_ties(rng, k, per_row=True),
+    "offset_ties": lambda rng, k: _offset_ties(rng, k, 1),
+    "row_offset_ties": lambda rng, k: _offset_ties(rng, k, (k, 1)),
+    # per-column (and per-row) offsets with -inf holes: sums round at the
+    # offsets' spacing, so some unequal sums tie
+    "column_offset_holes": lambda rng, k: _offset_ties(rng, k, k, holes=0.25),
+    "row_column_offset_holes": lambda rng, k: _offset_ties(rng, k, (k, 1), k, holes=0.25),
     # sums apart by a few units in the last place: some round to one mean
     "ulp_ties": lambda rng, k: 1.0 + rng.integers(0, 4, (k, k)) * 2.0 ** -52,
 }
@@ -547,11 +558,20 @@ class TestMean:
         assert _mean([1e308, 1e308, math.inf]) == math.inf
 
 
-def _scaled(matrix):
-    """Non-finite entries as -inf (forbidden), the rest rescaled by a power of two below 1."""
-    finite = np.isfinite(matrix)
-    top = np.abs(matrix[finite]).max(initial=0.0)
-    return np.ldexp(np.where(finite, matrix, -math.inf), -math.frexp(top)[1])
+def _exact(matrix):
+    """Finite entries as integers over their least common denominator, the rest None.
+
+    Every float64 denominator is a power of two, so that is the largest one.
+    """
+    fractions = [[Fraction(x) if math.isfinite(x) else None for x in row] for row in matrix]
+    denominator = math.lcm(*(f.denominator for row in fractions for f in row if f is not None))
+    return [[None if f is None else int(f * denominator) for f in row] for row in fractions]
+
+
+def _total(weights, cols):
+    """An assignment's exact sum; None where it uses a forbidden entry."""
+    entries = [weights[j][c] for j, c in enumerate(cols)]
+    return None if None in entries else sum(entries)
 
 
 class TestAssign:
@@ -559,19 +579,23 @@ class TestAssign:
     @pytest.mark.parametrize("k", range(1, 8))
     def test_agrees_with_exhaustive_search(self, k, kind):
         for seed in range(4):
-            weights = _scaled(MATRIX_KINDS[kind](np.random.default_rng([k, seed, 1]), k))
-            sums = [math.fsum(weights[np.arange(k), perm])
-                    for perm in itertools.permutations(range(k))]
+            matrix = MATRIX_KINDS[kind](np.random.default_rng([k, seed, 1]), k)
+            weights = _exact(matrix)
+            assert _integers(matrix)[0] == weights  # the search's scores, exactly
+            sums = [t for perm in itertools.permutations(range(k))
+                    if (t := _total(weights, perm)) is not None]
             solved = _assign(weights)
-            if max(sums) == -math.inf:
+            if not sums:
                 assert solved is None, (kind, k, seed)
                 continue
             cols, u, v = solved
             assert sorted(cols) == list(range(k))
-            assert math.fsum(weights[np.arange(k), cols]) == pytest.approx(max(sums), abs=1e-12)
-            # the duals bound every entry and are tight on the assignment
-            assert (u[:, None] + v >= weights - 1e-12).all()
-            assert np.allclose(u + v[cols], weights[np.arange(k), cols], rtol=0, atol=1e-12)
+            assert _total(weights, cols) == max(sums)
+            # the duals bound every allowed entry and are tight on the assignment
+            assert all(u[j] + v[c] >= w for j, row in enumerate(weights)
+                       for c, w in enumerate(row) if w is not None)
+            assert [u[j] + v[c] for j, c in enumerate(cols)] == [
+                weights[j][c] for j, c in enumerate(cols)]
 
     @pytest.mark.parametrize("k", [16, 32, 64])
     def test_optimum_matches_scipy(self, k):
@@ -587,8 +611,8 @@ class TestAssign:
             _, want = linear_sum_assignment(matrix, maximize=True)
             optimum = math.fsum(matrix[rows, want])
             assert math.fsum(matrix[rows, list(_best_assignment(matrix))]) == optimum
-            weights = _scaled(matrix)
-            assert math.fsum(weights[rows, _assign(weights)[0]]) == math.fsum(weights[rows, want])
+            weights = _exact(matrix)
+            assert _total(weights, _assign(weights)[0]) == _total(weights, want)
 
 
 class TestEvaluatePermuted:
@@ -623,7 +647,7 @@ class TestEvaluatePermuted:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_agrees_with_exhaustive_search(self, k, kind):
         # fewer draws at k = 7, 8, where the oracle scores 5040 / 40320 assignments
-        for seed in range(6 if k <= 6 else 2):
+        for seed in range(6 if k <= 6 else 4):
             matrix = MATRIX_KINDS[kind](np.random.default_rng([k, seed]), k)
             refs, ests, metric = matrix_metric(matrix)
             perm, reports = evaluate_permuted(refs, ests, metric)
