@@ -164,6 +164,9 @@ def _expand(pattern: str) -> list[str]:
 def _finite_summary(rows: list[dict], columns: list[str], reducer, label: str) -> dict:
     summary: dict = {"row": label, "index": "", "ref": "", "est": "", "est_index": ""}
     for col in columns:
+        if {r[col] for r in rows} in ({math.inf}, {-math.inf}):
+            summary[col] = rows[0][col]  # one infinity throughout, as for exact copies
+            continue
         values = [r[col] for r in rows if math.isfinite(r[col])]
         _log.debug("eval-set %s of %s: dropped %d of %d non-finite rows",
                    label, col, len(rows) - len(values), len(rows))
@@ -229,13 +232,13 @@ def gap_db(legacy_sdr_db: float, si_sdr_db: float) -> float:
 
 def _cmd_compare(args) -> int:
     ref = read_wav(args.ref, args.channel)
+    cfg = legacy.FirProjectionConfig(args.legacy_taps)  # one plan of ref for every estimate
     header = f"{'estimate':<40} {'snr_db':>10} {'si_sdr_db':>10} {'sd_sdr_db':>10} {'legacy_db':>10} {'gap_db':>10}  flag"
     lines = [header]
     for path in args.est:
         est = read_wav(path, args.channel)
         report = metrics.evaluate(ref, est)
-        decomp = legacy.fir_project(est, ref,
-                                    cfg=legacy.FirProjectionConfig(args.legacy_taps))
+        decomp = legacy.fir_project(est, ref, cfg=cfg)
         lg = legacy.legacy_sdr(decomp)
         gap = gap_db(lg, report.si_sdr_db)
         flag = "WARN" if gap > args.threshold else "ok"

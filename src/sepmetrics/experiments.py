@@ -203,8 +203,9 @@ def load_input(spec: ExperimentSpec) -> Signal:
     return speech_like(spec.duration_s, spec.sample_rate_hz, spec.seed)
 
 
-def _curve_row(x: float, clean: Signal, estimate: Signal, taps: int) -> CurveRow:
-    """Evaluate all four metrics, emitting -inf sentinels for a dead estimate."""
+def _curve_row(x: float, clean: Signal, estimate: Signal,
+               cfg: legacy.FirProjectionConfig) -> CurveRow:
+    """All four metrics, -inf sentinels for a dead estimate; ``cfg`` holds ``clean``'s plan."""
     snr_db = metrics.snr(clean, estimate)
     try:
         si_db = metrics.si_sdr(clean, estimate)
@@ -212,9 +213,7 @@ def _curve_row(x: float, clean: Signal, estimate: Signal, taps: int) -> CurveRow
     except ZeroEstimateError:
         si_db = sd_db = -math.inf
     if estimate.samples.any():
-        decomp = legacy.fir_project(
-            estimate, clean, cfg=legacy.FirProjectionConfig(taps=taps)
-        )
+        decomp = legacy.fir_project(estimate, clean, cfg=cfg)
         legacy_db = legacy.legacy_sdr(decomp)
     else:
         legacy_db = -math.inf
@@ -237,10 +236,11 @@ def run_rescale_sweep(spec: ExperimentSpec) -> list[CurveRow]:
     """Metrics of ``mu * (s + n)`` against ``s`` for every ``mu`` in the grid."""
     s, n = orthogonal_equal_power_pair(spec.length, spec.seed, spec.sample_rate_hz)
     mixture = s.samples + n.samples
+    cfg = legacy.FirProjectionConfig(spec.legacy_taps)
     rows = []
     for mu in spec.mu_grid:
         est = Signal(mu * mixture, spec.sample_rate_hz)
-        row = _curve_row(mu, s, est, spec.legacy_taps)
+        row = _curve_row(mu, s, est, cfg)
         row.extra["sd_sdr_closed_form_db"] = metrics.db_ratio(mu * mu, (1.0 - mu) ** 2 + mu * mu)
         rows.append(row)
     return rows
@@ -259,6 +259,7 @@ def run_progressive_deletion(spec: ExperimentSpec) -> list[CurveRow]:
     mix_spec = dsp.stft(mixture, spec.stft)
     n_bins = spec.stft.n_bins
 
+    cfg = legacy.FirProjectionConfig(spec.legacy_taps)
     rows = []
     for p in spec.proportions:
         keep = int(round((1.0 - p) * n_bins))
@@ -267,7 +268,7 @@ def run_progressive_deletion(spec: ExperimentSpec) -> list[CurveRow]:
             lo, hi = dsp.band_edges(center, keep, n_bins)
             gains[lo:hi + 1] = 1.0
         masked = dsp.istft(dsp.apply_mask(mix_spec, dsp.MaskVector(gains)))
-        rows.append(_curve_row(p, clean, masked, spec.legacy_taps))
+        rows.append(_curve_row(p, clean, masked, cfg))
     return rows
 
 
@@ -288,12 +289,13 @@ def run_bandstop_sweep(spec: ExperimentSpec) -> list[CurveRow]:
     mixture, _ = dsp.mix_at_snr(clean, band_noise, 0.0, band=band, cfg=spec.stft)
     mix_spec = dsp.stft(mixture, spec.stft)
 
+    cfg = legacy.FirProjectionConfig(spec.legacy_taps)
     rows = []
     for gain in spec.gains:
         stop_gains = np.ones(n_bins)
         stop_gains[band[0]:band[1] + 1] = gain
         masked = dsp.istft(dsp.apply_mask(mix_spec, dsp.MaskVector(stop_gains)))
-        rows.append(_curve_row(gain, clean, masked, spec.legacy_taps))
+        rows.append(_curve_row(gain, clean, masked, cfg))
     return rows
 
 

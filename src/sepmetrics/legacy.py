@@ -23,17 +23,16 @@ and solves by the block Gohberg-Semencul formula, O(sources^2 taps log
 taps) by FFTs, with iterative refinement. It checks the answer against
 Cholesky's backward-error bound, and forms the Gram matrix and solves it on
 its numerical rank by pivoted Cholesky only if the check fails, as for
-dependent sources. The reference's plan (below) keeps its factor, so
-scoring against it alone runs the recursion once, whatever runs between.
+dependent sources.
 
 Blocks: every correlation and every energy comes from overlap-save blocks of
 N points, N a power of two (Oppenheim & Schafer; see :func:`fir_project` for
 N's rule), never from a transform of a whole signal. The correlation lags sum
 one signal's blocks against another's segments, and the projected signals are
 rebuilt block by block, so each of the five energies is a direct sum of
-squares in which nothing cancels. A private one-entry plan keeps the last
-reference's statistics and factor (:func:`fir_project`). Everything but
-that pivoted Cholesky runs on numpy alone.
+squares in which nothing cancels. The caller's config, not the module, keeps
+its last reference's statistics and factor (:func:`fir_project`). Everything
+but that pivoted Cholesky runs on numpy alone.
 
 Scores: SDR, SIR and SAR are ratios of the five energies. A result holds the
 filters and those energies, no vector.
@@ -42,7 +41,7 @@ filters and those energies, no vector.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -75,10 +74,6 @@ MAX_PROBLEM_SIZE = 4096
 # included, take about 0.3 MB: less than the estimate's block spectra from
 # 2 s at 16 kHz on, so the pass does not raise a call's memory peak.
 _CHUNK = 4
-
-# The last reference seen: (copy of its samples, taps, autocorrelation at lags
-# 0..taps-1, its segments' spectra, a holder solve_spd fills with its factor), replaced whole.
-_plan: tuple | None = None
 
 
 def _segment_spectra(src: np.ndarray, taps: int, n_block: int) -> np.ndarray:
@@ -121,28 +116,30 @@ def _lag_sum(blocks: np.ndarray, segments: np.ndarray, taps: int, n_block: int) 
     return cc[taps - 1::-1]
 
 
-def _reference_plan(ref: np.ndarray, taps: int, n_block: int) -> tuple:
-    """``ref``'s autocorrelation, segment spectra and factor holder: the last plan's if equal."""
-    global _plan
-    plan = _plan  # read once, so a concurrent replacement cannot mix two plans or holders
-    if plan is not None and plan[1] == taps and np.array_equal(plan[0], ref):
+def _reference_plan(ref: np.ndarray, taps: int, n_block: int, slot: list) -> tuple:
+    """``ref``'s autocorrelation, segment spectra and factor holder: ``slot``'s plan if equal."""
+    plan = slot[0]  # read once, so a concurrent replacement cannot mix two plans or holders
+    if plan is not None and np.array_equal(plan[0], ref):
         _log.debug("fir_project: reusing the reference plan (L=%d, taps=%d)", ref.size, taps)
-        return plan[2:]
+        return plan[1:]
     segments = _segment_spectra(ref, taps, n_block)
     acf = _lag_sum(_block_spectra(ref, taps, n_block), segments, taps, n_block)
     ref = ref.copy()
     for a in (ref, acf, segments):
         a.flags.writeable = False
-    _plan = plan = (ref, taps, acf, segments, [None])
+    slot[0] = plan = (ref, acf, segments, [None])
     _log.debug("fir_project: new reference plan (L=%d, taps=%d)", ref.size, taps)
-    return plan[2:]
+    return plan[1:]
 
 
 @dataclass(frozen=True)
 class FirProjectionConfig:
-    """Configuration of the allowed reference deformation."""
+    """Configuration of the allowed reference deformation, and its last reference's plan."""
 
     taps: int = 512
+    # fir_project's plan (its docstring); not an option, nor part of equality or hashing.
+    _plan_slot: list = field(default_factory=lambda: [None], init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         _check_number("taps", self.taps, integer=True)
@@ -231,24 +228,19 @@ def _energies(est: np.ndarray, segments: list[np.ndarray], coeffs: np.ndarray,
 
 
 def fir_project(estimate, reference, interferers=(),
-                cfg: FirProjectionConfig = FirProjectionConfig()) -> LegacyDecomposition:
+                cfg: FirProjectionConfig | None = None) -> LegacyDecomposition:
     """Least-squares projection of the estimate onto delayed source copies.
 
-    The normal equations are assembled from correlations of the sources with
-    each other and with the estimate. Their Gram matrix is block Toeplitz for
-    any number of sources; :func:`~sepmetrics.linalg.solve_spd` gets its first
-    block row, ``taps`` lag blocks of ``sources x sources``, and solves by
-    Levinson recursion (scalar for the reference alone, block otherwise) in
-    O(taps^2 sources^3) time and O(taps sources^2) memory, the matrix never
-    formed. With the reference alone the matrix is positive definite in exact
-    arithmetic for any nonzero finite reference ``s``: ``h @ G @ h`` is the
-    energy of the full convolution ``h * s``, and the convolution of two
-    nonzero finite sequences is nonzero (its last nonzero sample is the
-    product of their last nonzero samples). If the recursion fails its
-    backward-error check, the ``(taps*sources)^2`` matrix is built and solved
-    on its numerical rank by pivoted Cholesky, so ``taps*sources`` is kept
-    within ``MAX_PROBLEM_SIZE``. For dependent sources ``s_target + e_interf``
-    is unique, its split is not.
+    The solver is the module docstring's: :func:`~sepmetrics.linalg.solve_spd`
+    gets the block Toeplitz Gram matrix's first block row, ``taps`` lag blocks
+    of ``sources x sources``, the matrix never formed. With the reference alone
+    the matrix is positive definite in exact arithmetic for any nonzero finite
+    reference ``s``: ``h @ G @ h`` is the energy of the full convolution
+    ``h * s``, and the convolution of two nonzero finite sequences is nonzero
+    (its last nonzero sample is the product of their last nonzero samples). The
+    dense fallback builds the ``(taps*sources)^2`` matrix, so ``taps*sources``
+    is kept within ``MAX_PROBLEM_SIZE``. For dependent sources
+    ``s_target + e_interf`` is unique, its split is not.
 
     Overlap-save blocks: with ``B = N - taps + 1``, segment ``k`` of source
     ``s_i`` is ``s_i[kB - taps + 1 : kB + B]`` (zero outside ``[0, L)``) at
@@ -274,11 +266,13 @@ def fir_project(estimate, reference, interferers=(),
     blocks it is in, but not every block of the energy pass; such normal
     equations give NaN energies, so every score raises ``NonFiniteError``.
 
-    The reference's plan holds a read-only copy of it, ``taps``, its
-    autocorrelation at lags below ``taps``, its ``K`` segment spectra and its
-    factor's holder; it is reused only if ``taps`` matches and the reference
-    is ``np.array_equal`` to the copy, else replaced whole. Reuse gives a
-    rebuild's bits, so no caller can observe the plan; both log at DEBUG.
+    ``cfg`` (default: a fresh config) keeps the plan of the last reference
+    projected with it: a read-only copy of the reference, its autocorrelation
+    at lags below ``taps``, its ``K`` segment spectra and its factor's holder,
+    reused while the reference is ``np.array_equal`` to the copy, else replaced
+    whole, so threads sharing a config never mix two plans. Reuse gives a
+    rebuild's bits; both log at DEBUG. A config held across a reference's
+    estimates builds its plan once; a dropped config takes its plan along.
 
     Raises:
         LengthMismatchError: signals of unequal length.
@@ -289,6 +283,7 @@ def fir_project(estimate, reference, interferers=(),
         ZeroReferenceError: reference of zero energy (all-zero samples, or
             squares that all underflow).
     """
+    cfg = cfg or FirProjectionConfig()  # no config: a plan for this call alone
     est, *sources = prepare([estimate, reference, *interferers])
     ref, L = sources[0], est.size
     _reference_energy(ref)
@@ -306,7 +301,7 @@ def fir_project(estimate, reference, interferers=(),
 
     # A block and its lags, or a block of h * s, fit in N points without aliasing.
     n_block = 1 << (min(max(4 * taps, 1024), L + taps - 1) - 1).bit_length()
-    ref_acf, ref_segments, ref_holder = _reference_plan(ref, taps, n_block)
+    ref_acf, ref_segments, ref_holder = _reference_plan(ref, taps, n_block, cfg._plan_slot)
     segments = [ref_segments] + [_segment_spectra(src, taps, n_block) for src in sources[1:]]
 
     est_blocks = _block_spectra(est, taps, n_block)

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -245,6 +246,32 @@ class TestEvalSet:
         for label in ("mean", "median"):
             for col in ("snr_db", "si_sdr_db", "sd_sdr_db", "min_snr_sdsdr_db"):
                 assert f"eval-set {label} of {col}: dropped 1 of 3 non-finite rows" in logged
+
+    def test_exact_copies_summarise_to_inf(self, tmp_path, rng, capsys):
+        # Swapped exact copies: --permute pairs each estimate with its copy, so
+        # every metric of every pair, and so every summary, is +inf.
+        x, y = rng.standard_normal((2, 1600))
+        for sub, sigs in (("refs", (x, y)), ("ests", (y, x))):
+            (tmp_path / sub).mkdir()
+            for name, s in zip(("a.wav", "b.wav"), sigs):
+                write_wav(Signal(s, 16000), str(tmp_path / sub / name))
+        assert main(["eval-set", "--refs", str(tmp_path / "refs"),
+                     "--ests", str(tmp_path / "ests"), "--permute"]) == 0
+        *_, mean, median = capsys.readouterr().out.strip().split("\n")
+        assert mean == "mean,,,,,inf,inf,inf,inf"
+        assert median == "median,,,,,inf,inf,inf,inf"
+
+    @pytest.mark.parametrize("values, want", [
+        ([math.inf, math.inf], math.inf),
+        ([-math.inf, -math.inf], -math.inf),
+        ([math.inf, -math.inf], math.nan),
+        ([math.inf, math.nan], math.nan),
+    ], ids=["all-inf", "all-minus-inf", "mixed-signs", "inf-and-nan"])
+    def test_summary_without_finite_values(self, values, want):
+        rows = [{"x": v} for v in values]
+        for reducer, label in ((statistics.fmean, "mean"), (statistics.median, "median")):
+            got = cli._finite_summary(rows, ["x"], reducer, label)["x"]
+            assert got == want or math.isnan(got) and math.isnan(want), (label, got)
 
     def test_single_pair_identity(self, tmp_path, rng, capsys):
         d_ref, d_est = tmp_path / "r1", tmp_path / "e1"

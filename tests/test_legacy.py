@@ -442,7 +442,7 @@ def assert_direct_energies(d, est, sources):
 class TestBlockedRightHandSides:
     """The right-hand sides, lag blocks and energies of ``fir_project``, against direct sums."""
 
-    def project(self, monkeypatch, est, sources, taps):
+    def project(self, monkeypatch, est, sources, cfg):
         """``fir_project``'s result and the lag blocks and right-hand sides it solved."""
         seen = []
 
@@ -451,24 +451,24 @@ class TestBlockedRightHandSides:
             return linalg.solve_spd(blocks, rhs, kept)
 
         monkeypatch.setattr(legacy, "solve_spd", spy)
-        d = fir_project(est, sources[0], sources[1:], FirProjectionConfig(taps=taps))
+        d = fir_project(est, sources[0], sources[1:], cfg)
         ((blocks, rhs),) = seen
         return d, blocks, rhs
 
     def check(self, monkeypatch, sources, taps, rng):
         """Cold, then on the plan the first call left: each lag within 8 u of its norms."""
-        legacy._plan = None
+        cfg = FirProjectionConfig(taps=taps)
         length = sources[0].size
         u = np.finfo(np.float64).eps / 2
         for warm in (False, True):
             est = (np.convolve(sources[0], rng.standard_normal(5))[:length]
                    + 0.5 * np.sum(sources[1:], axis=0) + 0.1 * rng.standard_normal(length))
-            plan = legacy._plan
-            d, blocks, rhs = self.project(monkeypatch, est, sources, taps)
-            assert (legacy._plan is plan) == warm
+            plan = cfg._plan_slot[0]
+            d, blocks, rhs = self.project(monkeypatch, est, sources, cfg)
+            assert (cfg._plan_slot[0] is plan) == warm
             step = overlap_save_step(length, taps)  # K segments of N points over L + taps - 1
-            assert legacy._plan[3].shape == (-(-(length + taps - 1) // step),
-                                             (step + taps - 1) // 2 + 1)
+            assert cfg._plan_slot[0][2].shape == (-(-(length + taps - 1) // step),
+                                                  (step + taps - 1) // 2 + 1)
             for got, src in zip(rhs, sources):
                 want = [math.fsum(est[lag:] * src[:length - lag]) for lag in range(taps)]
                 scale = math.sqrt(linalg._inner(src) * linalg._inner(est))
@@ -549,14 +549,12 @@ class TestBlockLevinsonAgainstDense:
 
     def test_peak_memory_is_linear_in_taps(self):
         sources, est = speech_mix(2, seconds=2.0)
-        legacy._plan = None
         tracemalloc.start()
         try:
             fir_project(est, sources[0], sources[1:], FirProjectionConfig(taps=512))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            legacy._plan = None
         # a dense (3 * 512)^2 Gram matrix alone would be 18.9 MB
         assert peak < 10 * 2 ** 20
 
@@ -594,8 +592,7 @@ def test_multi_source_scores_do_not_depend_on_blas_threads():
 
 
 def cold_project(est, ref, interferers=(), taps=32):
-    """``fir_project`` with no reference plan (nor its factor) left by an earlier call."""
-    legacy._plan = None
+    """``fir_project`` on a fresh config: no plan (nor factor) left by an earlier call."""
     return fir_project(est, ref, interferers, FirProjectionConfig(taps=taps))
 
 
@@ -608,7 +605,7 @@ def assert_same(got, want):
 
 
 class TestReferencePlan:
-    """Calls that reuse the last reference's statistics match a cold call bit for bit."""
+    """Calls that reuse a config's last reference's statistics match a cold call bit for bit."""
 
     @pytest.fixture()
     def signals(self, rng):
@@ -617,25 +614,21 @@ class TestReferencePlan:
                 for _ in range(3)]
         return a, b, ests
 
-    @pytest.fixture(autouse=True)
-    def no_plan(self):
-        legacy._plan = None
-        yield
-        legacy._plan = None
-
     def run_warm(self, calls):
-        """Each call cold, then all in sequence on one plan; the results must agree."""
+        """Each call cold, then all in sequence on one config per taps, which are returned."""
         cold = [cold_project(*c) for c in calls]
-        legacy._plan = None
+        cfgs = {}
         for c, want in zip(calls, cold):
-            assert_same(fir_project(c[0], c[1], c[2], FirProjectionConfig(taps=c[3])), want)
+            cfg = cfgs.setdefault(c[3], FirProjectionConfig(taps=c[3]))
+            assert_same(fir_project(c[0], c[1], c[2], cfg), want)
+        return cfgs
 
     def test_repeated_calls_on_one_reference(self, signals):
         a, _, ests = signals
-        self.run_warm([(e, a, (), 32) for e in ests])
-        plan = legacy._plan
-        fir_project(ests[0], a, cfg=FirProjectionConfig(taps=32))
-        assert legacy._plan is plan
+        cfg = self.run_warm([(e, a, (), 32) for e in ests])[32]
+        plan = cfg._plan_slot[0]
+        fir_project(ests[0], a, cfg=cfg)
+        assert cfg._plan_slot[0] is plan
 
     def test_alternating_references(self, signals):
         a, b, ests = signals
@@ -647,9 +640,10 @@ class TestReferencePlan:
 
     def test_reference_edited_in_place(self, signals):
         a, _, ests = signals
-        first = fir_project(ests[0], a, cfg=FirProjectionConfig(taps=32))
+        cfg = FirProjectionConfig(taps=32)
+        first = fir_project(ests[0], a, cfg=cfg)
         a[700] += 1.0  # prepare() hands fir_project this very array
-        edited = fir_project(ests[0], a, cfg=FirProjectionConfig(taps=32))
+        edited = fir_project(ests[0], a, cfg=cfg)
         assert not np.array_equal(edited.projection_filters[0], first.projection_filters[0])
         assert_same(edited, cold_project(ests[0], a))
 
@@ -664,17 +658,19 @@ class TestReferencePlan:
         est = (fftconvolve(ref, np.random.default_rng(2).standard_normal(30) / 30)[:ref.size]
                + 0.05 * np.random.default_rng(3).standard_normal(ref.size))
         for taps in (2, 17, 512):
+            cfg = FirProjectionConfig(taps=taps)
             for _ in range(2):  # cold, then from the plan
-                d = fir_project(est, ref, cfg=FirProjectionConfig(taps=taps))
+                d = fir_project(est, ref, cfg=cfg)
                 s_target = fftconvolve(ref, d.projection_filters[0])
                 assert d.target == pytest.approx(linalg._inner(s_target), rel=1e-13)
 
     def test_contributions_are_fftconvolve(self, signals):
         a, b, ests = signals
         interf = [b, np.roll(b, 3) + 0.1 * a]
+        cfg = FirProjectionConfig(taps=32)
         for _ in range(2):  # cold, then from the plan
             est = ests[0] + 0.5 * b
-            d = fir_project(est, a, interf, FirProjectionConfig(taps=32))
+            d = fir_project(est, a, interf, cfg)
             f = d.projection_filters
             s_target = fftconvolve(a, f[0])
             e_interf = np.sum([fftconvolve(s, h) for s, h in zip(interf, f[1:])], axis=0)
@@ -684,10 +680,11 @@ class TestReferencePlan:
 
     def test_holds_one_private_reference(self, signals):
         a, b, ests = signals
-        fir_project(ests[0], a, cfg=FirProjectionConfig(taps=32))
-        fir_project(ests[1], b, cfg=FirProjectionConfig(taps=16))
-        ref, taps, acf, segments, kept = legacy._plan
-        assert taps == 16 and np.array_equal(ref, b) and ref is not b
+        cfg = FirProjectionConfig(taps=16)
+        fir_project(ests[0], a, cfg=cfg)
+        fir_project(ests[1], b, cfg=cfg)
+        [(ref, acf, segments, kept)] = cfg._plan_slot
+        assert np.array_equal(ref, b) and ref is not b
         assert kept[0] is not None  # the factor of the reference-only solve
         assert not any(x.flags.writeable for x in (ref, acf, segments))
         # Only the lags below taps are kept; the negative ones are the same numbers.
@@ -702,10 +699,10 @@ class TestReferencePlan:
         caplog.set_level(logging.WARNING, logger="sepmetrics")
         fir_project(ests[0], a)
         assert caplog.records == []  # silent by default
-        legacy._plan = None
         caplog.set_level(logging.DEBUG, logger="sepmetrics")
+        cfg = FirProjectionConfig()
         for ref in (a, a, b):
-            fir_project(ests[0], ref)
+            fir_project(ests[0], ref, cfg=cfg)
         assert [r.getMessage() for r in caplog.records if r.name == "sepmetrics.legacy"] == [
             "fir_project: new reference plan (L=1500, taps=512)",
             "fir_project: reusing the reference plan (L=1500, taps=512)",
@@ -726,18 +723,65 @@ class TestReferencePlan:
         [record] = [r.getMessage() for r in caplog.records if r.name == "sepmetrics.linalg"]
         assert record.startswith("solve_spd: Levinson (n=32,") and record.endswith("factor reused)")
 
+    def test_held_config_reuses_the_factor(self, signals, caplog):
+        a, _, ests = signals
+        caplog.set_level(logging.DEBUG, logger="sepmetrics.linalg")
+        cfg = FirProjectionConfig(taps=32)
+        fir_project(ests[0], a, cfg=cfg)
+        fir_project(ests[1], a, cfg=cfg)
+        fir_project(ests[2], a)  # no config: a plan, and a factor, for this call alone
+        built, reused, alone = [r.getMessage() for r in caplog.records]
+        assert built.endswith("factor built)") and alone.endswith("factor built)")
+        assert reused.endswith("factor reused)")
+
+    def test_configs_keep_independent_plans(self, signals, caplog):
+        a, b, ests = signals
+        first, second = FirProjectionConfig(taps=32), FirProjectionConfig(taps=32)
+        # The plan is no option: it takes no part in equality, hashing or repr.
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == "FirProjectionConfig(taps=32)"
+        fir_project(ests[0], a, cfg=first)
+        fir_project(ests[1], b, cfg=second)
+        assert np.array_equal(first._plan_slot[0][0], a)
+        assert np.array_equal(second._plan_slot[0][0], b)
+        caplog.set_level(logging.DEBUG, logger="sepmetrics.legacy")
+        assert_same(fir_project(ests[2], a, cfg=first), cold_project(ests[2], a))
+        assert_same(fir_project(ests[2], b, cfg=second), cold_project(ests[2], b))
+        assert [r.getMessage().split(" (")[0] for r in caplog.records] == [
+            "fir_project: reusing the reference plan", "fir_project: new reference plan",
+            "fir_project: reusing the reference plan", "fir_project: new reference plan"]
+
+    @pytest.mark.parametrize("dropped", [False, True], ids=["no-config", "dropped-config"])
+    def test_a_call_without_a_held_config_retains_nothing(self, dropped):
+        # 10 s at 16 kHz: a kept plan would hold the reference's copy (1.28 MB)
+        # and its segment spectra.
+        rng = np.random.default_rng(8)
+        other, ref = rng.standard_normal((2, 160000))
+        est = np.convolve(ref, rng.standard_normal(9))[:ref.size] + 0.1 * other
+        fir_project(other, -ref)  # warm numpy's FFT sizes on another reference
+        tracemalloc.start()
+        try:
+            d = fir_project(est, ref, cfg=FirProjectionConfig(taps=512) if dropped else None)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert legacy_sdr(d) > 10
+        assert held <= 512 * 8 + 4096, held  # the filters and a few objects
+
     def test_threads_share_the_plan_safely(self, signals):
         a, b, ests = signals
-        # 512 taps too: each reference's plan, factor holder included, keeps replacing the other's
+        # One config per taps, shared by every thread; 512 taps too: in each config, each
+        # reference's plan, factor holder included, keeps replacing the other's.
         cases = [(ests[i % 3], (a, b)[i % 2], (), taps) for taps in (16, 512) for i in range(4)]
         want = [cold_project(*c) for c in cases]
+        cfgs = {taps: FirProjectionConfig(taps=taps) for taps in (16, 512)}
         failures = []
 
         def worker(offset):
             for i in range(40):
                 k = (i + offset) % len(cases)
                 est, ref, _, taps = cases[k]
-                got = fir_project(est, ref, cfg=FirProjectionConfig(taps=taps))
+                got = fir_project(est, ref, cfg=cfgs[taps])
                 try:
                     assert_same(got, want[k])
                 except AssertionError:
@@ -755,3 +799,17 @@ class TestReferencePlan:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
+
+
+def test_module_keeps_no_state(rng):
+    # Plans live in the callers' configs: after projections of every kind, no
+    # module attribute (nor fir_project's default) holds an array.
+    a, b = rng.standard_normal((2, 1500))
+    cfg = FirProjectionConfig(taps=32)
+    for interferers in ((), [b]):
+        fir_project(a + 0.1 * b, a, interferers, cfg)
+        fir_project(a + 0.1 * b, a, interferers)
+    for name, value in vars(legacy).items():
+        items = value if isinstance(value, (tuple, list)) else (value,)
+        assert not any(isinstance(x, np.ndarray) for x in items), name
+    assert fir_project.__defaults__ == ((), None)
