@@ -34,7 +34,7 @@ from . import legacy
 from .audio import Signal
 from .dsp import (MaskVector, Spectrogram, StftConfig, _analyze, _bin_weights, apply_mask,
                   istft, stft)
-from .errors import ConfigError, _check_number
+from .errors import ConfigError, NonFiniteError, _check_number
 from .metrics import db_ratio
 
 __all__ = [
@@ -101,7 +101,7 @@ def mask_from_weights(weights) -> MaskVector:
     """Logistic squash followed by renormalization to unit max gain."""
     w = np.asarray(weights, dtype=np.float64)
     if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
+        raise NonFiniteError("weights must be finite")
     v = _expit(w)
     return MaskVector(v / v.max())
 

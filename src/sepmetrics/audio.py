@@ -21,6 +21,7 @@ from .errors import (
     EmptySignalError,
     FormatError,
     IoError,
+    NonFiniteError,
     _check_number,
 )
 
@@ -67,7 +68,7 @@ class Signal:
         if samples.size < 1:
             raise EmptySignalError("a Signal needs at least one sample")
         if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite (no NaN/Inf)")
+            raise NonFiniteError("samples must be finite (no NaN/Inf)")
         _check_number("sample_rate_hz", self.sample_rate_hz, integer=True)
         if self.sample_rate_hz < 1:
             raise ConfigError("sample_rate_hz", f"must be >= 1, got {self.sample_rate_hz}")

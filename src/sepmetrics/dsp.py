@@ -111,7 +111,7 @@ class Spectrogram:
                 f"frames must be T x {self.cfg.n_bins}, got {frames.shape}"
             )
         if not np.all(np.isfinite(frames)):
-            raise ValueError("spectrogram entries must be finite")
+            raise NonFiniteError("spectrogram entries must be finite")
         self.frames = frames
 
     @property
@@ -326,8 +326,12 @@ def hz_to_bins(width_hz: float, sample_rate_hz: int, fft_size: int) -> int:
     """Convert a bandwidth in Hz to an odd bin count (symmetric about a center bin).
 
     Rounds to the nearest integer first; an even result moves to whichever odd
-    neighbour is closer to the exact value (upward on exact ties).
+    neighbour is closer to the exact value (upward on exact ties). A width that
+    is not a finite number > 0 raises :class:`ConfigError`.
     """
+    _check_number("width_hz", width_hz)
+    if width_hz <= 0:
+        raise ConfigError("width_hz", f"must be > 0, got {width_hz!r}")
     exact = width_hz / (sample_rate_hz / fft_size)
     rounded = int(round(exact))
     if rounded % 2 == 1:

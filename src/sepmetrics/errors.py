@@ -42,9 +42,9 @@ class SampleRateMismatchError(PreconditionError):
     """Signals that are compared sample by sample carry different sample rates."""
 
 
-class NonFiniteError(PreconditionError):
-    """A metric's energy ratio is NaN or infinite: the inputs hold NaN/inf
-    samples, or an energy of finite samples lies beyond the float64 range."""
+class NonFiniteError(PreconditionError, ValueError):
+    """Samples, spectrogram frames or mask weights hold NaN/inf, or a metric's
+    energy of finite samples lies beyond the float64 range. A ``ValueError`` too."""
 
 
 class ZeroReferenceError(PreconditionError):

@@ -340,11 +340,9 @@ def _assign(weights: list[list[int | None]]) -> tuple[list[int], list[int], list
 def _complete(weights: list[list[int | None]], prefix: list[int]) -> list[int] | None:
     """Extend ``prefix`` (columns for the first rows) to a full assignment.
 
-    The remaining rows get the completion of largest ``weights`` sum, with
-    None entries forbidden; None when the prefix or every completion hits one.
+    The remaining rows get the completion of largest ``weights`` sum, None
+    entries forbidden (the prefix's go unchecked); None if every completion hits one.
     """
-    if any(weights[j][c] is None for j, c in enumerate(prefix)):
-        return None
     cols = [c for c in range(len(weights)) if c not in prefix]
     solved = _assign([[row[c] for c in cols] for row in weights[len(prefix):]])
     return None if solved is None else list(prefix) + [cols[c] for c in solved[0]]
@@ -362,28 +360,6 @@ def _mean(values: np.ndarray) -> float:
     except OverflowError:
         shift = math.ceil(math.log2(k))
         return math.ldexp(math.fsum(math.ldexp(v, -shift) for v in values) / k, shift)
-
-
-def _may_tie(near: np.ndarray, best: list[int], j: int, c: int) -> bool:
-    """Whether an assignment through ``best[:j] + [c]`` can use ``near`` entries only.
-
-    Besides (j, c) it needs a chain of rows after j from the one that held
-    ``c`` in ``best`` to the freed column ``best[j]``, each row taking the
-    column the next one held (the alternating cycle it differs from ``best`` by).
-    """
-    if not near[j, c]:
-        return False
-    owner = {col: row for row, col in enumerate(best)}
-    stack = [owner[c]]
-    seen = set(stack)
-    while stack:
-        for col in np.flatnonzero(near[stack.pop()]).tolist():
-            if col == best[j]:
-                return True
-            if (row := owner[col]) > j and row not in seen:
-                seen.add(row)
-                stack.append(row)
-    return False
 
 
 def _integers(matrix: np.ndarray) -> tuple[list[list[int | None]], int]:
@@ -411,16 +387,16 @@ def _best_assignment(matrix: np.ndarray) -> tuple[int, ...]:
     and the identity is first. The class optimum is then made
     lexicographically first, row by row, by re-solving the rest.
 
-    In the finite class the duals skip most re-solves. An assignment's sum
-    falls short of the optimum's by exactly the sum of its entries' reduced
-    costs ``u[j] + v[c] - w[j][c] >= 0``, so one that ties (equal means after
-    rounding) uses only entries whose reduced cost is within ``slack``, the
-    most the rounding of two means can hide; a candidate is re-solved only if
-    such entries can complete it (:func:`_may_tie`).
+    A candidate ``best[:j] + [c]`` is re-solved only if its own entry (j, c),
+    which every completion of it uses, could be in a tie: it must be allowed,
+    and in the finite class its reduced cost ``u[j] + v[c] - w[j][c] >= 0``
+    must be within ``slack``. An assignment's sum falls short of the optimum's
+    by exactly the sum of its entries' reduced costs, so one that ties (equal
+    means after rounding) has none above ``slack``, the most the rounding of
+    two means can hide.
     """
     k = matrix.shape[0]
     rows = np.arange(k)
-    near = np.ones((k, k), dtype=bool)  # the +inf class re-solves every candidate
     best, solves, skipped, won = None, 0, 0, "+inf"
     if (matrix == math.inf).any():
         weights = [[1 if x == math.inf else 0 if math.isfinite(x) else None for x in row]
@@ -439,13 +415,11 @@ def _best_assignment(matrix: np.ndarray) -> tuple[int, ...]:
             # sums at most 2**-50 |optimum| + (k + 2) 2**-1074 apart.
             optimum = sum(weights[j][c] for j, c in enumerate(best))
             slack = (abs(optimum) >> 50) + ((k + 2) * denominator >> 1074) + 1
-            near = np.array([[w is not None and u[j] + v[c] - w <= slack
-                              for c, w in enumerate(row)] for j, row in enumerate(weights)])
 
     best_score = -math.inf if won == "none" else _mean(matrix[rows, best])
     for j in range(k):
         for c in [c for c in range(best[j]) if c not in best[:j]]:
-            if not _may_tie(near, best, j, c):
+            if weights[j][c] is None or (won == "finite" and u[j] + v[c] - weights[j][c] > slack):
                 skipped += 1
                 continue
             candidate, solves = _complete(weights, best[:j] + [c]), solves + 1
@@ -472,8 +446,8 @@ def evaluate_permuted(references, estimates, metric="si-sdr"):
     exact integers over one power-of-two denominator, and the first among ties
     is fixed row by row, re-solving the rest only where its duals allow a tie.
     An assignment through (j, c) falls short of the optimum's sum by at least
-    the exact reduced cost ``u[j] + v[c] - w[j][c]``, so a candidate needing
-    an entry whose reduced cost exceeds what rounding the means can hide
+    the exact reduced cost ``u[j] + v[c] - w[j][c]``, so a candidate whose own
+    entry (j, c) has a reduced cost above what rounding the means can hide
     (``2**-50`` times the optimum's sum, plus a subnormal floor) is skipped
     unsolved. Each search logs one DEBUG record on ``sepmetrics.metrics``: k,
     the class that won (+inf, finite or none), and the counts of solves and

@@ -17,6 +17,7 @@ from sepmetrics.adversary import (
 )
 from sepmetrics.audio import Signal
 from sepmetrics.dsp import MaskVector, StftConfig, apply_mask, istft, stft
+from sepmetrics.errors import NonFiniteError
 from sepmetrics.fixtures import speech_like
 
 CFG = StftConfig()
@@ -54,6 +55,11 @@ class TestMaskFromWeights:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             mask_from_weights(np.array([0.0, np.inf]))
+
+    def test_nonfinite_weight_raises_a_typed_error(self):
+        with pytest.raises(NonFiniteError, match="weights must be finite") as info:
+            mask_from_weights([math.nan])
+        assert isinstance(info.value, ValueError)
 
     def test_saturated_weights_without_warnings(self):
         # exp(1000) overflows to inf, so the logistic of -1000 is exactly 0.

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from sepmetrics.audio import Signal, format_cell, read_wav, rows_to_csv, write_csv, write_wav
-from sepmetrics.errors import ConfigError, EmptySignalError, FormatError, IoError
+from sepmetrics.errors import (
+    ConfigError,
+    EmptySignalError,
+    FormatError,
+    IoError,
+    NonFiniteError,
+)
 
 
 def make_wav(path, payload: bytes, audio_format: int, channels: int, bits: int,
@@ -67,8 +73,12 @@ class TestReadWav:
     def test_float_nan_payload_rejected(self, tmp_path):
         payload = struct.pack("<2f", 0.5, math.nan)
         path = make_wav(tmp_path / "n.wav", payload, 3, 1, 32)
-        with pytest.raises(FormatError, match=re.escape(f"{path}: float payload")):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: float payload")) as info:
             read_wav(path)
+        # Signal's NonFiniteError is a ValueError, so read_wav maps it to a
+        # FormatError (CLI exit 2), not to a precondition failure (exit 3).
+        assert isinstance(info.value.__cause__, NonFiniteError)
+        assert not isinstance(info.value, NonFiniteError)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_float_inf_payload_rejected(self, tmp_path, value):
@@ -258,6 +268,12 @@ class TestSignal:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             Signal(np.array([0.0, np.nan]), 16000)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_sample_raises_a_typed_error(self, value):
+        with pytest.raises(NonFiniteError, match="samples must be finite") as info:
+            Signal([1.0, value])
+        assert isinstance(info.value, ValueError)
 
     def test_rejects_empty(self):
         with pytest.raises(EmptySignalError):

@@ -270,6 +270,13 @@ class TestApplyMask:
         with pytest.raises(ValueError, match="finite"):
             Spectrogram(frames, CFG, original_len=600, sample_rate_hz=16000)
 
+    def test_nonfinite_frame_raises_a_typed_error(self):
+        frames = np.ones((3, CFG.n_bins), dtype=complex)
+        frames[2] = complex(math.nan, 0.0)
+        with pytest.raises(NonFiniteError, match="spectrogram entries must be finite") as info:
+            Spectrogram(frames, CFG, original_len=600, sample_rate_hz=16000)
+        assert isinstance(info.value, ValueError)
+
     def test_trusts_the_spectrogram_invariant(self):
         # Documented: apply_mask does not re-scan; frames edited after
         # construction pass through unchecked.
@@ -493,3 +500,14 @@ class TestBands:
         assert hz_to_bins(1000.0, 16000, 512) == 33   # exact 32 -> odd neighbour up
         assert hz_to_bins(980.0, 16000, 512) == 31    # 31.36
         assert hz_to_bins(10.0, 16000, 512) == 1      # floor at one bin
+
+    @pytest.mark.parametrize("width, reason", [
+        (math.inf, "must be finite"),
+        (math.nan, "must be finite"),
+        (-5.0, "must be > 0"),
+        (0.0, "must be > 0"),
+    ], ids=["inf", "nan", "negative", "zero"])
+    def test_hz_to_bins_rejects_a_bad_width(self, width, reason):
+        with pytest.raises(ConfigError, match=f"^width_hz: {reason}") as info:
+            hz_to_bins(width, 16000, 512)
+        assert info.value.field == "width_hz"

@@ -31,6 +31,7 @@ from sepmetrics.errors import (
 from sepmetrics.metrics import (
     _assign,
     _best_assignment,
+    _complete,
     _integers,
     _mean,
     decompose,
@@ -531,6 +532,33 @@ MATRIX_KINDS = {
 }
 
 
+def every_candidate_search(matrix):
+    """Oracle beyond k = 8: the search's classes, re-solving every allowed tie candidate."""
+    k = len(matrix)
+    rows = np.arange(k)
+    best = None
+    if (matrix == math.inf).any():
+        weights = [[1 if x == math.inf else 0 if math.isfinite(x) else None for x in row]
+                   for row in matrix.tolist()]
+        best = _complete(weights, [])
+    if best is None or _mean(matrix[rows, best]) != math.inf:
+        weights = _integers(matrix)[0]
+        solved = _assign(weights)
+        if solved is None:
+            return tuple(range(k))
+        best = solved[0]
+    best_score = _mean(matrix[rows, best])
+    for j in range(k):
+        for c in range(best[j]):
+            if c in best[:j] or weights[j][c] is None:
+                continue
+            candidate = _complete(weights, best[:j] + [c])
+            if candidate is not None and (score := _mean(matrix[rows, candidate])) >= best_score:
+                best, best_score = candidate, score
+                break
+    return tuple(best)
+
+
 def matrix_metric(matrix):
     """One-sample signals tagged 1..k and a metric that looks their pair up."""
     k = len(matrix)
@@ -655,6 +683,14 @@ class TestEvaluatePermuted:
             assert all(type(c) is int for c in perm)
             assert len(reports) == k
 
+    @pytest.mark.parametrize("kind", sorted(MATRIX_KINDS))
+    @pytest.mark.parametrize("k", range(9, 15))
+    def test_agrees_with_every_candidate_search(self, k, kind):
+        # beyond the exhaustive oracle's reach: the skip rule must drop no tie
+        for seed in range(2):
+            matrix = MATRIX_KINDS[kind](np.random.default_rng([k, seed, 2]), k)
+            assert _best_assignment(matrix) == every_candidate_search(matrix), (kind, k, seed)
+
     def test_equivariant_under_estimate_permutation(self, rng):
         for _ in range(10):
             k = int(rng.integers(2, 7))
@@ -745,8 +781,25 @@ class TestEvaluatePermuted:
         found = re.fullmatch(r"evaluate_permuted: k=6, (\S+) class won, (\d+) assignment "
                              r"solves, (\d+) candidates skipped", record)
         assert found and found[1] == won, record
-        if won == "finite":  # distinct real scores: one solve, every candidate skipped
-            assert (found[2], int(found[3]) > 0) == ("1", True), record
+        if won == "finite":  # distinct real scores: the duals skip some candidates
+            assert int(found[3]) > 0, record
+
+    @pytest.mark.parametrize("k", [8, 16, 32, 64])
+    def test_one_solve_on_separation_scores(self, caplog, k):
+        # SI-SDR of noisy estimates of independent sources, in a planted order:
+        # every tie candidate's entry is far above the slack, so none is re-solved
+        rng = np.random.default_rng(k)
+        refs = rng.standard_normal((k, 4000))
+        planted = rng.permutation(k)
+        ests = [None] * k
+        for j, c in enumerate(planted):
+            ests[c] = refs[j] + rng.uniform(0.3, 3.0) * rng.standard_normal(4000)
+        with caplog.at_level(logging.DEBUG, logger="sepmetrics.metrics"):
+            perm, _ = evaluate_permuted(refs, ests)
+        assert perm == tuple(planted.tolist())
+        [record] = [r.getMessage() for r in caplog.records if r.name == "sepmetrics.metrics"]
+        assert re.fullmatch(rf"evaluate_permuted: k={k}, finite class won, 1 assignment "
+                            r"solves, \d+ candidates skipped", record), record
 
     def test_runs_on_numpy_alone(self, tmp_path):
         # A fresh interpreter: pytest's own imports would otherwise leak in.
