@@ -121,16 +121,22 @@ class Spectrogram:
 
 @dataclass(eq=False)
 class MaskVector:
-    """Per-frequency-bin real gain in [0, 1], applied identically to every frame."""
+    """Per-frequency-bin real gain in [0, 1], applied identically to every frame.
+
+    A NaN or infinite gain raises :class:`NonFiniteError`; a gain outside
+    [0, 1], or gains that are not 1-D, raise :class:`ConfigError`.
+    """
 
     gains: np.ndarray
 
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=np.float64)
         if gains.ndim != 1:
-            raise ValueError("mask gains must be one-dimensional")
-        if not np.all(np.isfinite(gains)) or gains.min() < 0.0 or gains.max() > 1.0:
-            raise ValueError("mask gains must lie in [0, 1]")
+            raise ConfigError("gains", f"must be one-dimensional, got shape {gains.shape}")
+        if not np.all(np.isfinite(gains)):
+            raise NonFiniteError("mask gains must be finite")
+        if gains.min() < 0.0 or gains.max() > 1.0:
+            raise ConfigError("gains", "must lie in [0, 1]")
         self.gains = gains
 
     def __len__(self) -> int:
@@ -200,10 +206,11 @@ def white_noise(length: int, seed: int, sample_rate_hz: int = 16000) -> Signal:
     """Zero-mean unit-variance Gaussian noise from a seeded PCG64 generator.
 
     The stream is fully determined by the seed (PCG64 with the ziggurat
-    normal transform), so experiments are reproducible.
+    normal transform), so experiments are reproducible. A length below 1
+    raises :class:`ConfigError`.
     """
     if length < 1:
-        raise ValueError("length must be >= 1")
+        raise ConfigError("length", f"must be >= 1, got {length!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     return Signal(rng.standard_normal(length), sample_rate_hz)
 
@@ -311,12 +318,12 @@ def band_edges(center: int, width_bins: int, n_bins: int) -> tuple[int, int]:
     Centred on ``center`` (one bin lower for an even width) and shifted inward
     where it would cross a spectrum edge, so the band keeps its width and
     always contains ``center``. A width below 1 or a ``center`` outside
-    ``[0, n_bins)`` raises ``ValueError``.
+    ``[0, n_bins)`` raises :class:`ConfigError`.
     """
     if width_bins < 1:
-        raise ValueError("width_bins must be >= 1")
+        raise ConfigError("width_bins", f"must be >= 1, got {width_bins!r}")
     if not 0 <= center < n_bins:
-        raise ValueError(f"center must lie in [0, {n_bins}), got {center}")
+        raise ConfigError("center", f"must lie in [0, {n_bins}), got {center!r}")
     width = min(width_bins, n_bins)
     lo = min(max(center - (width - 1) // 2, 0), n_bins - width)
     return lo, lo + width - 1

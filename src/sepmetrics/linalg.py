@@ -64,34 +64,50 @@ def _block_durbin(blocks: np.ndarray) -> tuple:
     ``b >= a`` and its transpose below. The block (Whittle / Wiggins-Robinson)
     Levinson recursion raises the order of the forward predictor ``A``
     (``A T_n = [Pf, 0, ..., 0]``, ``A_0 = I``) and the backward one ``B``
-    (``B T_n = [0, ..., 0, Pb]``, ``B_{n-1} = I``), the latter stored reversed
-    so that raising the order appends a zero block; no solution is carried
-    along. Every array keeps the delay axis last, so each contraction runs its
-    inner loop over delays. O(p^2 m^3) time, O(p m^2) memory. Contractions are
-    numpy ``einsum`` (not BLAS, so the bits do not depend on the thread
-    count); only the m x m error covariances are inverted, by ``numpy.linalg``,
-    which raises ``LinAlgError`` for an exactly singular one. The generators
-    are ``alpha_k = A_k^T`` and ``beta = [0, B_0^T, ..., B_{p-2}^T]``.
+    (``B T_n = [0, ..., 0, Pb]``, ``B_{n-1} = I``); no solution is carried
+    along. O(p^2 m^3) time, O(p m^2) memory. Each predictor is one ``m x (p+1)
+    m`` row of blocks: ``A`` left-aligned, ``[A_0, ..., A_{n-1}, 0, ...]``,
+    and ``B`` right-aligned, ``[..., 0, B_0, ..., B_{n-1}]``, so ``[A, 0]``
+    and ``[0, B]`` at the next order are forward, contiguous slices of equal
+    width; the lag blocks are stacked reversed, so the delta ``sum_a A_a
+    R_{n-a}`` is one product on a forward slice too. A step is five
+    ``np.matmul`` calls (BLAS ``dgemm``): the delta, both gains in one stacked
+    product, the two order updates, written into a preallocated buffer and
+    then subtracted in place, and both error updates in one stacked product.
+    Then the m x m error covariances are inverted by ``numpy.linalg``, which
+    raises ``LinAlgError`` for an exactly singular one. The bits do not
+    depend on the BLAS thread count: OpenBLAS splits a product's output among
+    its threads, never an entry's inner sum, and runs products this small on
+    one thread anyway (see
+    ``test_multi_source_scores_do_not_depend_on_blas_threads``). The
+    generators are ``alpha_k = A_k^T`` and ``beta = [0, B_0^T, ..., B_{p-2}^T]``.
     """
     p, m, _ = blocks.shape
-    lags = np.ascontiguousarray(blocks.transpose(1, 2, 0))  # lags[i, j, d]
-    pred = np.zeros((2, m, m, p))  # A, then B reversed; delay d at [..., d]
-    pred[:, :, :, 0] = np.eye(m)
+    lags = np.ascontiguousarray(blocks[:0:-1]).reshape((p - 1) * m, m)  # [R_{p-1}; ...; R_1]
+    # A and B; the spare block makes B's first p blocks [0, B_0, ..., B_{p-2}] at order p.
+    pred = np.zeros((2, m, (p + 1) * m))
+    fwd, bwd = pred
+    fwd[:, :m] = bwd[:, p * m:] = np.eye(m)
     err = np.stack((blocks[0], blocks[0]))  # Pf, Pb
     inv = np.linalg.inv(err)
     deltas = np.empty((2, m, m))
+    gains = np.empty((2, m, m))
+    update = np.empty((2, m, p * m))
     for n in range(1, p):
+        start, width = (p - n) * m, (n + 1) * m  # [0, B] is bwd[:, start:], [A, 0] fwd[:, :width]
         # [A, 0] T_{n+1} ends in delta; [0, B] T_{n+1} starts with delta^T.
-        np.einsum("ija,jka->ik", pred[0, :, :, :n], lags[:, :, n:0:-1], out=deltas[0])
+        np.matmul(fwd[:, :n * m], lags[start - m:], out=deltas[0])
         deltas[1] = deltas[0].T
-        gains = np.einsum("sij,sjk->sik", deltas, inv[::-1])  # delta Pb^-1, delta^T Pf^-1
+        np.matmul(deltas, inv[::-1], out=gains)  # delta Pb^-1, delta^T Pf^-1
         # A -= gains[0] [0, B] and B -= gains[1] [A, 0], both from the old predictors.
-        pred[:, :, :, :n + 1] -= np.einsum("sij,sjka->sika", gains, pred[::-1, :, :, n::-1])
-        err -= np.einsum("sij,sjk->sik", gains, deltas[::-1])
+        np.matmul(gains[0], bwd[:, start:], out=update[0, :, :width])
+        np.matmul(gains[1], fwd[:, :width], out=update[1, :, :width])
+        fwd[:, :width] -= update[0, :, :width]
+        bwd[:, start:] -= update[1, :, :width]
+        err -= gains @ deltas[::-1]
         inv = np.linalg.inv(err)
-    gen = np.zeros((2, m, m, p))  # alpha_k = A_k^T and beta_k = B_{k-1}^T, untransposed
-    gen[0] = pred[0]
-    gen[1, :, :, 1:] = pred[1, :, :, p - 1:0:-1]
+    # alpha_k = A_k^T and beta_k = B_{k-1}^T, untransposed, delay last
+    gen = pred[:, :, :p * m].reshape(2, m, p, m).transpose(0, 1, 3, 2)
     return _generator_spectra(gen, inv)
 
 

@@ -137,7 +137,9 @@ def si_sdr(reference, estimate) -> float:
     a, num = _gain(ref, est)
     if not est.any():
         raise ZeroEstimateError("estimate signal is all zeros")
-    return db_ratio(num, _inner(a * ref - est))
+    residual = a * ref  # one buffer: a * ref - est would hold two full-length temporaries
+    residual -= est
+    return db_ratio(num, _inner(residual))
 
 
 def sd_sdr(reference, estimate) -> float:

@@ -260,8 +260,15 @@ class TestApplyMask:
             Spectrogram(np.zeros(CFG.n_bins, dtype=complex), CFG, 600, 16000)
 
     def test_mask_must_be_one_dimensional(self):
-        with pytest.raises(ValueError, match="one-dimensional"):
+        with pytest.raises(ConfigError, match="^gains: must be one-dimensional") as info:
             MaskVector(np.ones((2, CFG.n_bins)))
+        assert info.value.field == "gains" and isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_mask_gain_raises_a_typed_error(self, bad):
+        with pytest.raises(NonFiniteError, match="mask gains must be finite") as info:
+            MaskVector(np.array([bad, 1.0]))
+        assert isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_direct_construction_still_validates(self, bad):
@@ -286,10 +293,10 @@ class TestApplyMask:
         assert np.isnan(out.frames[1, 2])
 
     def test_mask_bounds(self):
-        with pytest.raises(ValueError):
-            MaskVector(np.array([0.5, 1.0001]))
-        with pytest.raises(ValueError):
-            MaskVector(np.array([-0.001, 0.5]))
+        for gains in ([0.5, 1.0001], [-0.001, 0.5]):
+            with pytest.raises(ConfigError, match=r"^gains: must lie in \[0, 1\]") as info:
+                MaskVector(np.array(gains))
+            assert info.value.field == "gains" and isinstance(info.value, ValueError)
 
 
 class TestWhiteNoise:
@@ -311,8 +318,9 @@ class TestWhiteNoise:
 
     @pytest.mark.parametrize("length", [0, -1])
     def test_length_must_be_positive(self, length):
-        with pytest.raises(ValueError, match="length must be >= 1"):
+        with pytest.raises(ConfigError, match="^length: must be >= 1") as info:
             white_noise(length, seed=0)
+        assert info.value.field == "length" and isinstance(info.value, ValueError)
 
 
 class TestMixAtSnr:
@@ -484,13 +492,15 @@ class TestBands:
 
     @pytest.mark.parametrize("width", [0, -3])
     def test_band_edges_need_a_bin(self, width):
-        with pytest.raises(ValueError, match="width_bins must be >= 1"):
+        with pytest.raises(ConfigError, match="^width_bins: must be >= 1") as info:
             band_edges(100, width, CFG.n_bins)
+        assert info.value.field == "width_bins" and isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("center", [-1, 257, 1000])
     def test_band_edges_need_a_center_in_the_spectrum(self, center):
-        with pytest.raises(ValueError, match=r"center must lie in \[0, 257\)"):
+        with pytest.raises(ConfigError, match=r"^center: must lie in \[0, 257\)") as info:
             band_edges(center, 3, 257)
+        assert info.value.field == "center" and isinstance(info.value, ValueError)
 
     def test_hz_to_bins_paper_band(self):
         # 1600 Hz at 16 kHz with a 512-point transform: 51.2 -> 51 bins

@@ -571,24 +571,34 @@ for seconds in (1.0, 2.0, 3.0, 4.0):
     print(repr((legacy.legacy_sdr(d), legacy.legacy_sir(d), legacy.legacy_sar(d))))
     d = metrics.decompose(s[0], est, s[1:3])
     print(repr((metrics.si_sir(d), metrics.si_sar(d))))
+# 8 sources x 512 taps = MAX_PROBLEM_SIZE: the largest block factor, whose
+# predictor updates are (8 x 8) times (8 x 4096) products.
+s = [fixtures.speech_like(1.0, 16000, seed).samples for seed in range(11, 20)]
+est = s[0] + sum(0.1 * (-1) ** k * x for k, x in enumerate(s[1:8], 1)) + 0.05 * s[8]
+d = legacy.fir_project(est, s[0], s[1:8], legacy.FirProjectionConfig(taps=512))
+print(repr((legacy.legacy_sdr(d), legacy.legacy_sir(d), legacy.legacy_sar(d))))
 """
 
 
 def test_multi_source_scores_do_not_depend_on_blas_threads():
-    # The block recursion contracts with numpy einsum and checks its residual
-    # with FFTs, so no BLAS call sees the data. The thread count is fixed at
-    # process start, so each run is a subprocess with its own environment.
+    # The block recursion's products are BLAS dgemm calls. OpenBLAS splits a
+    # product's output among threads, never an entry's inner sum, so each
+    # entry is summed in one order at any thread count; the residual check
+    # uses FFTs. The 8-source projection's update products are where OpenBLAS
+    # may start to thread. The thread count is fixed at process start, so
+    # each run is a subprocess with its own environment.
     src = os.path.dirname(os.path.dirname(os.path.abspath(legacy.__file__)))
     outputs = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "4"):
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         outputs.append(subprocess.run([sys.executable, "-c", _MULTI_SOURCE_LEGACY], env=env,
                                       check=True, capture_output=True, text=True).stdout)
     assert outputs[0].count("solve_spd: block Levinson (n=768") == 4
+    assert outputs[0].count(f"solve_spd: block Levinson (n={legacy.MAX_PROBLEM_SIZE},") == 1
     # decompose's Gram matrix goes in as one lag block of 3 sources
     assert outputs[0].count("solve_spd: block Levinson (n=3,") == 4
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def cold_project(est, ref, interferers=(), taps=32):

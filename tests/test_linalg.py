@@ -397,6 +397,46 @@ class TestBlockToeplitzOracle:
         assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
+def einsum_block_durbin(blocks):
+    """Reference for ``_block_durbin``: the same recursion as ``einsum`` calls on delay-last arrays.
+
+    The backward predictor is stored reversed (``B_{n-1}`` first), so raising
+    the order appends a zero block; each contraction reads reversed views.
+    """
+    p, m, _ = blocks.shape
+    lags = np.ascontiguousarray(blocks.transpose(1, 2, 0))  # lags[i, j, d]
+    pred = np.zeros((2, m, m, p))  # A, then B reversed; delay d at [..., d]
+    pred[:, :, :, 0] = np.eye(m)
+    err = np.stack((blocks[0], blocks[0]))  # Pf, Pb
+    inv = np.linalg.inv(err)
+    deltas = np.empty((2, m, m))
+    for n in range(1, p):
+        np.einsum("ija,jka->ik", pred[0, :, :, :n], lags[:, :, n:0:-1], out=deltas[0])
+        deltas[1] = deltas[0].T
+        gains = np.einsum("sij,sjk->sik", deltas, inv[::-1])  # delta Pb^-1, delta^T Pf^-1
+        pred[:, :, :, :n + 1] -= np.einsum("sij,sjka->sika", gains, pred[::-1, :, :, n::-1])
+        err -= np.einsum("sij,sjk->sik", gains, deltas[::-1])
+        inv = np.linalg.inv(err)
+    gen = np.zeros((2, m, m, p))  # alpha_k = A_k^T and beta_k = B_{k-1}^T, untransposed
+    gen[0] = pred[0]
+    gen[1, :, :, 1:] = pred[1, :, :, p - 1:0:-1]
+    return linalg._generator_spectra(gen, inv)
+
+
+@pytest.mark.parametrize("taps", [1, 2, 17, 512])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_block_recursion_matches_einsum_oracle(m, taps):
+    # Up to m * taps = 4096, legacy's MAX_PROBLEM_SIZE: 8 sources x 512 taps.
+    blocks = lag_blocks(np.random.default_rng(m).standard_normal((m, 6000)), taps)
+    circ_spec = linalg._circulant(blocks)
+    # As in fir_project: the estimate is filtered sources, rhs = T h.
+    rhs = linalg._block_matvec(circ_spec, np.random.default_rng(taps).standard_normal((m, taps)))
+    got = linalg._levinson((blocks, linalg._block_durbin(blocks), circ_spec), rhs)
+    want = linalg._levinson((blocks, einsum_block_durbin(blocks), circ_spec), rhs)
+    assert linalg._backward_error(blocks, rhs, got, circ_spec) <= linalg._levinson_bound(m * taps)
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
 class TestLogging:
     def test_silent_by_default(self):
         handlers = logging.getLogger("sepmetrics").handlers

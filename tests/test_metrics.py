@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -223,6 +224,20 @@ class TestSiSdr:
     def test_zero_estimate(self):
         with pytest.raises(ZeroEstimateError):
             si_sdr(S34, [0.0, 0.0])
+
+    @pytest.mark.parametrize("n", [16000, 32000])
+    def test_one_residual_buffer(self, rng, n):
+        # Below numpy's 256 KiB temporary elision, a * ref - est would hold two
+        # full-length temporaries at once.
+        s, e = rng.standard_normal((2, n))
+        si_sdr(s, e)  # warm: no first-call allocations in the peak
+        tracemalloc.start()
+        try:
+            si_sdr(s, e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * s.nbytes
 
 
 class TestSdSdr:
