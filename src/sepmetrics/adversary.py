@@ -9,17 +9,15 @@ metric gap this produces: the learned mask wipes out most of the spectrum,
 yet the legacy FIR-projection SDR of the masked signal stays high because a
 512-tap filter applied to the reference can mimic the same spectral surgery.
 
-The gradient is fully analytic, propagated through the inverse STFT (a
-linear map in the mask), the max-normalization (using the derivative at the
-unique argmax bin, first index on exact ties), and the logistic.
-
-The masked output is ``out = B g``, where column k of B is the trimmed iSTFT
-of bin k alone. The backward step needs ``Bᵀ d_out``. :func:`objective` and
-:func:`gradient` take it with the exact adjoint (an rFFT of every frame).
-:func:`optimize` builds the F x F synthesis Gram ``Q = BᵀB`` and ``c = Bᵀ clean``
-once, so that ``Bᵀ residual = Q g - a c`` costs one matrix-vector product per
-iteration. The forward pass stays the real iSTFT of the masked spectrogram,
-so every recorded SI-SDR is that of an actual masked signal.
+The gradient is fully analytic, propagated through the masked synthesis
+``out = B g`` (linear in the gains), the max-normalization (using the
+derivative at the unique argmax bin, first index on exact ties), and the
+logistic. B's adjoint and Gram ``Q = BᵀB`` are :mod:`sepmetrics.dsp`'s
+``_istft_adjoint`` and ``_synthesis_gram``. :func:`gradient` takes
+``Bᵀ d_out`` by the adjoint; :func:`optimize` builds Q and ``c = Bᵀ clean``
+once, so that ``Bᵀ residual = Q g - a c`` costs one matrix-vector product
+per iteration. The forward pass stays the real iSTFT of the masked
+spectrogram, so every recorded SI-SDR is that of an actual masked signal.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ import numpy as np
 
 from . import legacy
 from .audio import Signal
-from .dsp import (MaskVector, Spectrogram, StftConfig, _analyze, _bin_weights, apply_mask,
-                  istft, stft)
+from .dsp import (MaskVector, Spectrogram, StftConfig, _istft_adjoint, _synthesis_gram,
+                  apply_mask, istft, stft)
 from .errors import ConfigError, NonFiniteError, _check_number
 from .metrics import db_ratio
 
@@ -123,19 +121,6 @@ def objective(weights, clean: Signal, cfg: StftConfig = StftConfig()) -> float:
     return db_ratio(num, den)
 
 
-def _istft_adjoint(spec: Spectrogram, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of a scalar through the iSTFT, w.r.t. real per-bin gains.
-
-    For output gradient u, frame tau and bin k:
-    d/dgain_k = sum_tau Re(conj(X[tau,k]) * scale_k * rfft(w * u_tau)[k]),
-    with scale 2/N on interior bins and 1/N at DC/Nyquist.
-    """
-    cfg = spec.cfg
-    grad_spec = _analyze(upstream / cfg.ola_gain, cfg, spec.frames.shape[0])
-    scale = _bin_weights(cfg.n_bins) / cfg.window_len
-    return (np.real(np.conj(spec.frames) * grad_spec) * scale).sum(axis=0)
-
-
 @dataclass(eq=False)
 class _Gram:
     """``q = BᵀB`` and ``c = Bᵀ clean`` of one spectrogram; ``used`` counts
@@ -144,63 +129,6 @@ class _Gram:
     q: np.ndarray
     c: np.ndarray
     used: int = 0
-
-
-def _synthesis_gram(spec: Spectrogram) -> np.ndarray:
-    """``Q[k, l] = <b_k, b_l>``, b_k the trimmed iSTFT output of bin k alone.
-
-    Output hop-block b is the sum over i < r = N/H of sub-block i of frame
-    b - i, each linear in the gains through the windowed synthesis tables D_i
-    (H x F: cos for Re X, -sin for Im X). So Q sums, over sub-block pairs
-    (i, j) and the four Re/Im quadrants, the table products ``D_iᵀ D_j`` times
-    the lagged frame products ``Z_iᵀ Z_j`` over the kept blocks, one F x F
-    quadrant at a time; tables are made per sub-block to keep memory small.
-    The trim drops ``pad = (r - 1) H`` samples, i.e. whole blocks; a partial
-    last block adds one explicit term.
-    """
-    cfg = spec.cfg
-    n, h, f = cfg.window_len, cfg.hop, cfg.n_bins
-    r = n // h
-    full, tail = divmod(spec.original_len, h)
-    scale = _bin_weights(f) / n
-
-    def tables(i):
-        col = (cfg.window[i * h:(i + 1) * h] / cfg.ola_gain)[:, None] * scale
-        angle = np.outer(np.arange(i * h, (i + 1) * h), np.arange(f)) % n * (2.0 * np.pi / n)
-        cos = np.cos(angle)
-        cos *= col
-        sin = np.sin(angle, out=angle)
-        sin *= -col
-        sin[:, [0, -1]] = 0.0  # irfft ignores Im X at DC and Nyquist
-        return cos, sin
-
-    # kept block r - 1 + b sees frames r - 1 + b - i; rows past the last frame are zero
-    rows = r - 1 + full + (tail > 0)
-    frames = []
-    for part in (spec.frames.real, spec.frames.imag):
-        padded = np.zeros((rows, f))
-        padded[:min(rows, part.shape[0])] = part[:rows]
-        frames.append(padded)
-    z = [[x[r - 1 - i:r - 1 - i + full] for x in frames] for i in range(r)]
-    half = np.zeros((f, f))
-    last = np.zeros((tail, f))
-    for i in range(r):
-        d_i = tables(i)
-        for j in range(i, r):
-            d_j = d_i if j == i else tables(j)
-            for p in range(2):
-                for q in range(2):
-                    term = d_i[p].T @ d_j[q]
-                    term *= z[i][p].T @ z[j][q]
-                    if i == j:
-                        term *= 0.5
-                    half += term
-        if tail:
-            for p in range(2):
-                last += frames[p][r - 1 + full - i] * d_i[p][:tail]
-    gram = half + half.T
-    gram += last.T @ last
-    return gram
 
 
 def _gradient_cached(spec: Spectrogram, clean: np.ndarray, weights: np.ndarray,

@@ -4,6 +4,10 @@ The transform uses a square-root periodic Hann window for both analysis and
 synthesis. The signal is zero-padded by ``window_len - hop`` on each side so
 that every original sample sees the full overlap-add window sum, giving
 machine-precision reconstruction for any hop dividing the window length.
+
+The masked synthesis ``B g = istft(apply_mask(spec, g))`` is linear in the
+gains g; its adjoint (``_istft_adjoint``) and Gram matrix ``BᵀB``
+(``_synthesis_gram``) live here beside it, for the adversarial mask search.
 """
 
 from __future__ import annotations
@@ -107,9 +111,7 @@ class Spectrogram:
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.complex128)
         if frames.ndim != 2 or frames.shape[1] != self.cfg.n_bins:
-            raise ValueError(
-                f"frames must be T x {self.cfg.n_bins}, got {frames.shape}"
-            )
+            raise ConfigError("frames", f"must be T x {self.cfg.n_bins}, got {frames.shape}")
         if not np.all(np.isfinite(frames)):
             raise NonFiniteError("spectrogram entries must be finite")
         self.frames = frames
@@ -124,15 +126,16 @@ class MaskVector:
     """Per-frequency-bin real gain in [0, 1], applied identically to every frame.
 
     A NaN or infinite gain raises :class:`NonFiniteError`; a gain outside
-    [0, 1], or gains that are not 1-D, raise :class:`ConfigError`.
+    [0, 1], or gains that are not 1-D or are empty, raise :class:`ConfigError`.
     """
 
     gains: np.ndarray
 
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=np.float64)
-        if gains.ndim != 1:
-            raise ConfigError("gains", f"must be one-dimensional, got shape {gains.shape}")
+        if gains.ndim != 1 or not gains.size:
+            raise ConfigError("gains", "must be one-dimensional and non-empty, "
+                                       f"got shape {gains.shape}")
         if not np.all(np.isfinite(gains)):
             raise NonFiniteError("mask gains must be finite")
         if gains.min() < 0.0 or gains.max() > 1.0:
@@ -144,8 +147,12 @@ class MaskVector:
 
 
 def _analyze(x: np.ndarray, cfg: StftConfig, n_frames: int) -> np.ndarray:
-    """Pad ``x`` by ``cfg.pad``, cut ``n_frames`` hop-spaced frames, window, rFFT."""
-    buf = np.zeros((n_frames - 1) * cfg.hop + cfg.window_len)
+    """Pad ``x`` by ``cfg.pad``, cut ``n_frames`` hop-spaced frames, window, rFFT.
+
+    The buffer is sized as :func:`istft` sizes its output, so fewer frames than
+    :meth:`StftConfig.frame_count` leave the samples past the last one unread.
+    """
+    buf = np.zeros(max((n_frames - 1) * cfg.hop + cfg.window_len, cfg.pad + x.size))
     buf[cfg.pad:cfg.pad + x.size] = x
     view = np.lib.stride_tricks.sliding_window_view(buf, cfg.window_len)
     return np.fft.rfft(view[:: cfg.hop][:n_frames] * cfg.window, axis=1)
@@ -202,6 +209,83 @@ def apply_mask(spec: Spectrogram, mask: MaskVector) -> Spectrogram:
     return out
 
 
+def _bin_weights(n_bins: int, n: int = 1) -> np.ndarray:
+    """2/n on interior rFFT bins, which stand in for their conjugate twins, 1/n at
+    DC and Nyquist: with ``n = window_len``, irfft's synthesis weights."""
+    weights = np.full(n_bins, 2.0 / n)
+    weights[0] = weights[-1] = 1.0 / n
+    return weights
+
+
+def _istft_adjoint(spec: Spectrogram, upstream: np.ndarray) -> np.ndarray:
+    """``Bᵀ u`` for the masked synthesis ``B g = istft(apply_mask(spec, g))``.
+
+    ``(Bᵀ u)[k] = sum_tau Re(conj(X[tau, k]) scale_k rfft(w u_tau)[k])``, u_tau frame
+    tau of ``u / ola_gain`` as :func:`stft` frames a signal, ``scale`` irfft's weights.
+    """
+    cfg = spec.cfg
+    grad_spec = _analyze(upstream / cfg.ola_gain, cfg, spec.frames.shape[0])
+    scale = _bin_weights(cfg.n_bins, cfg.window_len)
+    return (np.real(np.conj(spec.frames) * grad_spec) * scale).sum(axis=0)
+
+
+def _synthesis_gram(spec: Spectrogram) -> np.ndarray:
+    """``Q = BᵀB`` for :func:`_istft_adjoint`'s B: ``Q[k, l] = <b_k, b_l>``, b_k the
+    trimmed iSTFT of bin k alone.
+
+    Output hop-block b sums sub-block i < r = N/H of frame b - i (:func:`istft`),
+    each linear in the gains through the windowed synthesis tables D_i (H x F:
+    cos for Re X, -sin for Im X). So Q sums, over sub-block pairs (i, j) and
+    the four Re/Im quadrants, ``D_iᵀ D_j`` times the lagged frame products
+    ``Z_iᵀ Z_j`` over the kept blocks, one F x F quadrant at a time; tables are
+    made per sub-block to keep memory small. The trim drops ``pad = (r - 1) H``
+    samples, i.e. whole blocks; a partial last block adds one explicit term.
+    """
+    cfg = spec.cfg
+    n, h, f = cfg.window_len, cfg.hop, cfg.n_bins
+    r = n // h
+    full, tail = divmod(spec.original_len, h)
+    scale = _bin_weights(f, n)
+
+    def tables(i):
+        col = (cfg.window[i * h:(i + 1) * h] / cfg.ola_gain)[:, None] * scale
+        angle = np.outer(np.arange(i * h, (i + 1) * h), np.arange(f)) % n * (2.0 * np.pi / n)
+        cos = np.cos(angle)
+        cos *= col
+        sin = np.sin(angle, out=angle)
+        sin *= -col
+        sin[:, [0, -1]] = 0.0  # irfft ignores Im X at DC and Nyquist
+        return cos, sin
+
+    # kept block r - 1 + b sees frames r - 1 + b - i; rows past the last frame are zero
+    rows = r - 1 + full + (tail > 0)
+    frames = []
+    for part in (spec.frames.real, spec.frames.imag):
+        padded = np.zeros((rows, f))
+        padded[:min(rows, part.shape[0])] = part[:rows]
+        frames.append(padded)
+    z = [[x[r - 1 - i:r - 1 - i + full] for x in frames] for i in range(r)]
+    half = np.zeros((f, f))
+    last = np.zeros((tail, f))
+    for i in range(r):
+        d_i = tables(i)
+        for j in range(i, r):
+            d_j = d_i if j == i else tables(j)
+            for p in range(2):
+                for q in range(2):
+                    term = d_i[p].T @ d_j[q]
+                    term *= z[i][p].T @ z[j][q]
+                    if i == j:
+                        term *= 0.5
+                    half += term
+        if tail:
+            for p in range(2):
+                last += frames[p][r - 1 + full - i] * d_i[p][:tail]
+    gram = half + half.T
+    gram += last.T @ last
+    return gram
+
+
 def white_noise(length: int, seed: int, sample_rate_hz: int = 16000) -> Signal:
     """Zero-mean unit-variance Gaussian noise from a seeded PCG64 generator.
 
@@ -213,14 +297,6 @@ def white_noise(length: int, seed: int, sample_rate_hz: int = 16000) -> Signal:
         raise ConfigError("length", f"must be >= 1, got {length!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     return Signal(rng.standard_normal(length), sample_rate_hz)
-
-
-def _bin_weights(n_bins: int) -> np.ndarray:
-    # interior rFFT bins stand in for their conjugate twins
-    weights = np.full(n_bins, 2.0)
-    weights[0] = 1.0
-    weights[-1] = 1.0
-    return weights
 
 
 def band_spectral_energy(spec: Spectrogram, band: tuple[int, int]) -> float:
@@ -254,8 +330,8 @@ def mix_at_snr(clean: Signal, noise: Signal, snr_db: float,
     ``sqrt(clean_e / (10^(snr_db/10) noise_e))``; where that overflows or
     divides by zero it is taken as ``sqrt(clean_e/noise_e) 10^(-snr_db/20)``.
     A gain that underflows adds zero noise, as ``snr_db = +inf`` does; NaN,
-    ``-inf`` and a gain beyond the float64 range raise :class:`ConfigError`,
-    an energy beyond it :class:`NonFiniteError`.
+    ``-inf``, a gain beyond the float64 range and noise silent in the band
+    raise :class:`ConfigError`, an energy beyond it :class:`NonFiniteError`.
     """
     if not snr_db > -np.inf:  # NaN or -inf: no finite noise gain reaches it
         raise ConfigError("snr_db", f"must be above -inf and not NaN, got {snr_db!r}")
@@ -276,7 +352,7 @@ def mix_at_snr(clean: Signal, noise: Signal, snr_db: float,
     if clean_e == 0.0:
         raise ZeroReferenceError("clean signal has no energy in the measured band")
     if noise_e == 0.0:
-        raise ValueError("noise has no energy in the measured band; cannot scale")
+        raise ConfigError("noise", "has no energy in the measured band; cannot scale")
     try:
         scale = math.sqrt(clean_e / (10.0 ** (snr_db / 10.0) * noise_e))
     except (OverflowError, ZeroDivisionError):  # 10^(snr_db/10) beyond the float64 range
@@ -298,7 +374,7 @@ def band_center(spec: Spectrogram, mode: str = "median-energy") -> int:
 
     ``median-energy``: smallest bin where the cumulative time-averaged energy
     reaches half the total. ``max-magnitude``: argmax of the time-averaged
-    magnitude (smallest index on ties).
+    magnitude (smallest index on ties). Any other mode raises :class:`ConfigError`.
     """
     mag = np.abs(spec.frames)
     if not mag.any():
@@ -309,7 +385,7 @@ def band_center(spec: Spectrogram, mode: str = "median-energy") -> int:
         return int(np.searchsorted(cum, cum[-1] / 2.0))
     if mode == "max-magnitude":
         return int(np.argmax(mag.mean(axis=0)))
-    raise ValueError(f"unknown mode {mode!r}")
+    raise ConfigError("mode", f"unknown mode {mode!r}; use 'median-energy' or 'max-magnitude'")
 
 
 def band_edges(center: int, width_bins: int, n_bins: int) -> tuple[int, int]:

@@ -30,9 +30,10 @@ N points, N a power of two (Oppenheim & Schafer; see :func:`fir_project` for
 N's rule), never from a transform of a whole signal. The correlation lags sum
 one signal's blocks against another's segments, and the projected signals are
 rebuilt block by block, so each of the five energies is a direct sum of
-squares in which nothing cancels. The caller's config, not the module, keeps
-its last reference's statistics and factor (:func:`fir_project`). Everything
-but that pivoted Cholesky runs on numpy alone.
+squares (:func:`~sepmetrics.linalg._inner`) in which nothing cancels. The
+caller's config, not the module, keeps its last reference's statistics and
+factor (:func:`fir_project`). Everything but that pivoted Cholesky runs on
+numpy alone.
 
 Scores: SDR, SIR and SAR are ratios of the five energies. A result holds the
 filters and those energies, no vector.
@@ -53,7 +54,7 @@ from .errors import (
     SignalTooShortError,
     _check_number,
 )
-from .linalg import solve_spd
+from .linalg import _inner, solve_spd
 from .metrics import _reference_energy, db_ratio, prepare
 
 __all__ = [
@@ -175,11 +176,6 @@ class LegacyDecomposition:
     projected: float
 
 
-def _sum_squares(y: np.ndarray) -> float:
-    """``sum(y ** 2)`` of a 2-D block array, summed by numpy, not BLAS."""
-    return float(np.einsum("kb,kb->", y, y))
-
-
 def _energies(est: np.ndarray, segments: list[np.ndarray], coeffs: np.ndarray,
               n_block: int) -> list[float]:
     """The five energies of :class:`LegacyDecomposition`, in its field order, by blocks.
@@ -209,20 +205,20 @@ def _energies(est: np.ndarray, segments: list[np.ndarray], coeffs: np.ndarray,
         ys = out[:, :n, taps - 1:]  # s_target (and e_interf) on [kB, kB + B)
         if k0 + n == count:  # past the support, h * s is rounding noise
             ys[:, -1, tail:] = 0.0
-        target = projected = _sum_squares(ys[0])
+        target = projected = _inner(ys[0])
         interference = 0.0
         if nsrc > 1:
-            interference = _sum_squares(ys[1])
+            interference = _inner(ys[1])
             ys[1] += ys[0]  # s_target + e_interf
-            projected = _sum_squares(ys[1])
+            projected = _inner(ys[1])
         # Less the padded estimate: -(e_interf + e_artif), then -e_artif.
         part = est[k0 * step:(k0 + n) * step]
         whole = part.size // step
         ys[:, :whole] -= part[:whole * step].reshape(whole, step)
         if whole < n:
             ys[:, whole, :part.size - whole * step] -= part[whole * step:]
-        distortion = _sum_squares(ys[0])
-        artifacts = _sum_squares(ys[1]) if nsrc > 1 else distortion
+        distortion = _inner(ys[0])
+        artifacts = _inner(ys[1]) if nsrc > 1 else distortion
         sums += (target, interference, artifacts, distortion, projected)
     return sums.tolist()
 
@@ -275,6 +271,7 @@ def fir_project(estimate, reference, interferers=(),
     estimates builds its plan once; a dropped config takes its plan along.
 
     Raises:
+        ConfigError: ``cfg`` neither None nor a :class:`FirProjectionConfig`.
         LengthMismatchError: signals of unequal length.
         SignalTooShortError: signals shorter than ``taps``.
         ProblemTooLargeError: a problem above the size cap (a ``ValueError``).
@@ -283,7 +280,10 @@ def fir_project(estimate, reference, interferers=(),
         ZeroReferenceError: reference of zero energy (all-zero samples, or
             squares that all underflow).
     """
-    cfg = cfg or FirProjectionConfig()  # no config: a plan for this call alone
+    if cfg is None:
+        cfg = FirProjectionConfig()  # a plan for this call alone
+    elif not isinstance(cfg, FirProjectionConfig):
+        raise ConfigError("cfg", f"must be a FirProjectionConfig or None, got {cfg!r}")
     est, *sources = prepare([estimate, reference, *interferers])
     ref, L = sources[0], est.size
     _reference_energy(ref)

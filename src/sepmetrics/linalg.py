@@ -15,12 +15,14 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 def _inner(a: np.ndarray, b: np.ndarray | None = None) -> float:
-    """``sum(a * b)`` of 1-D float64 arrays (``b`` defaults to ``a``: the energy).
+    """``sum(a * b)`` of float64 arrays of one shape (``b`` defaults to ``a``: the energy).
 
-    Every scalar energy and 1-D inner product goes through here. It is summed
-    by numpy, not BLAS ``ddot``, whose bits change with the BLAS thread count.
+    Every metric, legacy and mixing energy and inner product goes through
+    here. It is summed by numpy, not BLAS ``ddot``, whose bits change with the
+    BLAS thread count.
     """
-    return float(np.einsum("i,i->", a, a if b is None else b))
+    axes = list(range(a.ndim))
+    return float(np.einsum(a, axes, a if b is None else b, axes, []))
 
 
 def _levinson_bound(n: int) -> float:

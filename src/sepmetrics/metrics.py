@@ -29,6 +29,7 @@ import numpy as np
 
 from .audio import Signal, _float_samples
 from .errors import (
+    ConfigError,
     CountMismatchError,
     LengthMismatchError,
     NonFiniteError,
@@ -286,10 +287,8 @@ def _resolve_metric(metric):
     try:
         return _METRICS[str(metric).lower()]
     except KeyError:
-        raise ValueError(
-            f"unknown metric {metric!r}; choose from {sorted(set(_METRICS))} "
-            "or pass a callable"
-        ) from None
+        raise ConfigError("metric", f"unknown metric {metric!r}; choose from "
+                                    f"{sorted(set(_METRICS))} or pass a callable") from None
 
 
 def _assign(weights: list[list[int | None]]) -> tuple[list[int], list[int], list[int]] | None:
@@ -438,6 +437,7 @@ def evaluate_permuted(references, estimates, metric="si-sdr"):
 
     Returns ``(assignment, reports)``: ``assignment[j]`` is the estimate index
     paired with reference ``j`` and ``reports[j]`` its :class:`MetricReport`.
+    ``metric`` is a callable or a name; an unknown name raises :class:`ConfigError`.
     An assignment scores the mean of ``metric`` over its pairs (``math.fsum``
     over k: independent of pair order, and rescaled rather than overflowing);
     a NaN mean (mixed +-inf, or a NaN from a custom metric) ranks as -inf and

@@ -10,6 +10,8 @@ from sepmetrics.dsp import (
     MaskVector,
     Spectrogram,
     StftConfig,
+    _istft_adjoint,
+    _synthesis_gram,
     apply_mask,
     band_center,
     band_edges,
@@ -254,15 +256,22 @@ class TestApplyMask:
         assert np.array_equal(spec.frames, before)
 
     def test_spectrogram_shape_must_match_the_bins(self):
-        with pytest.raises(ValueError, match=f"frames must be T x {CFG.n_bins}"):
+        with pytest.raises(ConfigError, match=f"^frames: must be T x {CFG.n_bins}") as info:
             Spectrogram(np.zeros((3, CFG.n_bins - 1), dtype=complex), CFG, 600, 16000)
-        with pytest.raises(ValueError, match="frames must be T x"):
+        assert info.value.field == "frames" and isinstance(info.value, ValueError)
+        with pytest.raises(ConfigError, match="^frames: must be T x"):
             Spectrogram(np.zeros(CFG.n_bins, dtype=complex), CFG, 600, 16000)
 
     def test_mask_must_be_one_dimensional(self):
         with pytest.raises(ConfigError, match="^gains: must be one-dimensional") as info:
             MaskVector(np.ones((2, CFG.n_bins)))
         assert info.value.field == "gains" and isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("gains", [[], np.ones(0)])
+    def test_empty_mask_raises_a_typed_error(self, gains):
+        # numpy's min() once raised its own zero-size-reduction ValueError here
+        with pytest.raises(ConfigError, match="^gains: must be one-dimensional and non-empty"):
+            MaskVector(gains)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_mask_gain_raises_a_typed_error(self, bad):
@@ -297,6 +306,44 @@ class TestApplyMask:
             with pytest.raises(ConfigError, match=r"^gains: must lie in \[0, 1\]") as info:
                 MaskVector(np.array(gains))
             assert info.value.field == "gains" and isinstance(info.value, ValueError)
+
+class TestIstftAdjoint:
+    def test_dot_product(self, short_speech, rng):
+        # <istft(apply_mask(spec, g)), u> == <g, adjoint(spec, u)> for any g, u
+        spec = stft(short_speech, CFG)
+        for _ in range(3):
+            g = rng.uniform(0.0, 1.0, CFG.n_bins)
+            u = rng.standard_normal(len(short_speech))
+            lhs = float(istft(apply_mask(spec, MaskVector(g))).samples @ u)
+            rhs = float(g @ _istft_adjoint(spec, u))
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+
+
+class TestSynthesisGram:
+    @pytest.mark.parametrize("window_len,hop", [(512, 128), (512, 256), (64, 8), (16, 8)])
+    def test_matches_single_bin_istft_oracle(self, window_len, hop, rng):
+        # Q = BᵀB, with B's rows the explicit single-bin iSTFT outputs; the
+        # lengths end on a hop boundary, one sample past it, and mid-hop.
+        cfg = StftConfig(window_len, hop)
+        eye = np.eye(cfg.n_bins)
+        lengths = (3 * window_len, 3 * window_len + 1, 3 * window_len + hop // 2 + 3)
+        specs = [stft(Signal(rng.standard_normal(length)), cfg) for length in lengths]
+        # Built directly with two frames more and two fewer than stft makes: istft
+        # sizes its output by max(frame span, pad + length), and the Gram truncates
+        # the extra frames' rows or zero-fills the missing ones.
+        for extra in (2, -2):
+            shape = (cfg.frame_count(lengths[-1]) + extra, cfg.n_bins)
+            frames = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            specs.append(Spectrogram(frames, cfg, lengths[-1], 16000))
+        for spec in specs:
+            basis = np.array([istft(apply_mask(spec, MaskVector(e))).samples for e in eye])
+            assert basis.shape == (cfg.n_bins, spec.original_len)
+            oracle = basis @ basis.T
+            q = _synthesis_gram(spec)
+            assert np.max(np.abs(q - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+            g = rng.uniform(0.0, 1.0, cfg.n_bins)
+            adj = _istft_adjoint(spec, istft(apply_mask(spec, MaskVector(g))).samples)
+            assert np.linalg.norm(q @ g - adj) <= 1e-12 * np.linalg.norm(adj)
 
 
 class TestWhiteNoise:
@@ -394,8 +441,12 @@ class TestMixAtSnr:
         np.testing.assert_array_equal(mixture.samples, clean.samples)
 
     def test_silent_noise_rejected(self):
-        with pytest.raises(ValueError, match="noise has no energy"):
+        with pytest.raises(ConfigError, match="^noise: has no energy") as info:
             mix_at_snr(white_noise(100, 1), Signal(np.zeros(100), 16000), 0.0)
+        assert info.value.field == "noise" and isinstance(info.value, ValueError)
+        with pytest.raises(ConfigError, match="^noise: has no energy in the measured band"):
+            mix_at_snr(white_noise(4000, 1), Signal(np.zeros(4000), 16000), 0.0,
+                       band=(5, 6), cfg=CFG)
 
     @pytest.mark.parametrize("snr_db", [-300.0, -20.0, 0.0, 15.0, 300.0])
     def test_gain_keeps_the_power_ratio_form(self, snr_db):
@@ -471,8 +522,9 @@ class TestBandCenter:
 
     def test_unknown_mode(self):
         spec = Spectrogram(np.ones((4, CFG.n_bins), dtype=complex), CFG, 1000, 16000)
-        with pytest.raises(ValueError, match="unknown mode 'mean'"):
+        with pytest.raises(ConfigError, match="^mode: unknown mode 'mean'") as info:
             band_center(spec, "mean")
+        assert isinstance(info.value, ValueError)
 
 
 class TestBands:

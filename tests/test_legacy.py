@@ -13,6 +13,7 @@ from scipy.signal import fftconvolve
 
 from sepmetrics import legacy, linalg, metrics
 from sepmetrics.errors import (
+    ConfigError,
     DegenerateSourcesError,
     LengthMismatchError,
     PreconditionError,
@@ -211,6 +212,13 @@ class TestValidation:
     def test_taps_must_be_an_integer(self, taps):
         with pytest.raises(ValueError, match="^taps: must be an integer"):
             FirProjectionConfig(taps=taps)
+
+    @pytest.mark.parametrize("cfg", [0, 512, "512", {"taps": 4}])
+    def test_cfg_must_be_a_config_or_none(self, cfg, rng):
+        # 0 once projected at the 512-tap default (``cfg or ...``); 512 raised AttributeError
+        x = rng.standard_normal(600)
+        with pytest.raises(ConfigError, match="^cfg: must be a FirProjectionConfig or None"):
+            fir_project(x, x, cfg=cfg)
 
     def test_numpy_integer_taps(self, rng):
         x = rng.standard_normal(200)

@@ -21,6 +21,7 @@ from sepmetrics.legacy import (
     legacy_sir,
 )
 from sepmetrics.errors import (
+    ConfigError,
     CountMismatchError,
     DegenerateSourcesError,
     LengthMismatchError,
@@ -780,8 +781,9 @@ class TestEvaluatePermuted:
         perm_snr, _ = evaluate_permuted(refs, ests, "snr")
         perm_custom, _ = evaluate_permuted(refs, ests, snr)
         assert perm_snr == perm_custom
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^metric: unknown metric 'pesq'") as info:
             evaluate_permuted(refs, ests, "pesq")
+        assert isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("kind, won", [("random", "finite"), ("plus_minus_inf", "+inf"),
                                            ("hall_violating", "none")])
